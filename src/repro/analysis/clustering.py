@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.cluster import hierarchy
 
 from repro.analysis.features import BenchmarkFeatures, feature_matrix
 
@@ -39,6 +38,8 @@ class DendrogramResult:
 
     def cluster_of(self, num_clusters: int) -> "dict[str, int]":
         """Flat cluster assignment at the level of ``num_clusters``."""
+        from scipy.cluster import hierarchy
+
         assignment = hierarchy.fcluster(
             self.linkage, t=num_clusters, criterion="maxclust"
         )
@@ -58,6 +59,8 @@ def build_dendrogram(
     """PCA-refine the feature vectors and Ward-link them."""
     if len(features) < 2:
         raise ValueError("need at least two benchmarks to cluster")
+    from scipy.cluster import hierarchy
+
     matrix = feature_matrix(features)
     components = pca(matrix, num_components)
     linkage = hierarchy.linkage(components, method="ward")

@@ -9,13 +9,18 @@ pair), so this module also provides the bit-packing.
 from __future__ import annotations
 
 import math
+import typing
 
-import networkx as nx
 import numpy as np
+
+if typing.TYPE_CHECKING:
+    import networkx as nx
 
 
 def random_graph(num_nodes: int, num_edges: int, seed: int = 0) -> nx.Graph:
     """Random simple undirected graph with exactly the requested edges."""
+    import networkx as nx
+
     if num_edges > num_nodes * (num_nodes - 1) // 2:
         raise ValueError("more edges requested than a simple graph allows")
     return nx.gnm_random_graph(num_nodes, num_edges, seed=seed)
@@ -37,4 +42,6 @@ def adjacency_bitmap(graph: nx.Graph, word_bits: int = 32) -> np.ndarray:
 
 def count_triangles_reference(graph: nx.Graph) -> int:
     """Host reference: total triangle count of the graph."""
+    import networkx as nx
+
     return sum(nx.triangles(graph).values()) // 3
