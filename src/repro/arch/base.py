@@ -143,9 +143,10 @@ class ArchBackend(abc.ABC):
     ) -> "typing.Any":
         """Price a batch of distinct command shapes as array columns.
 
-        The vector engine (``repro.perf.vector``, ``--vector``) compiles
-        an analytic run into a shape histogram and calls this hook once
-        per cell to price every distinct shape; it returns a
+        The vector engine (``repro.perf.vector``, the default analytic
+        pricer of ``run_suite`` and the CLI) compiles an analytic run
+        into a shape histogram and calls this hook once per cell to
+        price every distinct shape; it returns a
         :class:`repro.perf.vector.CostTable` whose column ``i`` is the
         cost of issuing ``shapes[i]`` exactly once.
 

@@ -19,11 +19,10 @@ simulations out across worker processes and ``--cache-dir`` /
 ``--no-cache`` to steer the persistent result cache (see
 docs/PERFORMANCE.md for the caching contract).
 
-``run``, ``suite``, and ``figure`` accept ``--vector`` to price
-analytic cells through the vectorized histogram engine
-(docs/VECTORIZATION.md) -- byte-identical numbers, much faster -- and
-``--vector-check`` to cross-check every vectorized cell against the
-scalar path cell by cell.
+``run --paper-scale``, ``suite``, and ``figure`` price analytic cells
+through the vectorized histogram engine (docs/VECTORIZATION.md) --
+byte-identical numbers, much faster; ``--vector-check`` cross-checks
+every vectorized cell against the scalar path cell by cell.
 
 Resilience flags (docs/RESILIENCE.md): ``--cell-timeout S`` bounds each
 cell's wall-clock time, ``--max-retries N`` re-runs transiently failing
@@ -160,20 +159,12 @@ def _make_bus(trace_path: "str | None", with_metrics: bool = False):
 def cmd_run(args: argparse.Namespace) -> int:
     backend = _parse_target(args.target)
     bench = _make_bench(args.benchmark, args.paper_scale)
-    vector = getattr(args, "vector", False)
-    if vector and not args.paper_scale:
-        # Functional runs execute the data path element by element; the
-        # histogram engine only prices analytic cells.
-        print("--vector applies to analytic runs; functional mode keeps "
-              "the scalar path (add --paper-scale)\n")
-        vector = False
     _apply_vector_check(args)
     # Announce the run up front: paper-scale simulations take a while and
     # a silent terminal reads as a hang.
     print(f"Running {bench.name} on {backend.display_name} "
           f"({args.ranks} ranks, "
-          f"{'paper-scale analytic' if args.paper_scale else 'functional'}"
-          f"{', vectorized' if vector else ''})\n",
+          f"{'paper-scale analytic' if args.paper_scale else 'functional'})\n",
           flush=True)
     bus, chrome, _ = _make_bus(getattr(args, "trace", None))
     spec = CellSpec(
@@ -182,7 +173,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         num_ranks=args.ranks,
         paper_scale=args.paper_scale,
         functional=not args.paper_scale,
-        vector=vector,
+        # Functional runs execute the data path element by element; the
+        # histogram engine only prices analytic cells.
+        vector=args.paper_scale,
     )
     execution = run_cells(
         [spec], jobs=args.jobs, use_cache=not args.no_cache,
@@ -227,13 +220,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     backend = _parse_target(args.target)
     bench = _make_bench(args.benchmark, args.paper_scale)
-    if getattr(args, "vector", False):
-        # Profiled runs stream per-issue events over the bus; the
-        # histogram engine has no per-issue stream to observe, so the
-        # engine would fall back to the scalar path anyway.
-        print("--vector is ignored by profile: observed runs stream "
-              "per-issue events, which the vectorized engine does not "
-              "produce; profiling the scalar path\n")
     print(f"Profiling {bench.name} on {backend.display_name} "
           f"({args.ranks} ranks)\n", flush=True)
     bus, chrome, metrics = _make_bus(args.trace, with_metrics=True)
@@ -303,7 +289,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         num_ranks=args.ranks, paper_scale=True, bus=bus,
         jobs=args.jobs, use_cache=not args.no_cache,
         cache_dir=args.cache_dir, policy=_make_policy(args), strict=False,
-        vector=getattr(args, "vector", False),
     )
     print(f"=== Speedups (Figures 9 / 10a), {args.ranks} ranks ===")
     print(format_speedup_table(speedup_table(suite)))
@@ -339,7 +324,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
     from repro import experiments as exp
 
     _apply_vector_check(args)
-    vector = getattr(args, "vector", False)
     figure = _normalize_figure(args.figure)
     if figure in ("1",):
         from repro.analysis import (
@@ -348,7 +332,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             render_text_dendrogram,
         )
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs, vector=vector)
+                              jobs=args.jobs)
         features = [
             extract_features(
                 suite.benchmarks[key],
@@ -363,27 +347,27 @@ def cmd_figure(args: argparse.Namespace) -> int:
         print(exp.format_sensitivity_table(exp.bank_sensitivity()))
     elif figure == "7":
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs, vector=vector)
+                              jobs=args.jobs)
         print(exp.format_breakdown_table(exp.breakdown_table(suite)))
     elif figure == "8":
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs, vector=vector)
+                              jobs=args.jobs)
         print(exp.format_opmix_table(exp.opmix_table(suite)))
     elif figure in ("9", "10", "10a"):
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs, vector=vector)
+                              jobs=args.jobs)
         print(exp.format_speedup_table(exp.speedup_table(suite)))
     elif figure in ("10b", "11"):
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs, vector=vector)
+                              jobs=args.jobs)
         print(exp.format_energy_table(exp.energy_table(suite)))
     elif figure == "12":
         print(exp.format_rank_table(
-            exp.rank_scaling_table(jobs=args.jobs, vector=vector)
+            exp.rank_scaling_table(jobs=args.jobs)
         ))
     elif figure == "13":
         print(exp.format_rank_table(
-            exp.capacity_matched_table(jobs=args.jobs, vector=vector)
+            exp.capacity_matched_table(jobs=args.jobs)
         ))
     else:
         raise SystemExit(f"unknown figure {args.figure!r}; know 1, 6a, 6b, "
@@ -934,13 +918,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_vector_flags(parser: argparse.ArgumentParser) -> None:
-    """The vectorized-engine flags shared by run/suite/figure."""
-    parser.add_argument(
-        "--vector", action="store_true",
-        help="price analytic cells through the vectorized histogram "
-             "engine (byte-identical numbers, separate cache entries; "
-             "see docs/VECTORIZATION.md)",
-    )
+    """The vectorized-engine flag shared by run/suite/figure."""
     parser.add_argument(
         "--vector-check", action="store_true",
         help="also run the scalar path for every vectorized cell and "
@@ -959,7 +937,9 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_list
     )
 
-    run = sub.add_parser("run", help="run one benchmark")
+    # allow_abbrev=False: an unknown flag such as ``--vector`` must be
+    # rejected, not silently prefix-matched to ``--vector-check``.
+    run = sub.add_parser("run", help="run one benchmark", allow_abbrev=False)
     run.add_argument("benchmark", help="benchmark key (see `list`)")
     run.add_argument("--target", "--device", dest="target", default="fulcrum",
                      help="architecture backend name (see `repro arch list`; "
@@ -974,7 +954,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     profile = sub.add_parser(
-        "profile", help="profile one benchmark (trace, metrics, hotspots)"
+        "profile", help="profile one benchmark (trace, metrics, hotspots)",
+        allow_abbrev=False,
     )
     profile.add_argument("benchmark", help="benchmark key (see `list`)")
     profile.add_argument("--target", "--device", dest="target",
@@ -993,15 +974,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "Prometheus exposition text")
     profile.add_argument("--top", type=int, default=10,
                          help="hottest-command table size (default 10)")
-    profile.add_argument(
-        "--vector", action="store_true",
-        help="accepted for symmetry with run/suite; observed runs "
-             "always profile the scalar path (a note explains why)",
-    )
     _add_engine_flags(profile)
     profile.set_defaults(func=cmd_profile)
 
-    suite = sub.add_parser("suite", help="run the full evaluation")
+    suite = sub.add_parser(
+        "suite", help="run the full evaluation", allow_abbrev=False
+    )
     suite.add_argument("--ranks", type=int, default=32)
     suite.add_argument("--trace", metavar="OUT.json", default=None,
                        help="write a Chrome/Perfetto trace of the whole suite")
@@ -1009,7 +987,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_vector_flags(suite)
     suite.set_defaults(func=cmd_suite)
 
-    figure = sub.add_parser("figure", help="regenerate one figure")
+    figure = sub.add_parser(
+        "figure", help="regenerate one figure", allow_abbrev=False
+    )
     figure.add_argument("figure", help="1, 6a, 6b, 7, 8, 9, 10a, 10b, 11, 12, 13")
     figure.add_argument("--ranks", type=int, default=32)
     figure.add_argument(
@@ -1215,7 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse_run.add_argument("--no-vector", action="store_true",
                          help="price cells through the scalar path instead "
                               "of the vectorized engine (same numbers, "
-                              "slower; sweeps default to --vector)")
+                              "slower)")
     dse_run.add_argument("--vector-check", action="store_true",
                          help="re-simulate one deterministic sampled point "
                               "with the scalar/vector bit-compare gate on")

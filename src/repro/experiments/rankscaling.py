@@ -38,7 +38,7 @@ def rank_scaling_table(
     ranks: "tuple[int, ...]" = FIG12_RANKS,
     baseline_ranks: int = FIG12_BASELINE_RANKS,
     jobs: "int | None" = None,
-    vector: bool = False,
+    vector: bool = True,
 ) -> "list[RankScalingRow]":
     """Figure 12: speedups over the 4-rank run, capacity scaling by rank."""
     baseline = run_suite(
@@ -68,7 +68,7 @@ def rank_scaling_table(
 
 
 def capacity_matched_table(
-    jobs: "int | None" = None, vector: bool = False
+    jobs: "int | None" = None, vector: bool = True
 ) -> "list[RankScalingRow]":
     """Figure 13: 32 ranks vs 1 rank at equal total capacity."""
     single = run_suite(

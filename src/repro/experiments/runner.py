@@ -91,7 +91,7 @@ def suite_cell_specs(
     functional: bool,
     enforce_capacity: bool,
     geometry_overrides: "dict[str, int] | None",
-    vector: bool = False,
+    vector: bool = True,
 ) -> "list[CellSpec]":
     """The suite's cells in deterministic (figure) order."""
     overrides = CellSpec.normalize_overrides(geometry_overrides)
@@ -124,7 +124,7 @@ def run_suite(
     cache_dir=None,
     policy: "RetryPolicy | None" = None,
     strict: bool = True,
-    vector: bool = False,
+    vector: bool = True,
 ) -> SuiteResults:
     """Run (or fetch cached) suite results for one configuration.
 
@@ -152,9 +152,11 @@ def run_suite(
     reported in ``SuiteResults.failures`` so drivers can render gaps --
     the CLI's behavior.  Suites carrying failures are never memoized.
 
-    ``vector=True`` routes every analytic cell through the vectorized
-    histogram-pricing engine (``repro.perf.vector``) -- byte-identical
-    results, separate cache entries; see docs/VECTORIZATION.md.
+    ``vector=True`` (the default) routes every analytic cell through the
+    vectorized histogram-pricing engine (``repro.perf.vector``);
+    ``vector=False`` walks the scalar tracker, the reference oracle --
+    byte-identical results, separate cache entries; see
+    docs/VECTORIZATION.md.
     """
     keys = tuple(keys) if keys is not None else BENCHMARK_ORDER
     cache_key = (

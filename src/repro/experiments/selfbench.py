@@ -10,17 +10,18 @@ that CI and ``BENCH_PR5.json`` archive.
 
 Seven runs cover the interesting regimes:
 
-* ``suite-cold``   -- the full evaluation suite with every cache bypassed
-  (the simulator hot path, where the cost memo lives),
+* ``suite-cold``   -- the full evaluation suite with every cache bypassed,
+  priced through the scalar tracker (the reference path, where the cost
+  memo lives),
 * ``suite-warm``   -- the same suite served from the persistent disk
   cache in a scratch directory (the §2 caching contract),
 * ``figure12-cold``-- the Figure 12 rank sweep (four uncached suites),
   the heaviest standard driver,
 * ``suite-cold-vector`` / ``figure12-cold-vector`` -- the same cold runs
-  through the vectorized histogram-pricing engine (``--vector``,
-  docs/VECTORIZATION.md); identical command counts by the byte-identity
-  contract, so the cmds/s ratio against the scalar legs *is* the
-  vectorization speedup, and
+  through the vectorized histogram-pricing engine (the default of
+  ``run_suite`` and the CLI, docs/VECTORIZATION.md); identical command
+  counts by the byte-identity contract, so the cmds/s ratio against
+  the scalar legs *is* the vectorization speedup, and
 * ``dse-sweep-cold`` -- a fixed 12-point uncached design-space sweep
   (:mod:`repro.dse`) forced down the per-cell path (``batched=False``):
   every cell runs on a freshly derived transient parametric backend,
@@ -59,7 +60,8 @@ HISTORY_SCHEMA = 1
 
 #: Cold-suite wall seconds at commit fc84025 (the last commit before the
 #: memoized cost pipeline), measured on the development container with
-#: the same ``run_suite(use_cache=False)`` call ``suite-cold`` times.
+#: the same scalar ``run_suite(use_cache=False, vector=False)`` call
+#: ``suite-cold`` times.
 #: Archived so BENCH_PR5.json carries the before/after pair.
 PRE_MEMO_SUITE_COLD_S = 2.2885
 
@@ -159,7 +161,7 @@ def _timed(name: str, commands: int, wall_s: float) -> SelfBenchRun:
 
 def _run_suite_cold(jobs: "int | None") -> SelfBenchRun:
     start = time.perf_counter()
-    suite = run_suite(use_cache=False, jobs=jobs)
+    suite = run_suite(use_cache=False, jobs=jobs, vector=False)
     wall = time.perf_counter() - start
     return _timed("suite-cold", suite_command_count(suite), wall)
 
@@ -168,11 +170,13 @@ def _run_suite_warm(jobs: "int | None", scratch: str) -> SelfBenchRun:
     # Populate the scratch disk cache, then drop the in-memory tier so
     # the timed run exercises the persistent store (a fresh process's
     # warm path), not a dict lookup.
-    suite = run_suite(use_cache=True, cache_dir=scratch, jobs=jobs)
+    suite = run_suite(
+        use_cache=True, cache_dir=scratch, jobs=jobs, vector=False
+    )
     commands = suite_command_count(suite)
     runner._CACHE.clear()
     start = time.perf_counter()
-    run_suite(use_cache=True, cache_dir=scratch, jobs=jobs)
+    run_suite(use_cache=True, cache_dir=scratch, jobs=jobs, vector=False)
     wall = time.perf_counter() - start
     return _timed("suite-warm", commands, wall)
 
@@ -184,9 +188,7 @@ def _run_suite_cold_vector(jobs: "int | None") -> SelfBenchRun:
     return _timed("suite-cold-vector", suite_command_count(suite), wall)
 
 
-def _run_figure12_cold(
-    jobs: "int | None", vector: bool = False
-) -> SelfBenchRun:
+def _run_figure12_cold(jobs: "int | None", vector: bool) -> SelfBenchRun:
     commands = 0
     start = time.perf_counter()
     for num_ranks in _FIG12_RANKS:
@@ -243,7 +245,7 @@ def run_selfbench(
                     _run_suite_warm(jobs, os.path.join(scratch, "cache"))
                 )
             elif name == "figure12-cold":
-                results.append(_run_figure12_cold(jobs))
+                results.append(_run_figure12_cold(jobs, vector=False))
             elif name == "suite-cold-vector":
                 results.append(_run_suite_cold_vector(jobs))
             elif name == "figure12-cold-vector":

@@ -155,13 +155,26 @@ class TestSuiteByteIdentity:
         keys = ("vecadd", "histogram")
         scalar = run_suite(
             num_ranks=4, paper_scale=True, keys=keys,
-            enforce_capacity=False, use_cache=False,
+            enforce_capacity=False, use_cache=False, vector=False,
         )
         vector = run_suite(
             num_ranks=4, paper_scale=True, keys=keys,
             enforce_capacity=False, use_cache=False, vector=True,
         )
         assert export_suite_json(scalar) == export_suite_json(vector)
+
+    def test_default_suite_is_vectorized(self):
+        from repro.experiments.runner import export_suite_json, run_suite
+        from repro.obs.telemetry import clear_telemetry_log, telemetry_log
+
+        keys = ("vecadd", "gemv", "histogram")
+        clear_telemetry_log()
+        default = run_suite(keys=keys, use_cache=False)
+        cells = telemetry_log()
+        assert len(cells) == len(default.results) == 3 * len(keys)
+        assert all(cell.vector is True for cell in cells)
+        scalar = run_suite(keys=keys, use_cache=False, vector=False)
+        assert export_suite_json(default) == export_suite_json(scalar)
 
     def test_vector_suite_round_trips_disk_cache(self, tmp_path):
         from repro.experiments.runner import _CACHE, run_suite

@@ -146,8 +146,9 @@ class TestSuiteTransparency:
             monkeypatch.setenv(MEMO_DISABLE_ENV, "1")
         else:
             monkeypatch.delenv(MEMO_DISABLE_ENV, raising=False)
+        # Only the scalar path repeats the lookups the memo serves.
         suite = run_suite(
-            keys=TestSuiteTransparency.KEYS, use_cache=False
+            keys=TestSuiteTransparency.KEYS, use_cache=False, vector=False
         )
         return export_suite_json(suite)
 

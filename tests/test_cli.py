@@ -31,17 +31,25 @@ class TestParser:
     def test_vector_flags(self):
         for command in (["run", "vecadd"], ["suite"], ["figure", "9"]):
             args = build_parser().parse_args(command)
-            assert not args.vector and not args.vector_check
-            args = build_parser().parse_args(
-                command + ["--vector", "--vector-check"]
-            )
-            assert args.vector and args.vector_check
-        # profile accepts --vector (and ignores it with a note) but has
-        # no --vector-check: there is no vectorized run to cross-check.
-        args = build_parser().parse_args(["profile", "vecadd", "--vector"])
-        assert args.vector
+            assert not args.vector_check
+            assert not hasattr(args, "vector")
+            args = build_parser().parse_args(command + ["--vector-check"])
+            assert args.vector_check
+        # profile has no --vector-check: observed runs always take the
+        # scalar path, so there is no vectorized run to cross-check.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "vecadd", "--vector-check"])
+
+    @pytest.mark.parametrize("command", [
+        ["run", "vecadd"], ["suite"], ["figure", "9"], ["profile", "vecadd"],
+    ])
+    def test_removed_vector_flag_is_rejected(self, command, capsys):
+        # Vector pricing is the default, so --vector is gone; it must not
+        # be prefix-matched to --vector-check either.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--vector"])
+        assert exc.value.code == 2
+        assert "--vector" in capsys.readouterr().err
 
 
 class TestFigureNormalization:
@@ -119,19 +127,29 @@ class TestCommands:
         assert "Simulated time" in out
 
     def test_run_vector_paper_scale(self, capsys):
+        from repro.obs.telemetry import clear_telemetry_log, telemetry_log
+
+        clear_telemetry_log()
         assert main([
-            "run", "vecadd", "--paper-scale", "--ranks", "32",
-            "--no-cache", "--vector",
+            "run", "vecadd", "--paper-scale", "--ranks", "32", "--no-cache",
         ]) == 0
         out = capsys.readouterr().out
-        assert "vectorized" in out
+        assert "(32 ranks, paper-scale analytic)\n" in out
         assert "Speedup vs CPU" in out
+        assert [cell.vector for cell in telemetry_log()] == [True]
 
-    def test_run_vector_functional_falls_back_with_note(self, capsys):
-        assert main(["run", "vecadd", "--vector", "--no-cache"]) == 0
+    def test_run_functional_stays_scalar_without_note(self, capsys):
+        from repro.obs.telemetry import clear_telemetry_log, telemetry_log
+
+        clear_telemetry_log()
+        assert main(["run", "vecadd", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "functional mode keeps" in out
-        assert "vectorized" not in out
+        assert out.startswith(
+            "Running Vector Addition on Fulcrum (4 ranks, functional)\n\n"
+            "Functional verification: PASSED"
+        )
+        assert "vector" not in out
+        assert [cell.vector for cell in telemetry_log()] == [False]
 
     def test_run_vector_check_sets_env_and_passes(self, capsys):
         import os
@@ -142,7 +160,7 @@ class TestCommands:
         try:
             assert main([
                 "run", "vecadd", "--paper-scale", "--ranks", "32",
-                "--no-cache", "--vector", "--vector-check",
+                "--no-cache", "--vector-check",
             ]) == 0
             assert os.environ.get(VECTOR_CHECK_ENV) == "1"
         finally:
@@ -150,10 +168,17 @@ class TestCommands:
             if before is not None:
                 os.environ[VECTOR_CHECK_ENV] = before
 
-    def test_profile_vector_notes_scalar_path(self, capsys):
-        assert main(["profile", "vecadd", "--vector", "--top", "3"]) == 0
+    def test_profile_profiles_scalar_path_without_note(self, capsys):
+        from repro.obs.telemetry import clear_telemetry_log, telemetry_log
+
+        clear_telemetry_log()
+        assert main([
+            "profile", "vecadd", "--paper-scale", "--ranks", "32", "--top", "3",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "ignored by profile" in out
+        assert out.startswith("Profiling Vector Addition on Fulcrum")
+        assert "ignored by profile" not in out
+        assert [cell.vector for cell in telemetry_log()] == [False]
 
     def test_run_extension_kernel(self, capsys):
         assert main(["run", "stringmatch", "--target", "bank"]) == 0
