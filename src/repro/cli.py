@@ -693,81 +693,30 @@ def cmd_dse_list(args: argparse.Namespace) -> int:
 def cmd_dse_run(args: argparse.Namespace) -> int:
     """Run a sweep: evaluate every point, print and save the report."""
     from repro.core.errors import PimError
-    from repro.dse import (
-        SweepSpec,
-        format_sweep,
-        render_json,
-        run_sweep,
-        sweep_payload,
-        vector_check_point,
-    )
-
-    import os as _os
-
-    from repro.dse.batch import BATCH_CHECK_ENV
+    from repro.dse import format_sweep, render_json, run_sweep, sweep_payload
 
     spec = _load_sweep_spec(args)
-    vector = not args.no_vector
-    if args.batch_check:
-        _os.environ[BATCH_CHECK_ENV] = "1"
+    _apply_vector_check(args)
     try:
         result = run_sweep(
             spec,
             jobs=args.jobs,
             use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
-            vector=vector,
+            vector=not args.no_vector,
             policy=_make_policy(args),
-            batched=not args.no_batch,
         )
     except PimError as exc:
         raise SystemExit(str(exc)) from None
-    finally:
-        if args.batch_check:
-            _os.environ.pop(BATCH_CHECK_ENV, None)
     print(format_sweep(result, verbose=args.verbose))
     print(f"{len(result.outcomes)} point(s) in {result.wall_s:.2f} s "
           f"({result.points_per_s:.0f} points/s); plan cache: "
           f"{result.plan_hits} hit(s), {result.plan_misses} compile(s); "
           f"{result.batched_cells} cell(s) batch-priced")
-    status = 0
-    if any(outcome.failed for outcome in result.outcomes):
-        status = 1
-    if args.vector_check and vector and status == 0:
-        # Strict equivalence probe: one deterministic sampled point
-        # re-simulated with the scalar/vector bit-compare gate on
-        # (sweeping the whole grid twice would double CI cost for no
-        # additional coverage -- the pricer is shared by every point).
-        import os as _os
-
-        from repro.perf.vector import VECTOR_CHECK_ENV
-
-        point = vector_check_point(spec)
-        probe = SweepSpec(
-            name=f"{spec.name}-vector-check",
-            bases=(point.base,),
-            benchmarks=spec.benchmarks,
-            num_ranks=spec.num_ranks,
-            points=(point.knobs,),
-        )
-        _os.environ[VECTOR_CHECK_ENV] = "1"
-        try:
-            checked = run_sweep(
-                probe, jobs=1, use_cache=False, vector=True,
-                policy=_make_policy(args),
-            )
-        finally:
-            _os.environ.pop(VECTOR_CHECK_ENV, None)
-        if any(outcome.failed for outcome in checked.outcomes):
-            print(f"\nVector check FAILED on {point.point_id}",
-                  file=sys.stderr)
-            for outcome in checked.outcomes:
-                for bench, msg in sorted(outcome.errors.items()):
-                    print(f"  {bench}: {msg}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"\nVector check passed on sampled point "
-                  f"{point.point_id} (scalar/vector bit-identical)")
+    status = 1 if any(outcome.failed for outcome in result.outcomes) else 0
+    if args.vector_check and status == 0:
+        print(f"\nVector check passed: {result.checked_cells} batch-priced "
+              "cell(s) bit-identical to the scalar oracle")
     if args.report:
         payload = sweep_payload(result)
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -1192,21 +1141,15 @@ def build_parser() -> argparse.ArgumentParser:
     dse_run.add_argument("--report", metavar="OUT.json", default=None,
                          help="write the byte-stable sweep report (points, "
                               "frontier, winner tables)")
-    dse_run.add_argument("--no-vector", action="store_true",
-                         help="price cells through the scalar path instead "
-                              "of the vectorized engine (same numbers, "
-                              "slower)")
-    dse_run.add_argument("--vector-check", action="store_true",
-                         help="re-simulate one deterministic sampled point "
-                              "with the scalar/vector bit-compare gate on")
-    dse_run.add_argument("--no-batch", action="store_true",
-                         help="price every cell through the per-cell engine "
-                              "instead of the sweep-level matrix pricer "
-                              "(same numbers, slower; docs/DSE.md)")
-    dse_run.add_argument("--batch-check", action="store_true",
-                         help="re-run a deterministic sample of batch-priced "
-                              "points through the per-cell engine and "
-                              "bit-compare the totals")
+    pricer = dse_run.add_mutually_exclusive_group()
+    pricer.add_argument("--no-vector", action="store_true",
+                        help="price cells through the scalar path instead "
+                             "of the vectorized engine (same numbers, "
+                             "slower)")
+    pricer.add_argument("--vector-check", action="store_true",
+                        help="bit-compare the first, middle and last "
+                             "batch-priced cells against the scalar oracle "
+                             "(sets $REPRO_VECTOR_CHECK=1)")
     dse_run.add_argument("-v", "--verbose", action="store_true",
                          help="also print each frontier point's knobs")
     dse_run.set_defaults(func=cmd_dse_run)

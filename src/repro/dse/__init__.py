@@ -41,7 +41,6 @@ from repro.dse.sweep import (
     area_proxy,
     pe_width_bits,
     run_sweep,
-    vector_check_point,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "area_proxy",
     "pe_width_bits",
     "run_sweep",
-    "vector_check_point",
 ]

@@ -37,18 +37,13 @@ from repro.config.device import (
     CORE_SCOPE_SUBARRAY,
     CORE_SCOPE_SUBARRAY_GROUP,
 )
-from repro.dse.batch import (
-    batch_eligible,
-    batching_disabled,
-    price_cells_batched,
-)
+from repro.dse.batch import batch_eligible, price_cells_batched
 from repro.dse.pareto import ParetoPoint, pareto_frontier
 from repro.dse.spec import SweepPoint, SweepSpec
 from repro.engine import run_cells
 from repro.engine.cells import CellSpec
 from repro.engine.engine import resolve_jobs
 from repro.experiments.runner import geometric_mean
-from repro.perf.vector import vector_check_enabled
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.common import BenchmarkResult
@@ -132,6 +127,9 @@ class SweepResult:
     plan_hits: int = 0
     plan_misses: int = 0
     batched_cells: int = 0
+    #: Batch-priced cells bit-compared against the scalar oracle under
+    #: ``REPRO_VECTOR_CHECK``.
+    checked_cells: int = 0
 
     @property
     def frontier(self) -> "list[PointOutcome]":
@@ -201,9 +199,10 @@ def run_sweep(
     compile per group instead of one per point, with bit-identical
     totals by the PR 7 summation contract.  The per-cell engine path
     still runs for anything ineligible (``vector=False``, functional,
-    fault plans), when ``REPRO_NO_BATCH`` is set, or when the strict
-    per-cell scalar cross-check (``REPRO_VECTOR_CHECK``) is armed --
-    the check only means something if each cell actually runs.
+    fault plans) or when ``batched=False``.  Under the strict
+    equivalence gate (``REPRO_VECTOR_CHECK``) the sweep still
+    batch-prices, and the first, middle and last synthesized cells are
+    bit-compared against the scalar oracle.
     """
     wall0 = time.perf_counter()
     points = spec.compile_points()
@@ -228,14 +227,8 @@ def run_sweep(
                 cell_specs.append(cell)
                 index[cell] = (point, benchmark)
         batch_outcomes: "dict[CellSpec, typing.Any]" = {}
-        plan_hits = plan_misses = batch_hits = synthesized = 0
-        batch_on = (
-            batched
-            and vector
-            and not batching_disabled()
-            and not vector_check_enabled()
-        )
-        if batch_on:
+        plan_hits = plan_misses = batch_hits = synthesized = checked = 0
+        if batched and vector:
             eligible = [
                 (cell, derived[index[cell][0].point_id])
                 for cell in cell_specs
@@ -249,6 +242,7 @@ def run_sweep(
                 plan_misses = batch_report.plan_misses
                 batch_hits = batch_report.cache_hits
                 synthesized = batch_report.synthesized
+                checked = batch_report.checked
         remaining = [c for c in cell_specs if c not in batch_outcomes]
         execution = (
             run_cells(
@@ -327,14 +321,6 @@ def run_sweep(
         plan_hits=plan_hits,
         plan_misses=plan_misses,
         batched_cells=synthesized,
+        checked_cells=checked,
     )
 
-
-def vector_check_point(spec: SweepSpec) -> SweepPoint:
-    """The deterministic point CI's ``--vector-check`` re-runs strictly.
-
-    The middle point of the compiled enumeration: stable for a given
-    spec, and (for a grid) an interior design rather than a corner.
-    """
-    points = spec.compile_points()
-    return points[len(points) // 2]

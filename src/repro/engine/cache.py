@@ -206,9 +206,8 @@ class DiskCache:
     def plans_dir(self) -> pathlib.Path:
         """Root of the pricing-plan store (:mod:`repro.perf.plans`).
 
-        Plans live beside the cell entries but in their own namespace:
-        a plan is keyed by its *own* ``plan_stamp()`` digest, so plan
-        layout changes can never collide with (or poison) a cell key.
+        Plans live beside the cell entries but in their own namespace,
+        so a plan key can never collide with (or poison) a cell key.
         """
         return self.root / "plans"
 

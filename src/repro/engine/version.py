@@ -130,26 +130,15 @@ def model_version(device_type: "DeviceTypeLike", benchmark_key: str) -> str:
 def vector_stamp() -> str:
     """Digest of the vectorized pricing engine's own sources.
 
-    Folded into the cache key only for ``vector=True`` cells: editing
-    ``repro/perf/vector.py`` invalidates exactly the vectorized entries
-    (scalar keys never contain it), and vectorized and scalar results
-    can never share a cache entry even though their totals are
-    byte-identical by contract -- a belt-and-braces guard so a vector
-    bug cannot poison scalar results, or vice versa.
-    """
-    return _digest_entries(("perf/vector.py",))[:12]
-
-
-def plan_stamp() -> str:
-    """Digest of the sweep-level batched pricing sources.
-
-    Folded into every :mod:`repro.perf.plans` plan-cache key (never into
-    per-cell keys): editing the plan extractor (``perf/plans.py``), the
-    matrix pricer (``dse/batch.py``), or the histogram engine itself
-    (``perf/vector.py``) invalidates exactly the persisted pricing
-    plans.  Per-cell cache keys are untouched by those edits unless
-    ``vector_stamp()`` moved too, so a plan-layout change can never
-    poison per-cell results.
+    Covers the histogram tracker (``perf/vector.py``), the shared
+    pricer and plan layout (``perf/plans.py``), and the sweep pricer
+    that synthesizes batch-priced outcomes (``dse/batch.py``).  Folded
+    into the cache key only for ``vector=True`` cells, and into every
+    pricing-plan key: editing any of the three invalidates exactly the
+    vectorized entries and the plans (scalar keys never contain it).
+    Vectorized and scalar results never share a cache entry even though
+    their totals are byte-identical by contract -- a belt-and-braces
+    guard so a vector bug cannot poison scalar results, or vice versa.
     """
     return _digest_entries(
         ("perf/vector.py", "perf/plans.py", "dse/batch.py")

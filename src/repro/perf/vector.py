@@ -12,9 +12,12 @@ does not price commands at issue time at all; it appends ``(shape index,
 multiplicity)`` entries to an append-only log -- a *histogram under
 construction* -- and a ``replay_trace`` of a recorded region becomes one
 O(1) group marker instead of re-dispatching every entry.  At finalize
-time the distinct shapes are priced **once** through the architecture
-backend's :meth:`~repro.arch.base.ArchBackend.cost_table` hook, and the
-accumulator totals are reconstructed with numpy.
+time the tracker exports its logs as a :class:`~repro.perf.plans.
+PricingPlan`, prices the distinct shapes **once** through the
+architecture backend's :meth:`~repro.arch.base.ArchBackend.cost_table`
+hook, and rebuilds the accumulators with :func:`~repro.perf.plans.
+price_plan` -- the same pricer a design-space sweep runs over many
+cost tables at once.
 
 The reconstruction is *byte-identical* to the scalar path, which is a
 stricter contract than "numerically close":
@@ -31,10 +34,12 @@ stricter contract than "numerically close":
   pairwise summation and may differ in the last ulp).
 
 ``REPRO_VECTOR_CHECK=1`` (or ``--vector-check``) arms the strict
-equivalence mode: every vectorized cell is re-run through the scalar
-path and :func:`verify_equivalence` compares the two trackers field by
-field at full bit precision, raising :class:`VectorEquivalenceError` on
-the first divergence.  See ``docs/VECTORIZATION.md``.
+equivalence mode: vectorized cells are re-run through the scalar path
+(every cell of ``run``/``suite``; the first, middle and last
+batch-priced cells of a sweep) and :func:`verify_equivalence` compares
+the two trackers field by field at full bit precision, raising
+:class:`VectorEquivalenceError` on divergence.  See
+``docs/VECTORIZATION.md``.
 """
 
 from __future__ import annotations
@@ -46,39 +51,26 @@ import math
 import os
 import struct
 import typing
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.core.stats import (
     COPY_DIRECTIONS,
-    CmdStats,
-    CopyStats,
     EventCounts,
     StatsTracker,
 )
+from repro.perf.plans import DIRECTIONS, EVENT_FIELDS, PricingPlan, price_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.commands import PimCmdKind
     from repro.perf.base import CommandArgs
 
 #: Environment switch for the strict scalar-equivalence cross-check:
-#: any non-empty value makes every vectorized cell also run the scalar
-#: path and bit-compare the totals (CLI: ``--vector-check``).
+#: any non-empty value makes vectorized cells also run the scalar path
+#: and bit-compare the totals (CLI: ``--vector-check``).
 VECTOR_CHECK_ENV = "REPRO_VECTOR_CHECK"
 
-#: Copy-direction order of the vector copy log's direction column.
-_DIRECTIONS = ("h2d", "d2h", "d2d")
-_DIR_INDEX = {name: index for index, name in enumerate(_DIRECTIONS)}
-
-#: EventCounts fields, in declaration order (= CostTable column order).
-EVENT_FIELDS = (
-    "row_activations",
-    "lane_logic_ops",
-    "alu_word_ops",
-    "walker_bits",
-    "gdl_bits",
-)
+_DIR_INDEX = {name: index for index, name in enumerate(DIRECTIONS)}
 
 
 def vector_check_enabled() -> bool:
@@ -126,9 +118,6 @@ class CostTable:
     def __len__(self) -> int:
         return len(self.latency_ns)
 
-    def event_column(self, field: str) -> np.ndarray:
-        return getattr(self, field)
-
 
 @dataclasses.dataclass
 class VectorTrace:
@@ -136,59 +125,27 @@ class VectorTrace:
 
     The vector-mode analogue of :class:`~repro.core.stats.RecordedTrace`:
     instead of holding copies of the recorded ``record_*`` calls it
-    holds ``[start, end)`` index spans into the tracker's three logs.
-    Replaying appends one group marker; the span is expanded (tiled)
-    only at finalize time.
+    holds one ``[start, end)`` index span per log (command, copy,
+    host).  Replaying appends one group marker; the spans are expanded
+    (tiled) only at finalize time.
     """
 
-    cmd_span: "tuple[int, int]" = (0, 0)
-    copy_span: "tuple[int, int]" = (0, 0)
-    host_span: "tuple[int, int]" = (0, 0)
+    spans: "tuple[tuple[int, int], ...]" = ((0, 0),) * 3
 
     def __len__(self) -> int:
-        return (
-            (self.cmd_span[1] - self.cmd_span[0])
-            + (self.copy_span[1] - self.copy_span[0])
-            + (self.host_span[1] - self.host_span[0])
-        )
+        return sum(end - start for start, end in self.spans)
 
 
-@dataclasses.dataclass
-class _ReplayGroup:
-    """One ``replay_trace(trace, times)`` call, by log position."""
-
-    cmd_pos: int
-    copy_pos: int
-    host_pos: int
-    trace: VectorTrace
-    times: int
-
-
-def _ordered_sum(
-    addends: np.ndarray, reps: "np.ndarray | None", start: float = 0.0
-) -> float:
-    """The exact float total of adding each addend, in order, from ``start``.
-
-    ``reps[i] > 1`` replicates addend ``i`` that many times (iterated
-    addition, the ``execute_batch`` contract).  Uses
-    ``np.add.accumulate``, which is defined as the sequential
-    left-to-right reduction -- *not* ``np.sum``/``np.add.reduce``,
-    whose pairwise summation trees would differ in the last ulp.
-    """
-    if addends.size == 0:
-        return start
-    if reps is not None and not bool(np.all(reps == 1)):
-        addends = np.repeat(addends, reps)
-    seq = np.empty(addends.size + 1, dtype=np.float64)
-    seq[0] = start
-    seq[1:] = addends
-    return float(np.add.accumulate(seq)[-1])
-
-
-def _first_occurrence_order(values: np.ndarray) -> np.ndarray:
-    """Distinct values of ``values`` in order of first appearance."""
-    uniq, first = np.unique(values, return_index=True)
-    return uniq[np.argsort(first, kind="stable")]
+def _columns(
+    log: "list[tuple]", dtypes: "tuple[type, ...]", order: np.ndarray
+) -> "list[np.ndarray]":
+    """One array per log-tuple position, expanded by ``order``."""
+    if not log:
+        return [np.zeros(0, dtype=dtype) for dtype in dtypes]
+    return [
+        np.array(column, dtype=dtype)[order]
+        for column, dtype in zip(zip(*log), dtypes)
+    ]
 
 
 class VectorStatsTracker(StatsTracker):
@@ -200,8 +157,8 @@ class VectorStatsTracker(StatsTracker):
     ``recorded_trace`` captures index spans and ``replay_trace`` appends
     O(1) group markers.  Any aggregate read (``snapshot``, the
     ``kernel_*``/``copy_*``/``total_command_count`` properties)
-    triggers :meth:`_finalize`, which prices the distinct shapes once
-    through ``pricer`` and rebuilds every accumulator so the totals are
+    triggers :meth:`_finalize`, which prices the logs as a one-row
+    :func:`~repro.perf.plans.price_plan` call, so the totals are
     byte-identical to the scalar path (see the module docstring for the
     float-ordering contract).
 
@@ -216,6 +173,10 @@ class VectorStatsTracker(StatsTracker):
     ) -> None:
         super().__init__(bus=None)
         self._pricer = pricer
+        self._sealed = False
+        self._clear_logs()
+
+    def _clear_logs(self) -> None:
         # Shape table: representative CommandArgs per distinct shape;
         # priced once per finalize through ``pricer``.
         self._shape_args: "list[CommandArgs]" = []
@@ -227,7 +188,7 @@ class VectorStatsTracker(StatsTracker):
         self._kind_ids: "dict[object, int]" = {}
         # The three append-only logs (one per float-accumulator family).
         # cmd entry: (shape_idx, bucket_idx, kind_idx, mult, is_batch);
-        # literal (pre-priced record_command calls) entries use
+        # literal (pre-priced record_command) entries use
         # shape_idx = -1 - literal_idx into ``_literals``.
         self._cmd_log: "list[tuple[int, int, int, int, int]]" = []
         self._literals: "list[tuple[float, float, float, tuple[float, ...]]]" = []
@@ -235,9 +196,10 @@ class VectorStatsTracker(StatsTracker):
         self._copy_log: "list[tuple[int, int, float, float]]" = []
         # host entry: (time_ns, energy_nj)
         self._host_log: "list[tuple[float, float]]" = []
-        self._groups: "list[_ReplayGroup]" = []
-        self._finalized_at: "tuple[int, int, int, int] | None" = None
-        self._sealed = False
+        # Replay groups: (log positions, trace, times), in time order.
+        self._groups: "list[tuple[tuple[int, ...], VectorTrace, int]]" = []
+        # Empty logs finalize to the zero accumulators StatsTracker holds.
+        self._finalized_at = (0, 0, 0, 0)
 
     # -- interning ----------------------------------------------------------
 
@@ -279,6 +241,9 @@ class VectorStatsTracker(StatsTracker):
                 "they cross process/cache boundaries)"
             )
 
+    def _logs(self) -> "tuple[list, list, list]":
+        return self._cmd_log, self._copy_log, self._host_log
+
     def log_command(
         self,
         shape_idx: int,
@@ -297,6 +262,29 @@ class VectorStatsTracker(StatsTracker):
             (shape_idx, bucket_idx, kind_idx, mult, 1 if is_batch else 0)
         )
 
+    def _log_literal(
+        self,
+        kind: "PimCmdKind",
+        signature: str,
+        values: "tuple[float, float, float]",
+        count: int,
+        events: "EventCounts | None",
+        is_batch: int,
+    ) -> None:
+        # Pre-priced ("literal") entry: callers outside the vector fast
+        # path (tests, library users) still get exact accounting.
+        self._check_mutable()
+        event_values = (
+            tuple(getattr(events, field) for field in EVENT_FIELDS)
+            if events is not None
+            else (0.0,) * len(EVENT_FIELDS)
+        )
+        self._literals.append((*values, event_values))
+        self._cmd_log.append((
+            -len(self._literals), self.bucket_index(signature),
+            self.kind_index(kind), count, is_batch,
+        ))
+
     def record_command(
         self,
         kind: "PimCmdKind",
@@ -307,21 +295,9 @@ class VectorStatsTracker(StatsTracker):
         count: int = 1,
         events: "EventCounts | None" = None,
     ) -> None:
-        # Pre-priced ("literal") entry: callers outside the vector fast
-        # path (tests, library users) still get exact accounting.
-        self._check_mutable()
-        literal = len(self._literals)
-        event_values = (
-            tuple(getattr(events, field) for field in EVENT_FIELDS)
-            if events is not None
-            else (0.0,) * len(EVENT_FIELDS)
-        )
-        self._literals.append(
-            (latency_ns, energy_nj, background_energy_nj, event_values)
-        )
-        self._cmd_log.append(
-            (-1 - literal, self.bucket_index(signature),
-             self.kind_index(kind), count, 0)
+        self._log_literal(
+            kind, signature, (latency_ns, energy_nj, background_energy_nj),
+            count, events, 0,
         )
 
     def record_command_batch(
@@ -334,19 +310,9 @@ class VectorStatsTracker(StatsTracker):
         count: int = 1,
         events: "EventCounts | None" = None,
     ) -> None:
-        self._check_mutable()
-        literal = len(self._literals)
-        event_values = (
-            tuple(getattr(events, field) for field in EVENT_FIELDS)
-            if events is not None
-            else (0.0,) * len(EVENT_FIELDS)
-        )
-        self._literals.append(
-            (latency_ns, energy_nj, background_energy_nj, event_values)
-        )
-        self._cmd_log.append(
-            (-1 - literal, self.bucket_index(signature),
-             self.kind_index(kind), count, 1)
+        self._log_literal(
+            kind, signature, (latency_ns, energy_nj, background_energy_nj),
+            count, events, 1,
         )
 
     def record_copy(
@@ -378,14 +344,12 @@ class VectorStatsTracker(StatsTracker):
             raise RuntimeError("a stats trace is already being recorded")
         self._check_mutable()
         trace = VectorTrace()
-        start = (len(self._cmd_log), len(self._copy_log), len(self._host_log))
+        start = [len(log) for log in self._logs()]
         self._recording = []  # nesting / replay-while-recording sentinel
         try:
             yield trace
         finally:
-            trace.cmd_span = (start[0], len(self._cmd_log))
-            trace.copy_span = (start[1], len(self._copy_log))
-            trace.host_span = (start[2], len(self._host_log))
+            trace.spans = tuple(zip(start, map(len, self._logs())))
             self._recording = None
 
     def replay_trace(self, trace, times: int = 1) -> None:
@@ -407,18 +371,13 @@ class VectorStatsTracker(StatsTracker):
             return
         if times == 0 or len(trace) == 0:
             return
-        self._groups.append(_ReplayGroup(
-            cmd_pos=len(self._cmd_log),
-            copy_pos=len(self._copy_log),
-            host_pos=len(self._host_log),
-            trace=trace,
-            times=times,
-        ))
+        positions = tuple(len(log) for log in self._logs())
+        self._groups.append((positions, trace, times))
 
     # -- finalize -----------------------------------------------------------
 
-    def _expand(self, length: int, family: str) -> np.ndarray:
-        """Expanded log-index sequence for one family, groups included.
+    def _expand(self, family: int) -> np.ndarray:
+        """Expanded log-index sequence for one log, groups included.
 
         The timeline interleaves plain entries with replay groups at
         their recorded positions: ``entries[0:pos1], tile(span1, t1),
@@ -426,50 +385,38 @@ class VectorStatsTracker(StatsTracker):
         Groups are appended in time order, so positions are
         non-decreasing.
         """
+        length = len(self._logs()[family])
         base = np.arange(length, dtype=np.int64)
         segments = []
         cursor = 0
-        for group in self._groups:
-            if family == "cmd":
-                pos, (start, end) = group.cmd_pos, group.trace.cmd_span
-            elif family == "copy":
-                pos, (start, end) = group.copy_pos, group.trace.copy_span
-            else:
-                pos, (start, end) = group.host_pos, group.trace.host_span
+        for positions, trace, times in self._groups:
+            pos = positions[family]
+            start, end = trace.spans[family]
             if pos > cursor:
                 segments.append(base[cursor:pos])
                 cursor = pos
-            if end > start and group.times > 0:
-                segments.append(np.tile(base[start:end], group.times))
+            if end > start:
+                segments.append(np.tile(base[start:end], times))
         if cursor < length:
             segments.append(base[cursor:length])
-        if not segments:
-            return base
         if len(segments) == 1:
             return segments[0]
-        return np.concatenate(segments)
+        return np.concatenate(segments) if segments else base
 
     def _price_table(self) -> "CostTable | None":
-        count = len(self._shape_args)
-        if count == 0:
+        if not self._shape_args:
             return None
-        if self._table is not None and len(self._table) == count:
-            return self._table
-        if self._pricer is None:
-            raise RuntimeError(
-                "VectorStatsTracker has unpriced shapes but no pricer "
-                "(was the tracker detached from its device?)"
-            )
-        table = self._pricer(tuple(self._shape_args))
-        if len(table) != count:
-            raise ValueError(
-                f"cost_table returned {len(table)} rows for {count} shapes"
-            )
-        self._table = table
-        return table
+        if self._table is None or len(self._table) != len(self._shape_args):
+            if self._pricer is None:
+                raise RuntimeError(
+                    "VectorStatsTracker has unpriced shapes but no pricer "
+                    "(was the tracker detached from its device?)"
+                )
+            self._table = self._pricer(tuple(self._shape_args))
+        return self._table
 
     def _finalize(self) -> None:
-        """Price the histogram and rebuild every accumulator, exactly.
+        """Price the logs and rebuild every accumulator, exactly.
 
         Idempotent full recomputation: the totals are always rebuilt
         from the complete logs, so a mid-run ``snapshot`` (benchmark
@@ -482,153 +429,11 @@ class VectorStatsTracker(StatsTracker):
             # but every aggregate property funnels through here -- the
             # batched sweep synthesizes thousands of sealed trackers.)
             return
-        state = (
-            len(self._cmd_log), len(self._copy_log),
-            len(self._host_log), len(self._groups),
-        )
+        state = (*map(len, self._logs()), len(self._groups))
         if state == self._finalized_at:
             return
-
-        # -- commands -------------------------------------------------------
-        commands: "OrderedDict[str, CmdStats]" = OrderedDict()
-        op_counts: "dict[PimCmdKind, int]" = {}
-        background = 0.0
-        events = EventCounts()
-        n = len(self._cmd_log)
-        if n:
-            raw = np.array(self._cmd_log, dtype=np.int64)
-            order = self._expand(n, "cmd")
-            shape_col = raw[order, 0]
-            bucket_col = raw[order, 1]
-            kind_col = raw[order, 2]
-            mult_col = raw[order, 3]
-            batch_col = raw[order, 4].astype(bool)
-
-            # Per-*expanded*-entry unit values: from the cost table for
-            # shape entries, verbatim for literal (pre-priced) entries.
-            # Rows: latency, execution, background, then EVENT_FIELDS.
-            is_shape = shape_col >= 0
-            value_cols = np.zeros(
-                (3 + len(EVENT_FIELDS), order.size), dtype=np.float64
-            )
-            if bool(np.any(is_shape)):
-                table = self._price_table()
-                shape_rows = shape_col[is_shape]
-                columns = (
-                    table.latency_ns, table.execution_nj, table.background_nj,
-                ) + tuple(table.event_column(field) for field in EVENT_FIELDS)
-                for row, column in enumerate(columns):
-                    value_cols[row, is_shape] = column[shape_rows]
-            literal_mask = ~is_shape
-            if bool(np.any(literal_mask)):
-                literal_rows = (-1 - shape_col[literal_mask]).astype(np.int64)
-                lit_lat = np.array(
-                    [lit[0] for lit in self._literals], dtype=np.float64
-                )
-                lit_en = np.array(
-                    [lit[1] for lit in self._literals], dtype=np.float64
-                )
-                lit_bg = np.array(
-                    [lit[2] for lit in self._literals], dtype=np.float64
-                )
-                lit_events = np.array(
-                    [lit[3] for lit in self._literals], dtype=np.float64
-                )
-                value_cols[0, literal_mask] = lit_lat[literal_rows]
-                value_cols[1, literal_mask] = lit_en[literal_rows]
-                value_cols[2, literal_mask] = lit_bg[literal_rows]
-                for offset in range(len(EVENT_FIELDS)):
-                    value_cols[3 + offset, literal_mask] = (
-                        lit_events[literal_rows, offset]
-                    )
-
-            # Scalar billing semantics:
-            #   execute(repeat=r): ONE add of value*r        (pre-multiplied)
-            #   execute_batch(count=c) / literal batch: c iterated adds of value
-            #   literal record_command(count=c): ONE add of value (caller
-            #     already pre-multiplied), counted c times
-            multf = mult_col.astype(np.float64)
-            premult = is_shape & ~batch_col
-            scale = np.where(premult, multf, 1.0)
-            addends = value_cols * scale  # row-wise broadcast
-            reps = np.where(batch_col, mult_col, 1)
-
-            # Integer censuses: order-independent, exact int64 scatter-add.
-            bucket_counts = np.zeros(len(self._bucket_names), dtype=np.int64)
-            np.add.at(bucket_counts, bucket_col, mult_col)
-            kind_counts = np.zeros(len(self._kind_objs), dtype=np.int64)
-            np.add.at(kind_counts, kind_col, mult_col)
-
-            # Per-signature buckets, in first-occurrence order (the
-            # OrderedDict insertion order the scalar path produces).
-            for bucket in _first_occurrence_order(bucket_col):
-                mask = bucket_col == bucket
-                commands[self._bucket_names[int(bucket)]] = CmdStats(
-                    count=int(bucket_counts[int(bucket)]),
-                    latency_ns=_ordered_sum(addends[0][mask], reps[mask]),
-                    energy_nj=_ordered_sum(addends[1][mask], reps[mask]),
-                )
-            for kind in _first_occurrence_order(kind_col):
-                op_counts[self._kind_objs[int(kind)]] = int(
-                    kind_counts[int(kind)]
-                )
-            background = _ordered_sum(addends[2], reps)
-            events = EventCounts(**{
-                field: _ordered_sum(addends[3 + offset], reps)
-                for offset, field in enumerate(EVENT_FIELDS)
-            })
-
-        self.commands = commands
-        self.op_counts = op_counts
-        self.background_energy_nj = background
-        self.events = events
-
-        # -- copies ---------------------------------------------------------
-        copies = [CopyStats() for _ in _DIRECTIONS]
-        m = len(self._copy_log)
-        if m:
-            order = self._expand(m, "copy")
-            dir_col = np.array(
-                [entry[0] for entry in self._copy_log], dtype=np.int64
-            )[order]
-            byte_col = np.array(
-                [entry[1] for entry in self._copy_log], dtype=np.int64
-            )[order]
-            lat_col = np.array(
-                [entry[2] for entry in self._copy_log], dtype=np.float64
-            )[order]
-            en_col = np.array(
-                [entry[3] for entry in self._copy_log], dtype=np.float64
-            )[order]
-            for index in range(len(_DIRECTIONS)):
-                mask = dir_col == index
-                if not bool(np.any(mask)):
-                    continue
-                copies[index] = CopyStats(
-                    num_bytes=int(byte_col[mask].sum()),
-                    latency_ns=_ordered_sum(lat_col[mask], None),
-                    energy_nj=_ordered_sum(en_col[mask], None),
-                )
-        for name, stats in zip(_DIRECTIONS, copies):
-            setattr(self, COPY_DIRECTIONS[name], stats)
-
-        # -- host -----------------------------------------------------------
-        host_time = 0.0
-        host_energy = 0.0
-        h = len(self._host_log)
-        if h:
-            order = self._expand(h, "host")
-            time_col = np.array(
-                [entry[0] for entry in self._host_log], dtype=np.float64
-            )[order]
-            energy_col = np.array(
-                [entry[1] for entry in self._host_log], dtype=np.float64
-            )[order]
-            host_time = _ordered_sum(time_col, None)
-            host_energy = _ordered_sum(energy_col, None)
-        self.host_time_ns = host_time
-        self.host_energy_nj = host_energy
-
+        totals = price_plan(self.export_plan(), (self._price_table(),))
+        vars(self).update(totals.tracker_fields(0))
         self._finalized_at = state
 
     def seal(self) -> None:
@@ -642,14 +447,7 @@ class VectorStatsTracker(StatsTracker):
         self._finalize()
         self._sealed = True
         self._pricer = None
-        self._table = None
-        self._shape_args = []
-        self._cmd_log = []
-        self._literals = []
-        self._copy_log = []
-        self._host_log = []
-        self._groups = []
-        self._finalized_at = (0, 0, 0, 0)
+        self._clear_logs()
 
     @property
     def sealed(self) -> bool:
@@ -657,13 +455,11 @@ class VectorStatsTracker(StatsTracker):
 
     # -- plan export / synthesis ---------------------------------------------
 
-    def export_plan_state(self) -> "dict[str, object]":
-        """Raw histogram state for :mod:`repro.perf.plans`.
+    def export_plan(self) -> PricingPlan:
+        """The logs as a :class:`~repro.perf.plans.PricingPlan`.
 
-        Returns the *expanded* (replay groups tiled in place) log
-        columns plus the interned shape/bucket/kind tables -- everything
-        a :class:`~repro.perf.plans.PricingPlan` needs to re-price this
-        exact addend sequence under a different point's cost table.
+        Replay groups are tiled in place, so the plan's columns hold the
+        exact addend sequence the scalar path would have accumulated.
         Requires the logs, so it must be called before :meth:`seal`.
         """
         if self._sealed:
@@ -671,93 +467,42 @@ class VectorStatsTracker(StatsTracker):
                 "cannot export a pricing plan from a sealed tracker: "
                 "the logs were dropped at seal time"
             )
-        n = len(self._cmd_log)
-        raw = (
-            np.array(self._cmd_log, dtype=np.int64)
-            if n
-            else np.zeros((0, 5), dtype=np.int64)
+        int64, float64 = np.int64, np.float64
+        cmd = _columns(self._cmd_log, (int64,) * 5, self._expand(0))
+        copy = _columns(
+            self._copy_log, (int64, int64, float64, float64), self._expand(1)
         )
-        cmd = raw[self._expand(n, "cmd")]
-        copy_order = self._expand(len(self._copy_log), "copy")
-        host_order = self._expand(len(self._host_log), "host")
-        return {
-            "shape_args": tuple(self._shape_args),
-            "bucket_names": tuple(self._bucket_names),
-            "kind_objs": tuple(self._kind_objs),
-            "literals": tuple(self._literals),
-            "cmd_shape": cmd[:, 0].copy(),
-            "cmd_bucket": cmd[:, 1].copy(),
-            "cmd_kind": cmd[:, 2].copy(),
-            "cmd_mult": cmd[:, 3].copy(),
-            "cmd_batch": cmd[:, 4].copy(),
-            "copy_dir": np.array(
-                [entry[0] for entry in self._copy_log], dtype=np.int64
-            )[copy_order],
-            "copy_bytes": np.array(
-                [entry[1] for entry in self._copy_log], dtype=np.int64
-            )[copy_order],
-            "copy_latency": np.array(
-                [entry[2] for entry in self._copy_log], dtype=np.float64
-            )[copy_order],
-            "copy_energy": np.array(
-                [entry[3] for entry in self._copy_log], dtype=np.float64
-            )[copy_order],
-            "host_time": np.array(
-                [entry[0] for entry in self._host_log], dtype=np.float64
-            )[host_order],
-            "host_energy": np.array(
-                [entry[1] for entry in self._host_log], dtype=np.float64
-            )[host_order],
-        }
+        host = _columns(self._host_log, (float64, float64), self._expand(2))
+        return PricingPlan(
+            tuple(self._shape_args),
+            tuple(self._bucket_names),
+            tuple(self._kind_objs),
+            tuple(self._literals),
+            *cmd, *copy, *host,
+        )
 
     @classmethod
     def synthesize_sealed(
-        cls,
-        commands: "OrderedDict[str, CmdStats]",
-        op_counts: "dict[PimCmdKind, int]",
-        copies: "dict[str, CopyStats]",
-        background_energy_nj: float,
-        events: EventCounts,
-        host_time_ns: float,
-        host_energy_nj: float,
+        cls, fields: "dict[str, typing.Any]"
     ) -> "VectorStatsTracker":
         """A sealed tracker holding externally computed totals.
 
-        The batched sweep pricer (:mod:`repro.dse.batch`) rebuilds a
-        point's accumulator totals matrix-wise and wraps them in the
-        same sealed-tracker state :meth:`seal` leaves behind, so
+        ``fields`` is one :meth:`~repro.perf.plans.PlanTotals.
+        tracker_fields` row: the batched sweep pricer wraps each point
+        in the same sealed-tracker state :meth:`seal` leaves behind, so
         synthesized cell outcomes pickle, disk-cache, and snapshot
         exactly like per-cell vector outcomes.
         """
         tracker = cls()
-        tracker.commands = OrderedDict(commands)
-        tracker.op_counts = dict(op_counts)
-        for direction, attr in COPY_DIRECTIONS.items():
-            setattr(tracker, attr, copies.get(direction, CopyStats()))
-        tracker.background_energy_nj = background_energy_nj
-        tracker.events = events
-        tracker.host_time_ns = host_time_ns
-        tracker.host_energy_nj = host_energy_nj
+        vars(tracker).update(fields)
         tracker._sealed = True
-        tracker._finalized_at = (0, 0, 0, 0)
         return tracker
 
     def reset(self) -> None:
         """Zero every accumulator and clear the logs (un-seals)."""
         super().reset()
         self._sealed = False
-        self._table = None
-        self._shape_args = []
-        self._bucket_names = []
-        self._bucket_ids = {}
-        self._kind_objs = []
-        self._kind_ids = {}
-        self._cmd_log = []
-        self._literals = []
-        self._copy_log = []
-        self._host_log = []
-        self._groups = []
-        self._finalized_at = None
+        self._clear_logs()
 
     # -- aggregate views ------------------------------------------------------
 

@@ -7,20 +7,16 @@ assertions are the *byte*-identity ones: the batched path is only
 allowed to exist because nothing downstream can tell it ran.
 """
 
-import json
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.dse import SweepSpec, render_json, run_sweep, sweep_payload
-from repro.dse.batch import (
-    BATCH_CHECK_ENV,
-    NO_BATCH_ENV,
-    batch_eligible,
-    batching_disabled,
-)
+from repro.dse.batch import batch_eligible
 from repro.engine.cells import CellSpec
 from repro.obs.metrics import global_registry
+from repro.perf.vector import VECTOR_CHECK_ENV
 
 _RAW = {
     "name": "batch-unit",
@@ -101,21 +97,59 @@ class TestEligibility:
 
 
 class TestIdentity:
-    def test_report_byte_identical_to_per_cell(self, monkeypatch):
+    def test_report_byte_identical_to_per_cell(self):
         spec = _spec(benchmarks=["vecadd", "gemv"])
         batched = _run(spec)
         assert batched.batched_cells == 6
-        monkeypatch.setenv(NO_BATCH_ENV, "1")
-        per_cell = _run(spec)
+        per_cell = _run(spec, batched=False)
         assert per_cell.batched_cells == 0
         assert render_json(sweep_payload(batched)) == render_json(
             sweep_payload(per_cell)
         )
 
+    def test_report_byte_identical_to_scalar_oracle(self):
+        spec = _spec(benchmarks=["vecadd", "gemv"])
+        assert render_json(sweep_payload(_run(spec))) == render_json(
+            sweep_payload(_run(spec, vector=False))
+        )
+
     def test_batch_check_gate_passes(self, monkeypatch):
-        monkeypatch.setenv(BATCH_CHECK_ENV, "1")
+        """The vector check still batch-prices, then checks the first,
+        middle and last synthesized cells against the scalar oracle."""
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
         result = _run()
         assert result.batched_cells == 3
+        assert result.checked_cells == 3
+        assert all(not o.failed for o in result.outcomes)
+
+    def test_check_fails_perturbed_cell_and_skips_its_cache_entry(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.arch.base import ArchBackend
+
+        original = ArchBackend.cost_table
+
+        def perturbed(self, pipeline, shapes):
+            table = original(self, pipeline, shapes)
+            return dataclasses.replace(
+                table, latency_ns=table.latency_ns * (1.0 + 1e-9)
+            )
+
+        monkeypatch.setattr(ArchBackend, "cost_table", perturbed)
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
+        spec = _spec(axes={"pe_freq_mhz": [200, 300, 400, 500, 600]})
+        result = _run(spec, use_cache=True, cache_dir=tmp_path)
+        failed = [o for o in result.outcomes if o.failed]
+        # First, middle and last of five points are sampled.
+        assert len(failed) == 3
+        assert result.checked_cells == 3
+        for outcome in failed:
+            (message,) = outcome.errors.values()
+            assert "diverged from the scalar path" in message
+            assert "latency_ns" in message
+        monkeypatch.delenv(VECTOR_CHECK_ENV)
+        warm = _run(spec, use_cache=True, cache_dir=tmp_path)
+        assert warm.cache_hits == 2  # the failed cells were never written
 
     def test_synthesized_telemetry_flags(self):
         from repro.obs.telemetry import telemetry_log
@@ -135,14 +169,6 @@ class TestIdentity:
 
 
 class TestFallback:
-    def test_no_batch_env_forces_per_cell(self, monkeypatch):
-        monkeypatch.setenv(NO_BATCH_ENV, "1")
-        assert batching_disabled()
-        result = _run()
-        assert result.batched_cells == 0
-        assert result.plan_misses == 0
-        assert all(not o.failed for o in result.outcomes)
-
     def test_scalar_sweep_never_batches(self):
         result = _run(vector=False)
         assert result.batched_cells == 0
@@ -150,6 +176,7 @@ class TestFallback:
     def test_batched_kwarg_opts_out(self):
         result = _run(batched=False)
         assert result.batched_cells == 0
+        assert result.plan_misses == 0
         assert all(not o.failed for o in result.outcomes)
 
 
@@ -164,14 +191,11 @@ class TestCaching:
             sweep_payload(warm)
         )
 
-    def test_per_cell_path_reads_batched_cache_entries(
-        self, tmp_path, monkeypatch
-    ):
+    def test_per_cell_path_reads_batched_cache_entries(self, tmp_path):
         """Synthesized outcomes are cached under the normal cell keys."""
         spec = _spec()
         cold = _run(spec, use_cache=True, cache_dir=tmp_path)
-        monkeypatch.setenv(NO_BATCH_ENV, "1")
-        warm = _run(spec, use_cache=True, cache_dir=tmp_path)
+        warm = _run(spec, use_cache=True, cache_dir=tmp_path, batched=False)
         assert cold.batched_cells == 3
         assert warm.cache_hits == 3 and warm.cache_misses == 0
         assert render_json(sweep_payload(cold)) == render_json(

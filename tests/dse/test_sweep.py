@@ -23,7 +23,6 @@ from repro.dse import (
     render_json,
     run_sweep,
     sweep_payload,
-    vector_check_point,
 )
 
 _RAW = {
@@ -92,12 +91,6 @@ class TestExecution:
         assert render_json(sweep_payload(one)) == render_json(
             sweep_payload(two)
         )
-
-    def test_vector_check_point_is_stable_middle(self):
-        spec = _spec(axes={"banks_per_rank": [16, 32, 64]})
-        probe = vector_check_point(spec)
-        assert probe == vector_check_point(spec)
-        assert probe == spec.compile_points()[1]
 
 
 class TestAreaProxy:

@@ -48,6 +48,35 @@ class TestCacheKeySeparation:
         assert len(stamp) == 12
         assert stamp == vector_stamp()
 
+    @pytest.mark.parametrize("source", ["perf/plans.py", "dse/batch.py"])
+    def test_pricer_edit_moves_vector_keys_only(self, source, monkeypatch):
+        """Batch-priced outcomes are cached under vector keys, so an
+        edit to the shared pricer or the sweep pricer must move them;
+        scalar keys never contain the vector stamp."""
+        import pathlib
+
+        from repro.engine import version
+
+        spec = _spec(device_type=resolve_backend("bank").device_type)
+        scalar = dataclasses.replace(spec, vector=False)
+        before = cell_cache_key(spec), cell_cache_key(scalar)
+        read_bytes = pathlib.Path.read_bytes
+
+        def edited(path):
+            data = read_bytes(path)
+            if path.as_posix().endswith(source):
+                data += b"\n# simulated edit\n"
+            return data
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", edited)
+        version.clear_stamp_caches()
+        try:
+            assert cell_cache_key(spec) != before[0]
+            assert cell_cache_key(scalar) == before[1]
+        finally:
+            monkeypatch.undo()
+            version.clear_stamp_caches()
+
 
 class TestRunCellVector:
     def test_vector_cell_matches_scalar_cell(self):

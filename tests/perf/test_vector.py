@@ -10,8 +10,12 @@ different doubles, and must be reported, not absorbed).
 """
 
 import pickle
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import iter_backends
 from repro.baselines.cpu import CpuModel
@@ -20,11 +24,13 @@ from repro.bench.registry import make_benchmark
 from repro.core.commands import PimCmdKind
 from repro.core.device import PimDevice
 from repro.core.errors import PimTypeError
-from repro.core.stats import StatsTracker
+from repro.core.stats import EventCounts, StatsTracker
+from repro.perf import plans
+from repro.perf.plans import EVENT_FIELDS, VALUE_FIELDS, price_plan
 from repro.perf.vector import (
+    CostTable,
     VectorEquivalenceError,
     VectorStatsTracker,
-    _ordered_sum,
     tracker_mismatches,
     verify_equivalence,
 )
@@ -53,31 +59,155 @@ def _run_pair(
 
 
 class TestOrderedSum:
-    def test_matches_sequential_python_sum(self):
-        import numpy as np
+    """price_plan's float sums are the scalar left-to-right loop."""
 
+    def test_matches_sequential_python_sum(self):
         values = [0.1, 0.2, 0.30000000000000004, 1e18, -1e18, 3.5e-9]
         expected = 0.0
         for v in values:
             expected += v
-        got = _ordered_sum(
-            np.asarray(values), np.ones(len(values), dtype=np.int64)
-        )
+        tracker = VectorStatsTracker()
+        for v in values:
+            tracker.record_host(v, 0.0)
+        got = price_plan(tracker.export_plan(), (None,)).host_time_ns
         assert got == expected  # bit-equal, not approx
 
     def test_reps_replicate_iterated_add(self):
-        import numpy as np
-
         # 0.1 added ten times is NOT 1.0 in binary64; the vector path
         # must reproduce the iterated result, not the multiplied one.
         expected = 0.0
         for _ in range(10):
             expected += 0.1
-        got = _ordered_sum(
-            np.asarray([0.1]), np.asarray([10], dtype=np.int64)
+        tracker = VectorStatsTracker()
+        tracker.record_command_batch(
+            PimCmdKind.ADD, "add.int32.v", 0.1, 0.1, count=10
         )
+        got = price_plan(tracker.export_plan(), (None,)).latency_ns[0, 0]
         assert got == expected
         assert got != 1.0
+
+
+# -- the shared pricer on random logs ------------------------------------------
+
+_SHAPES = 3
+_SIGNATURES = ("add.int32.v", "mul.int32.v", "popcount.int8.h")
+_KINDS = (PimCmdKind.ADD, PimCmdKind.MUL, PimCmdKind.POPCOUNT)
+_value = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+_count = st.integers(1, 4)
+
+_shape_entry = st.tuples(
+    st.just("shape"), st.integers(0, _SHAPES - 1),
+    st.sampled_from(_SIGNATURES), st.sampled_from(_KINDS), _count,
+    st.booleans(),
+)
+_literal_entry = st.tuples(
+    st.just("literal"), st.sampled_from(_SIGNATURES),
+    st.sampled_from(_KINDS), st.tuples(_value, _value, _value), _count,
+    st.none() | st.tuples(*[_value] * len(EVENT_FIELDS)), st.booleans(),
+)
+_copy_entry = st.tuples(
+    st.just("copy"), st.sampled_from(("h2d", "d2h", "d2d")),
+    st.integers(0, 4096), _value, _value,
+)
+_host_entry = st.tuples(st.just("host"), _value, _value)
+_entry = _shape_entry | _literal_entry | _copy_entry | _host_entry
+_log = st.lists(
+    _entry | st.tuples(
+        st.just("replay"), st.lists(_entry, max_size=4),
+        st.integers(0, 3),
+    ),
+    max_size=10,
+)
+_table = st.tuples(
+    *[st.lists(_value, min_size=_SHAPES, max_size=_SHAPES)]
+    * len(VALUE_FIELDS)
+).map(lambda columns: CostTable(*(np.array(c) for c in columns)))
+
+
+def _apply(tracker, entry, table):
+    """One log entry, issued the way the device would bill it.
+
+    Shape entries reach the vector tracker as histogram entries; the
+    scalar tracker gets the priced ``record_command`` call the scalar
+    device makes (``repeat`` billing pre-multiplies, batches iterate).
+    """
+    op = entry[0]
+    if op == "shape":
+        _, shape, signature, kind, mult, is_batch = entry
+        if isinstance(tracker, VectorStatsTracker):
+            tracker.log_command(
+                shape, tracker.bucket_index(signature),
+                tracker.kind_index(kind), mult, is_batch,
+            )
+            return
+        values = [float(getattr(table, field)[shape]) for field in VALUE_FIELDS]
+        events = EventCounts(*values[3:])
+        if is_batch:
+            tracker.record_command_batch(
+                kind, signature, *values[:3], count=mult, events=events
+            )
+        else:
+            tracker.record_command(
+                kind, signature, *(v * mult for v in values[:3]),
+                count=mult, events=events.scaled(mult),
+            )
+    elif op == "literal":
+        _, signature, kind, values, count, events, is_batch = entry
+        record = (
+            tracker.record_command_batch if is_batch else tracker.record_command
+        )
+        record(
+            kind, signature, *values, count=count,
+            events=EventCounts(*events) if events is not None else None,
+        )
+    elif op == "copy":
+        tracker.record_copy(*entry[1:])
+    elif op == "host":
+        tracker.record_host(*entry[1:])
+    else:
+        _, body, times = entry
+        with tracker.recorded_trace() as trace:
+            for inner in body:
+                _apply(tracker, inner, table)
+        tracker.replay_trace(trace, times=times)
+
+
+def _vector_tracker(log, table):
+    tracker = VectorStatsTracker(pricer=lambda shapes: table)
+    for shape in range(_SHAPES):
+        tracker.register_shape(("shape", shape))
+    for entry in log:
+        _apply(tracker, entry, table)
+    return tracker
+
+
+class TestSharedPricerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_log, _table)
+    def test_one_row_matches_scalar_tracker(self, log, table):
+        scalar = StatsTracker()
+        for entry in log:
+            _apply(scalar, entry, table)
+        vector = _vector_tracker(log, table)
+        assert tracker_mismatches(vector, scalar) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(_log, st.lists(_table, min_size=1, max_size=4))
+    def test_p_rows_match_p_one_row_calls(self, log, tables):
+        plan = _vector_tracker(log, tables[0]).export_plan()
+        together = price_plan(plan, tables)
+        # A one-element slab bound prices every row separately.
+        with mock.patch.object(plans, "_SLAB_ELEMENTS", 1):
+            slabbed = price_plan(plan, tables)
+        for row, table in enumerate(tables):
+            alone = VectorStatsTracker.synthesize_sealed(
+                price_plan(plan, (table,)).tracker_fields(0)
+            )
+            for totals in (together, slabbed):
+                batched = VectorStatsTracker.synthesize_sealed(
+                    totals.tracker_fields(row)
+                )
+                assert tracker_mismatches(batched, alone) == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=[b.id for b in BACKENDS])

@@ -506,10 +506,57 @@ class TestDseSubcommand:
         assert payload["num_failed"] == 0
         assert payload["frontier"]
 
-    def test_run_vector_check_probe_passes(self, capsys, tmp_path):
+    def test_run_vector_check_probe_passes(self, capsys, tmp_path,
+                                           monkeypatch):
+        from repro.perf.vector import VECTOR_CHECK_ENV
+
+        # The flag exports the env var; monkeypatch restores it.
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "")
         assert main(["dse", "run", "--spec", self._spec_file(tmp_path),
                      "--no-cache", "--jobs", "1", "--vector-check"]) == 0
-        assert "Vector check passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2 cell(s) batch-priced" in out
+        assert ("Vector check passed: 2 batch-priced cell(s) bit-identical "
+                "to the scalar oracle") in out
+
+    def test_run_vector_check_lists_mismatch_and_exits_1(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import dataclasses
+
+        from repro.arch.base import ArchBackend
+        from repro.perf.vector import VECTOR_CHECK_ENV
+
+        original = ArchBackend.cost_table
+
+        def perturbed(self, pipeline, shapes):
+            table = original(self, pipeline, shapes)
+            return dataclasses.replace(
+                table, latency_ns=table.latency_ns * (1.0 + 1e-9)
+            )
+
+        monkeypatch.setattr(ArchBackend, "cost_table", perturbed)
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "")
+        assert main(["dse", "run", "--spec", self._spec_file(tmp_path),
+                     "--no-cache", "--vector-check"]) == 1
+        out = capsys.readouterr().out
+        assert "Failed points (2):" in out
+        assert "VectorEquivalenceError" in out
+        assert "].latency_ns:" in out
+        assert "Vector check passed" not in out
+
+    def test_run_vector_check_excludes_no_vector(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["dse", "run", "--spec", self._spec_file(tmp_path),
+                  "--no-vector", "--vector-check"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--no-batch", "--batch-check"])
+    def test_removed_batch_flags_exit_2(self, flag, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["dse", "run", "--spec", self._spec_file(tmp_path), flag])
+        assert exc.value.code == 2
 
     def test_frontier_reads_saved_report(self, capsys, tmp_path):
         report = tmp_path / "frontier.json"
