@@ -1,22 +1,36 @@
-"""Shared helpers for the figure-regeneration benchmark harness.
+"""Shared helpers for the paper-claim checks.
 
 Each ``test_fig*`` / ``test_table*`` module regenerates one table or
-figure of the paper: it runs the corresponding experiment driver under
-pytest-benchmark (one round -- these are simulations, not microbenchmarks),
+figure of the paper: it calls the corresponding experiment driver once,
 prints the regenerated rows/series, and asserts the qualitative shape the
-paper reports.  Run with ``pytest benchmarks/ --benchmark-only -s`` to see
-the tables.
+paper reports.  Run with ``pytest benchmarks/ -s`` to see the tables.
+Timing is not measured here; ``perfbench/run.py`` is the performance
+ledger (docs/PERFORMANCE.md §5).
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 
-def run_once(benchmark, func, *args, **kwargs):
-    """Run an experiment driver exactly once under the benchmark fixture."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)
+@pytest.fixture(autouse=True, scope="session")
+def _isolated_result_cache(tmp_path_factory):
+    """Point the persistent result cache at a per-session temp dir.
+
+    A claim must be checked against results this checkout computed, not
+    against entries another run left in ``~/.cache/repro``; the checks
+    must not litter that directory either.  Within the session the
+    figures still share warm entries, as they do for a user.
+    """
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
+    yield
+    if previous is None:
+        os.environ.pop("REPRO_CACHE_DIR", None)
+    else:
+        os.environ["REPRO_CACHE_DIR"] = previous
 
 
 @pytest.fixture(scope="session")

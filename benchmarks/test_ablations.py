@@ -1,6 +1,6 @@
 """Ablations of the modeled design choices (DESIGN.md Section 6)."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import (
     alu_clock_sweep,
@@ -13,8 +13,8 @@ from repro.experiments import (
 )
 
 
-def test_gdl_width_ablation(benchmark):
-    points = run_once(benchmark, gdl_width_sweep)
+def test_gdl_width_ablation():
+    points = gdl_width_sweep()
     emit("Ablation: bank-level GDL width (int32 add, 256M)",
          format_ablation(points))
     by_width = {p.value: p.latency_ms for p in points}
@@ -25,8 +25,8 @@ def test_gdl_width_ablation(benchmark):
     assert by_width[128] / by_width[512] < 1.5
 
 
-def test_alu_clock_ablation(benchmark):
-    points = run_once(benchmark, alu_clock_sweep)
+def test_alu_clock_ablation():
+    points = alu_clock_sweep()
     emit("Ablation: Fulcrum ALU clock (int32 mul, 256M)",
          format_ablation(points))
     by_freq = {p.value: p.latency_ms for p in points}
@@ -35,8 +35,8 @@ def test_alu_clock_ablation(benchmark):
     assert by_freq[82.0] / by_freq[164.0] < 2.0  # sub-linear: rows remain
 
 
-def test_fulcrum_simd_width_ablation(benchmark):
-    points = run_once(benchmark, fulcrum_simd_width_sweep)
+def test_fulcrum_simd_width_ablation():
+    points = fulcrum_simd_width_sweep()
     emit("Ablation: Fulcrum ALU width (int32 add, 256M)",
          format_ablation(points))
     by_width = {p.value: p.latency_ms for p in points}
@@ -45,8 +45,8 @@ def test_fulcrum_simd_width_ablation(benchmark):
     assert by_width[32] / by_width[64] < 2.1
 
 
-def test_digital_vs_analog_bitserial(benchmark):
-    points = run_once(benchmark, digital_vs_analog_bitserial)
+def test_digital_vs_analog_bitserial():
+    points = digital_vs_analog_bitserial()
     emit("Ablation: digital DRAM-AP vs analog TRA bit-serial (256M int32)",
          format_ablation(points))
     by_study = {p.study: p.latency_ms for p in points}
@@ -57,8 +57,8 @@ def test_digital_vs_analog_bitserial(benchmark):
             4 * by_study[f"bitserial:digital:{op}"]
 
 
-def test_fused_saturating_add(benchmark):
-    points = run_once(benchmark, fused_vs_portable_brightness)
+def test_fused_saturating_add():
+    points = fused_vs_portable_brightness()
     emit("Ablation: portable min+add vs fused saturating add (brightness)",
          format_ablation(points))
     by_study = {p.study: p.latency_ms for p in points}
@@ -72,8 +72,8 @@ def test_fused_saturating_add(benchmark):
     assert bitserial_gain > 1.8
 
 
-def test_bitserial_reduction_strategy(benchmark):
-    points = run_once(benchmark, bitserial_reduction_strategies)
+def test_bitserial_reduction_strategy():
+    points = bitserial_reduction_strategies()
     emit("Ablation: bit-serial reduction strategy (int32, 256M)",
          format_ablation(points))
     on_pim = next(p for p in points if "popcount" in p.study).latency_ms

@@ -1,13 +1,13 @@
 """Physical-activity census across the suite (model-explanation table)."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import activity_table, format_activity_table
 
 
-def test_activity_census(benchmark, paper_suite):
-    rows = run_once(benchmark, activity_table, paper_suite)
+def test_activity_census(paper_suite):
+    rows = activity_table(paper_suite)
     emit("Activity census: row activations / lane ops / ALU ops / GDL bits",
          format_activity_table(rows))
 

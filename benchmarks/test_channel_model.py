@@ -1,12 +1,12 @@
 """Channel-sharing correction: the deferred DRAMsim3 refinement."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import channel_sensitivity, format_channel_table
 
 
-def test_channel_sharing_correction(benchmark):
-    points = run_once(benchmark, channel_sensitivity)
+def test_channel_sharing_correction():
+    points = channel_sensitivity()
     emit("Channel sharing: kernel+DM speedup vs channel cap (bit-serial)",
          format_channel_table(points))
 

@@ -1,13 +1,13 @@
 """Section X: the Conclusions paragraph, computed from the model."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import compute_conclusions, format_conclusions
 
 
-def test_conclusions(benchmark, paper_suite):
-    conclusions = run_once(benchmark, compute_conclusions, paper_suite)
+def test_conclusions(paper_suite):
+    conclusions = compute_conclusions(paper_suite)
     emit("Section X: Conclusions, as measured", format_conclusions(conclusions))
 
     assert conclusions.best_performance_variant is PimDeviceType.FULCRUM

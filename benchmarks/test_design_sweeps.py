@@ -1,6 +1,6 @@
 """Design sweeps extending Section VIII's per-benchmark discussions."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import (
@@ -11,8 +11,8 @@ from repro.experiments import (
 )
 
 
-def test_filter_selectivity_sweep(benchmark):
-    points = run_once(benchmark, selectivity_sweep)
+def test_filter_selectivity_sweep():
+    points = selectivity_sweep()
     emit("Filter-By-Key: speedup vs selectivity and record width",
          format_selectivity_table(points))
 
@@ -26,8 +26,8 @@ def test_filter_selectivity_sweep(benchmark):
     assert speedup(128, 0.1) < 2 * speedup(8, 0.1)
 
 
-def test_radix_digit_width(benchmark):
-    points = run_once(benchmark, digit_width_sweep)
+def test_radix_digit_width():
+    points = digit_width_sweep()
     emit("Radix sort: digit-width tradeoff (counting vs scatter)",
          format_digit_table(points))
 

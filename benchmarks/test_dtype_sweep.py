@@ -1,13 +1,13 @@
 """Data-type sensitivity sweep (extends Section V-C's dtype discussion)."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDataType, PimDeviceType
 from repro.experiments import dtype_sensitivity, format_dtype_table
 
 
-def test_dtype_sweep(benchmark):
-    points = run_once(benchmark, dtype_sensitivity)
+def test_dtype_sweep():
+    points = dtype_sensitivity()
     emit("Data-type sensitivity (64M elements, kernel only)",
          format_dtype_table(points))
 

@@ -1,6 +1,6 @@
 """Figure 10: speedup (a) and energy reduction (b) over the GPU."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import (
@@ -16,8 +16,8 @@ FULCRUM = PimDeviceType.FULCRUM
 BANK = PimDeviceType.BANK_LEVEL
 
 
-def test_fig10a_speedup_over_gpu(benchmark, paper_suite):
-    rows = run_once(benchmark, speedup_table, paper_suite)
+def test_fig10a_speedup_over_gpu(paper_suite):
+    rows = speedup_table(paper_suite)
     emit("Figure 10a: Speedup over GPU (PCIe transfer factored out)",
          format_speedup_table(rows))
 
@@ -36,8 +36,8 @@ def test_fig10a_speedup_over_gpu(benchmark, paper_suite):
     assert gpu("K-means", BIT_SERIAL) > 1
 
 
-def test_fig10b_energy_vs_gpu(benchmark, paper_suite):
-    rows = run_once(benchmark, energy_table, paper_suite)
+def test_fig10b_energy_vs_gpu(paper_suite):
+    rows = energy_table(paper_suite)
     emit("Figure 10b: Energy Reduction vs GPU", format_energy_table(rows))
 
     # Conclusions: Fulcrum lands near the paper's ~2x Gmean over the GPU

@@ -1,6 +1,6 @@
 """Figure 11: energy efficiency of the PIM architectures vs the CPU."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import energy_table, format_energy_table
@@ -9,8 +9,8 @@ BIT_SERIAL = PimDeviceType.BITSIMD_V_AP
 FULCRUM = PimDeviceType.FULCRUM
 
 
-def test_fig11_energy_vs_cpu(benchmark, paper_suite):
-    rows = run_once(benchmark, energy_table, paper_suite)
+def test_fig11_energy_vs_cpu(paper_suite):
+    rows = energy_table(paper_suite)
     emit("Figure 11: Energy Reduction vs CPU", format_energy_table(rows))
 
     def bar(name, device_type):

@@ -1,13 +1,13 @@
 """Figure 12: rank sensitivity (8/16/32 vs 4), capacity scaling by rank."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import format_rank_table, rank_scaling_table
 
 
-def test_fig12_rank_scaling(benchmark):
-    rows = run_once(benchmark, rank_scaling_table)
+def test_fig12_rank_scaling():
+    rows = rank_scaling_table()
     emit("Figure 12: Speedup over #Rank=4 (kernel only, capacity scales)",
          format_rank_table(rows))
 

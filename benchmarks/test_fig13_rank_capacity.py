@@ -1,14 +1,14 @@
 """Figure 13: 1 vs 32 ranks at the same total memory capacity."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import DEVICE_ORDER
 from repro.experiments import capacity_matched_table, format_rank_table
 
 
-def test_fig13_capacity_matched(benchmark):
-    rows = run_once(benchmark, capacity_matched_table)
+def test_fig13_capacity_matched():
+    rows = capacity_matched_table()
     emit("Figure 13: Speedup of 32 ranks over 1 rank (same capacity)",
          format_rank_table(rows))
 

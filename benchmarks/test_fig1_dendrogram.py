@@ -1,6 +1,6 @@
 """Figure 1: benchmark-similarity dendrogram (PCA + Ward clustering)."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import build_dendrogram, extract_features, render_text_dendrogram
 from repro.config.device import PimDeviceType
@@ -17,8 +17,8 @@ def build(paper_suite):
     return build_dendrogram(features)
 
 
-def test_fig1_dendrogram(benchmark, paper_suite):
-    result = run_once(benchmark, build, paper_suite)
+def test_fig1_dendrogram(paper_suite):
+    result = build(paper_suite)
     emit("Figure 1: Benchmark Similarity Dendrogram", render_text_dendrogram(result))
 
     assert len(result.merge_order()) == 17  # 18 benchmarks -> 17 merges

@@ -1,6 +1,6 @@
 """Figure 6: #column and #bank sensitivity of the PIM variants."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import DEVICE_ORDER
@@ -19,8 +19,8 @@ def _latency(points, device_type, operation, value):
     )
 
 
-def test_fig6a_columns(benchmark):
-    points = run_once(benchmark, column_sensitivity)
+def test_fig6a_columns():
+    points = column_sensitivity()
     emit("Figure 6a: Latency vs #Columns (256M int32)",
          format_sensitivity_table(points))
 
@@ -37,8 +37,8 @@ def test_fig6a_columns(benchmark):
     assert mul[bs] < mul[PimDeviceType.BANK_LEVEL]
 
 
-def test_fig6b_banks(benchmark):
-    points = run_once(benchmark, bank_sensitivity)
+def test_fig6b_banks():
+    points = bank_sensitivity()
     emit("Figure 6b: Latency vs #Banks (256M int32)",
          format_sensitivity_table(points))
 

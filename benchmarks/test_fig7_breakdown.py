@@ -1,13 +1,13 @@
 """Figure 7: runtime breakdown (data movement / host / kernel)."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import breakdown_table, format_breakdown_table
 
 
-def test_fig7_breakdown(benchmark, paper_suite):
-    rows = run_once(benchmark, breakdown_table, paper_suite)
+def test_fig7_breakdown(paper_suite):
+    rows = breakdown_table(paper_suite)
     emit("Figure 7: Performance Breakdown (%) at 32 ranks",
          format_breakdown_table(rows))
 

@@ -1,13 +1,13 @@
 """Figure 8: PIM operation frequency distribution."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core.commands import OpCategory
 from repro.experiments import format_opmix_table, opmix_table
 
 
-def test_fig8_opmix(benchmark, paper_suite):
-    rows = run_once(benchmark, opmix_table, paper_suite)
+def test_fig8_opmix(paper_suite):
+    rows = opmix_table(paper_suite)
     emit("Figure 8: PIM Operation Mix (%)", format_opmix_table(rows))
 
     mix = {row.benchmark: row for row in rows}

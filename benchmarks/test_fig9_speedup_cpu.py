@@ -1,6 +1,6 @@
 """Figure 9: speedup of the three PIM variants over the CPU baseline."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import DEVICE_ORDER
@@ -11,8 +11,8 @@ FULCRUM = PimDeviceType.FULCRUM
 BANK = PimDeviceType.BANK_LEVEL
 
 
-def test_fig9_speedup_over_cpu(benchmark, paper_suite):
-    rows = run_once(benchmark, speedup_table, paper_suite)
+def test_fig9_speedup_over_cpu(paper_suite):
+    rows = speedup_table(paper_suite)
     emit("Figure 9: Speedup over CPU at 32 ranks (kernel+DM and kernel)",
          format_speedup_table(rows))
 

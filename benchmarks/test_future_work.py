@@ -1,6 +1,6 @@
 """Section IX future-work explorations: HBM, problem size, batching."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import (
@@ -13,8 +13,8 @@ from repro.experiments import (
 )
 
 
-def test_hbm_vs_ddr4(benchmark):
-    points = run_once(benchmark, memory_technology_comparison)
+def test_hbm_vs_ddr4():
+    points = memory_technology_comparison()
     emit("Future work: DDR4 (32 ranks) vs HBM (8 stacks)",
          format_memory_tech_table(points))
 
@@ -32,8 +32,8 @@ def test_hbm_vs_ddr4(benchmark):
         kernel(PimDeviceType.FULCRUM, "ddr4")
 
 
-def test_problem_size_and_batching(benchmark):
-    points = run_once(benchmark, problem_size_sweep)
+def test_problem_size_and_batching():
+    points = problem_size_sweep()
     emit("Future work: problem-size sweep (int32 add, kernel only)",
          format_problem_size_table(points))
 

@@ -1,7 +1,7 @@
 """Listing 3: the per-run statistics report of the artifact."""
 
 import numpy as np
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.analysis import format_report
 from repro.api import (
@@ -32,8 +32,8 @@ def vecadd_report():
         pim_delete_device()
 
 
-def test_listing3_vecadd_report(benchmark):
-    text = run_once(benchmark, vecadd_report)
+def test_listing3_vecadd_report():
+    text = vecadd_report()
     emit("Listing 3: Vector Add Output", text)
 
     assert "4, 128, 32, 1024, 8192" in text

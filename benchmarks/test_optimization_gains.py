@@ -5,13 +5,13 @@ Table I benchmarks with architecture-tuned variants: the fused saturating
 add for brightness and the channel-batched convolution mapping for VGG.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.bench.optimized import optimization_gains
 
 
-def test_optimization_gains(benchmark):
-    gains = run_once(benchmark, optimization_gains)
+def test_optimization_gains():
+    gains = optimization_gains()
     lines = []
     for variant, per_device in gains.items():
         for device, gain in per_device.items():

@@ -1,21 +1,21 @@
 """Overlap-potential analysis and the executable validation anchors."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import format_overlap_table, overlap_table
 from repro.validation import format_anchor_table, validation_anchors
 
 
-def test_validation_anchors(benchmark):
-    anchors = run_once(benchmark, validation_anchors)
+def test_validation_anchors():
+    anchors = validation_anchors()
     emit("Model validation: published anchors vs this model",
          format_anchor_table(anchors))
     assert all(anchor.within_tolerance for anchor in anchors)
 
 
-def test_overlap_potential(benchmark, paper_suite):
-    rows = run_once(benchmark, overlap_table, paper_suite)
+def test_overlap_potential(paper_suite):
+    rows = overlap_table(paper_suite)
     emit("Copy/compute overlap potential (perfect double buffering)",
          format_overlap_table(rows))
 

@@ -1,12 +1,12 @@
 """Table I: the PIMbench suite inventory."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import format_table1
 
 
-def test_table1(benchmark):
-    text = run_once(benchmark, format_table1)
+def test_table1():
+    text = format_table1()
     emit("Table I: PIMbench Suite", text)
     assert text.count("\n") >= 18  # header + 18 benchmarks
     assert "1,073,741,824 key-value pairs" in text

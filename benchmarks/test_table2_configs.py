@@ -1,12 +1,12 @@
 """Table II: configuration of the evaluated architectures."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.experiments import format_table2
 
 
-def test_table2(benchmark):
-    text = run_once(benchmark, format_table2)
+def test_table2():
+    text = format_table2()
     emit("Table II: Evaluated Architectures", text)
     assert "460.8" in text  # CPU bandwidth
     assert "1935.0" in text  # GPU bandwidth

@@ -1,12 +1,12 @@
 """Section V-E: performance-model validation against UPMEM."""
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.upmem import format_validation_table, upmem_validation_table
 
 
-def test_upmem_validation(benchmark):
-    rows = run_once(benchmark, upmem_validation_table)
+def test_upmem_validation():
+    rows = upmem_validation_table()
     emit("Section V-E: Toy UPMEM Model vs Hardware", format_validation_table(rows))
 
     by_kernel = {row.kernel: row for row in rows}

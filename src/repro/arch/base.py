@@ -156,9 +156,9 @@ class ArchBackend(abc.ABC):
         ``--vector-check`` compares the reconstructed totals bit for
         bit.  This generic fallback simply routes each shape through the
         device's :class:`~repro.perf.memo.CostPipeline` (so memo
-        telemetry and ``REPRO_NO_COST_MEMO`` keep their meaning), which
-        is always correct; backends with closed-form batch pricing may
-        override, but only if they can hold the bit-identity contract.
+        telemetry keeps its meaning), which is always correct; backends
+        with closed-form batch pricing may override, but only if they
+        can hold the bit-identity contract.
 
         Batched sweeps (:mod:`repro.dse.batch`) call this hook once per
         *design point* with a shapes tuple shared by the whole geometry

@@ -394,77 +394,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if report.grades()["crashed"] else 0
 
 
-def cmd_selfbench(args: argparse.Namespace) -> int:
-    """Time the simulator itself on the standard workloads."""
-    import json
-
-    from repro.experiments import (
-        format_selfbench,
-        run_selfbench,
-        selfbench_payload,
-    )
-    from repro.experiments.selfbench import (
-        RUN_NAMES,
-        append_history,
-        baseline_schema_issues,
-        check_regression,
-        format_regression,
-        missing_baseline_runs,
-    )
-
-    if args.check and not args.baseline:
-        raise SystemExit("--check requires --baseline BASELINE.json")
-    runs = tuple(args.runs) or RUN_NAMES
-    try:
-        results = run_selfbench(runs=runs, jobs=args.jobs)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    print(format_selfbench(results))
-    if args.out:
-        payload = selfbench_payload(results)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        print(f"\nSelfbench payload written to {args.out}")
-    if args.history:
-        append_history(args.history, results)
-        print(f"History entry appended to {args.history}")
-    if args.check:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(
-                f"cannot read baseline {args.baseline}: {exc}"
-            ) from None
-        try:
-            skipped = missing_baseline_runs(results, baseline)
-            checks = check_regression(
-                results, baseline, args.tolerance, missing_ok=True
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        for issue in baseline_schema_issues(baseline):
-            # Same warn-don't-fail posture as the missing-leg path: an
-            # unversioned or newer-schema baseline still gates its
-            # like-named runs.
-            print(f"warning: {issue}", file=sys.stderr)
-        for name in skipped:
-            # A baseline archived before this leg existed cannot gate
-            # it; warn instead of hard-failing so new legs can land
-            # before their baseline does.
-            print(f"warning: no baseline entry for {name!r} in "
-                  f"{args.baseline}; leg skipped by --check",
-                  file=sys.stderr)
-        if checks:
-            print(f"\n{format_regression(checks, args.tolerance)}")
-        else:
-            print("\nRegression gate: no gate-able legs "
-                  "(every measured run skipped; see warnings)")
-        if any(not check.ok for check in checks):
-            return 1
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived evaluation service (docs/SERVING.md)."""
     import asyncio
@@ -969,45 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the deterministic campaign report")
     _add_engine_flags(campaign)
     campaign.set_defaults(func=cmd_campaign)
-
-    selfbench = sub.add_parser(
-        "selfbench",
-        help="time the simulator itself (cold/warm suite, Figure 12)",
-    )
-    selfbench.add_argument(
-        "runs", nargs="*",
-        help="run names to time (default: suite-cold suite-warm "
-             "figure12-cold suite-cold-vector figure12-cold-vector "
-             "dse-sweep-cold)",
-    )
-    selfbench.add_argument(
-        "--out", metavar="OUT.json", default=None,
-        help="also write the JSON payload (the BENCH_PR9.json schema)",
-    )
-    selfbench.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes per suite (default: $REPRO_JOBS or serial)",
-    )
-    selfbench.add_argument(
-        "--history", metavar="OUT.jsonl", default=None,
-        help="append a schema-versioned entry to a history ledger "
-             "(the BENCH_HISTORY.jsonl trend file)",
-    )
-    selfbench.add_argument(
-        "--check", action="store_true",
-        help="compare throughput against --baseline and exit non-zero "
-             "on regression beyond --tolerance",
-    )
-    selfbench.add_argument(
-        "--baseline", metavar="BASE.json", default=None,
-        help="baseline payload for --check (e.g. BENCH_PR5.json)",
-    )
-    selfbench.add_argument(
-        "--tolerance", type=float, default=0.25, metavar="FRAC",
-        help="allowed fractional commands/s drop vs the baseline before "
-             "--check fails (default 0.25)",
-    )
-    selfbench.set_defaults(func=cmd_selfbench)
 
     serve = sub.add_parser(
         "serve",

@@ -94,7 +94,7 @@ class PimDevice:
         self.energy = EnergyModel(self.config, power)
         # The memoized cost pipeline in front of the perf/energy models:
         # identical-shape commands pay the closed-form derivation once
-        # (see docs/PERFORMANCE.md §5; REPRO_NO_COST_MEMO=1 disables).
+        # (see docs/PERFORMANCE.md §5).
         from repro.arch.registry import arch_for
 
         self._backend = arch_for(self.config)

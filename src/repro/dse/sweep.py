@@ -122,7 +122,7 @@ class SweepResult:
     #: cells the matrix pricer synthesized (0 on the per-cell path).
     #: Deliberately absent from :func:`repro.dse.report.sweep_payload`:
     #: the frontier report stays byte-identical between the batched and
-    #: per-cell paths.
+    #: scalar paths.
     wall_s: float = 0.0
     plan_hits: int = 0
     plan_misses: int = 0
@@ -142,14 +142,6 @@ class SweepResult:
         if self.wall_s <= 0:
             return 0.0
         return len(self.outcomes) / self.wall_s
-
-    def total_commands(self) -> int:
-        """PIM commands simulated across every successful cell."""
-        total = 0
-        for outcome in self.outcomes:
-            for row in outcome.per_benchmark.values():
-                total += int(row.get("commands", 0))
-        return total
 
 
 def _derive_all(
@@ -183,7 +175,6 @@ def run_sweep(
     cache_dir: "str | os.PathLike | None" = None,
     vector: bool = True,
     policy: "RetryPolicy | None" = None,
-    batched: bool = True,
 ) -> SweepResult:
     """Evaluate every compiled point of ``spec`` and extract the frontier.
 
@@ -198,8 +189,8 @@ def run_sweep(
     through the matrix pricer (:mod:`repro.dse.batch`) -- one benchmark
     compile per group instead of one per point, with bit-identical
     totals by the PR 7 summation contract.  The per-cell engine path
-    still runs for anything ineligible (``vector=False``, functional,
-    fault plans) or when ``batched=False``.  Under the strict
+    still runs for anything the matrix pricer rejects (``vector=False``,
+    functional, fault plans) or defers.  Under the strict
     equivalence gate (``REPRO_VECTOR_CHECK``) the sweep still
     batch-prices, and the first, middle and last synthesized cells are
     bit-compared against the scalar oracle.
@@ -228,7 +219,7 @@ def run_sweep(
                 index[cell] = (point, benchmark)
         batch_outcomes: "dict[CellSpec, typing.Any]" = {}
         plan_hits = plan_misses = batch_hits = synthesized = checked = 0
-        if batched and vector:
+        if vector:
             eligible = [
                 (cell, derived[index[cell][0].point_id])
                 for cell in cell_specs

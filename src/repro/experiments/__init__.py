@@ -80,16 +80,6 @@ from repro.experiments.runner import (
     geometric_mean,
     run_suite,
 )
-from repro.experiments.selfbench import (
-    RegressionCheck,
-    SelfBenchRun,
-    append_history,
-    check_regression,
-    format_regression,
-    format_selfbench,
-    run_selfbench,
-    selfbench_payload,
-)
 from repro.experiments.sensitivity import (
     SensitivityPoint,
     bank_sensitivity,
@@ -163,14 +153,6 @@ __all__ = [
     "export_suite_json",
     "geometric_mean",
     "run_suite",
-    "SelfBenchRun",
-    "RegressionCheck",
-    "append_history",
-    "check_regression",
-    "format_regression",
-    "format_selfbench",
-    "run_selfbench",
-    "selfbench_payload",
     "SensitivityPoint",
     "bank_sensitivity",
     "column_sensitivity",

@@ -38,12 +38,11 @@ def rank_scaling_table(
     ranks: "tuple[int, ...]" = FIG12_RANKS,
     baseline_ranks: int = FIG12_BASELINE_RANKS,
     jobs: "int | None" = None,
-    vector: bool = True,
 ) -> "list[RankScalingRow]":
     """Figure 12: speedups over the 4-rank run, capacity scaling by rank."""
     baseline = run_suite(
         num_ranks=baseline_ranks, paper_scale=True, enforce_capacity=False,
-        jobs=jobs, vector=vector,
+        jobs=jobs,
     )
     rows = []
     for num_ranks in ranks:
@@ -52,7 +51,7 @@ def rank_scaling_table(
         else:
             suite = run_suite(
                 num_ranks=num_ranks, paper_scale=True, enforce_capacity=False,
-                jobs=jobs, vector=vector,
+                jobs=jobs,
             )
         for device_type in DEVICE_ORDER:
             for key in suite.benchmark_keys():
@@ -68,7 +67,7 @@ def rank_scaling_table(
 
 
 def capacity_matched_table(
-    jobs: "int | None" = None, vector: bool = True
+    jobs: "int | None" = None,
 ) -> "list[RankScalingRow]":
     """Figure 13: 32 ranks vs 1 rank at equal total capacity."""
     single = run_suite(
@@ -76,9 +75,8 @@ def capacity_matched_table(
         paper_scale=True,
         geometry_overrides={"rows_per_subarray": 1024 * 32},
         jobs=jobs,
-        vector=vector,
     )
-    full = run_suite(num_ranks=32, paper_scale=True, jobs=jobs, vector=vector)
+    full = run_suite(num_ranks=32, paper_scale=True, jobs=jobs)
     rows = []
     for device_type in DEVICE_ORDER:
         for key in full.benchmark_keys():

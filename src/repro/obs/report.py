@@ -32,7 +32,6 @@ REPORT_SCHEMA = 1
 _ENV_KEYS = (
     "REPRO_JOBS",
     "REPRO_CACHE_DIR",
-    "REPRO_NO_COST_MEMO",
     "REPRO_MAX_RETRIES",
     "REPRO_CELL_TIMEOUT",
     "REPRO_VECTOR_CHECK",

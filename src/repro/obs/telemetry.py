@@ -65,8 +65,8 @@ class CellTelemetry:
     cell's own footprint, in a serial run it is the parent's cumulative
     peak.  ``memo_*`` mirror the cost pipeline's counters
     (:class:`repro.perf.memo.CostPipeline`); ``commands_simulated`` is
-    the op-census total (the machine-independent figure selfbench
-    reports).  ``attempt`` is the 1-based try that finally succeeded.
+    the op-census total (a machine-independent work count).
+    ``attempt`` is the 1-based try that finally succeeded.
     """
 
     benchmark: str

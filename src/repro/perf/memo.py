@@ -20,14 +20,15 @@ overriding the hook.
 The memo changes *when* numbers are computed, never *what* they are:
 for any shape the memoized pair is the exact object the models return
 on the first derivation, so every downstream float operation is
-bit-identical to an unmemoized run.  ``REPRO_NO_COST_MEMO=1`` disables
-memoization as an escape hatch (and for A/B testing that claim); see
-``docs/PERFORMANCE.md`` §5.
+bit-identical to an unmemoized run; ``CostPipeline(..., enabled=False)``
+derives every command afresh, which is how the tests A/B that claim.
+The memo serves the scalar tracker -- the reference oracle, functional,
+observed and fault cells; vectorized and batched pricing build their
+cost tables per distinct shape and never consult it.
 """
 
 from __future__ import annotations
 
-import os
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,23 +36,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.energy.model import CommandEnergy, EnergyModel
     from repro.perf.base import CmdCost, CommandArgs, PerfModel
 
-#: Environment escape hatch: set to any non-empty value to force every
-#: command through the full perf/energy derivation.
-MEMO_DISABLE_ENV = "REPRO_NO_COST_MEMO"
-
-
-def memo_enabled() -> bool:
-    """Whether new pipelines memoize (read once per device construction)."""
-    return not os.environ.get(MEMO_DISABLE_ENV)
-
 
 class CostPipeline:
     """Per-device memo of ``(CmdCost, CommandEnergy)`` by command shape.
 
     One instance per :class:`~repro.core.device.PimDevice`; the models
     it wraps are immutable after construction, so entries never go
-    stale.  ``hits``/``misses`` are exposed for tests and selfbench
-    introspection.
+    stale.  ``hits``/``misses`` are exposed for tests and for the
+    benchmark's traced runs.
     """
 
     __slots__ = ("perf", "energy", "backend", "enabled", "hits", "misses",
@@ -62,12 +54,12 @@ class CostPipeline:
         perf: "PerfModel",
         energy: "EnergyModel",
         backend: "ArchBackend",
-        enabled: "bool | None" = None,
+        enabled: bool = True,
     ) -> None:
         self.perf = perf
         self.energy = energy
         self.backend = backend
-        self.enabled = memo_enabled() if enabled is None else enabled
+        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self._memo: "dict[tuple, tuple[CmdCost, CommandEnergy]]" = {}

@@ -12,11 +12,10 @@ limit, which is what makes shedding measurable.
 Each leg yields a :class:`LegReport`: latency percentiles (p50/p95/p99
 over *successful* requests), shed and coalesce rates, and the maximum
 queue depth a background sampler observed.  Reports serialize into the
-``BENCH_PR*.json`` schema (``schema: 1``, ``runs: [...]``) with
-``commands_per_s`` carrying achieved QPS, so the existing
-``repro selfbench --check`` regression gate can gate serving
-throughput with zero new tooling; the serving-specific fields ride
-along as extra keys the gate ignores.
+frozen ``BENCH_PR*.json`` layout (``schema: 1``, ``runs: [...]``) with
+``commands_per_s`` carrying achieved QPS, so a serving payload reads
+like the archived baselines beside it; the serving-specific fields
+ride along as extra keys.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ class LegReport:
     codes: "dict[str, int]"
 
     def to_run_dict(self) -> "dict[str, object]":
-        """A BENCH-schema run record (gate-able by selfbench --check)."""
+        """One ``runs`` entry of the ``schema: 1`` BENCH payload."""
         return {
             "run": self.name,
             "wall_s": round(self.duration_s, 4),

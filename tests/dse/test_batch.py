@@ -1,8 +1,8 @@
 """The sweep-level matrix pricer: grouping, identity, fallback, cache.
 
 Every sweep here is tiny (a handful of bank-level points, paper gemv or
-vecadd) so the file runs in seconds; the 540-point scale path is the
-selfbench ``dse-sweep-cold-batched`` leg's job.  The load-bearing
+vecadd) so the file runs in seconds; the 720-point scale path is the
+repo benchmark's ``dse-sweep`` workload.  The load-bearing
 assertions are the *byte*-identity ones: the batched path is only
 allowed to exist because nothing downstream can tell it ran.
 """
@@ -97,16 +97,6 @@ class TestEligibility:
 
 
 class TestIdentity:
-    def test_report_byte_identical_to_per_cell(self):
-        spec = _spec(benchmarks=["vecadd", "gemv"])
-        batched = _run(spec)
-        assert batched.batched_cells == 6
-        per_cell = _run(spec, batched=False)
-        assert per_cell.batched_cells == 0
-        assert render_json(sweep_payload(batched)) == render_json(
-            sweep_payload(per_cell)
-        )
-
     def test_report_byte_identical_to_scalar_oracle(self):
         spec = _spec(benchmarks=["vecadd", "gemv"])
         assert render_json(sweep_payload(_run(spec))) == render_json(
@@ -173,12 +163,6 @@ class TestFallback:
         result = _run(vector=False)
         assert result.batched_cells == 0
 
-    def test_batched_kwarg_opts_out(self):
-        result = _run(batched=False)
-        assert result.batched_cells == 0
-        assert result.plan_misses == 0
-        assert all(not o.failed for o in result.outcomes)
-
 
 class TestCaching:
     def test_warm_run_serves_batched_entries_from_disk(self, tmp_path):
@@ -192,15 +176,54 @@ class TestCaching:
         )
 
     def test_per_cell_path_reads_batched_cache_entries(self, tmp_path):
-        """Synthesized outcomes are cached under the normal cell keys."""
+        """Synthesized outcomes are cached under the normal cell keys:
+        the per-cell engine serves them without simulating."""
+        from repro.arch.parametric import ParametricBackend
+        from repro.arch.registry import (
+            register_backend,
+            resolve_backend,
+            unregister_backend,
+        )
+        from repro.engine import run_cells
+
         spec = _spec()
         cold = _run(spec, use_cache=True, cache_dir=tmp_path)
-        warm = _run(spec, use_cache=True, cache_dir=tmp_path, batched=False)
         assert cold.batched_cells == 3
-        assert warm.cache_hits == 3 and warm.cache_misses == 0
-        assert render_json(sweep_payload(cold)) == render_json(
-            sweep_payload(warm)
-        )
+        backends = [
+            ParametricBackend(
+                resolve_backend(point.base), point.knobs, canonical=True
+            )
+            for point in spec.compile_points()
+        ]
+        cells = [
+            CellSpec(
+                benchmark_key="vecadd",
+                device_type=backend.device_type,
+                num_ranks=spec.num_ranks,
+                paper_scale=True,
+                functional=False,
+                enforce_capacity=False,
+                vector=True,
+            )
+            for backend in backends
+        ]
+        for backend in backends:
+            register_backend(backend)
+        try:
+            warm = run_cells(
+                cells, jobs=1, use_cache=True, cache_dir=tmp_path
+            )
+        finally:
+            for backend in backends:
+                unregister_backend(backend.id)
+        assert warm.hits == 3 and warm.misses == 0
+        for point, cell in zip(cold.outcomes, cells):
+            result = warm.outcomes[cell].result
+            assert point.per_benchmark["vecadd"] == {
+                "latency_ns": result.pim_kernel_host_time_ns,
+                "energy_nj": result.pim_kernel_host_energy_nj,
+                "commands": float(sum(result.op_counts.values())),
+            }
 
 
 class TestCellSpecHash:

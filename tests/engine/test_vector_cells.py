@@ -150,8 +150,8 @@ class TestVectorCheckGate:
         assert outcome.ok
 
     def test_check_off_when_unset_or_empty(self, monkeypatch):
-        # Same convention as REPRO_NO_COST_MEMO: any non-empty value
-        # arms the check; unset or empty leaves it off.
+        # Any non-empty value arms the check; unset or empty leaves it
+        # off.
         from repro.perf.vector import VECTOR_CHECK_ENV, vector_check_enabled
 
         monkeypatch.delenv(VECTOR_CHECK_ENV, raising=False)

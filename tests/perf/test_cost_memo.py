@@ -1,4 +1,4 @@
-"""The memoized cost pipeline: transparent, keyed right, escapable.
+"""The memoized cost pipeline: transparent, keyed right, switchable.
 
 Three claims (docs/PERFORMANCE.md §5):
 
@@ -6,14 +6,37 @@ Three claims (docs/PERFORMANCE.md §5):
   results (same suite JSON, same bus event stream),
 * key correctness -- commands in the same shape class share an entry,
   commands whose cost genuinely differs do not, and
-* the ``REPRO_NO_COST_MEMO=1`` escape hatch disables memoization.
+* ``CostPipeline(..., enabled=False)`` disables memoization.
+
+The unmemoized runs substitute that pipeline where
+:class:`~repro.core.device.PimDevice` builds its own.
 """
+
+import functools
+
+import pytest
 
 from repro.config import bitserial_config, fulcrum_config
 from repro.core.commands import PimCmdKind
 from repro.core.device import PimDevice
 from repro.obs import EventBus, RingBufferSink
-from repro.perf.memo import MEMO_DISABLE_ENV, CostPipeline, memo_enabled
+from repro.perf.memo import CostPipeline
+
+
+@pytest.fixture
+def memo_switch(monkeypatch):
+    """``switch(disable)``: devices built afterwards memoize unless
+    ``disable`` is true."""
+
+    def switch(disable: bool) -> None:
+        pipeline = (
+            functools.partial(CostPipeline, enabled=False)
+            if disable
+            else CostPipeline
+        )
+        monkeypatch.setattr("repro.core.device.CostPipeline", pipeline)
+
+    return switch
 
 
 def _analytic(config):
@@ -94,9 +117,8 @@ class TestMemoHitBehavior:
 
 
 class TestEscapeHatch:
-    def test_env_disables_memoization(self, monkeypatch):
-        monkeypatch.setenv(MEMO_DISABLE_ENV, "1")
-        assert not memo_enabled()
+    def test_disabled_pipeline_skips_memoization(self, memo_switch):
+        memo_switch(disable=True)
         device = _analytic(bitserial_config(4))
         assert not device.pipeline.enabled
         obj_a, obj_b, dest = _vectors(device)
@@ -105,20 +127,17 @@ class TestEscapeHatch:
         assert len(device.pipeline) == 0
         assert device.pipeline.hits == 0 and device.pipeline.misses == 0
 
-    def test_explicit_enabled_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(MEMO_DISABLE_ENV, "1")
+    def test_memoizes_by_default(self):
         device = _analytic(bitserial_config(4))
+        assert device.pipeline.enabled
         pipeline = CostPipeline(
-            device.perf, device.energy, device.pipeline.backend, enabled=True
+            device.perf, device.energy, device.pipeline.backend
         )
         assert pipeline.enabled
 
-    def test_disabled_run_is_byte_identical(self, monkeypatch):
+    def test_disabled_run_is_byte_identical(self, memo_switch):
         def run(disable: bool):
-            if disable:
-                monkeypatch.setenv(MEMO_DISABLE_ENV, "1")
-            else:
-                monkeypatch.delenv(MEMO_DISABLE_ENV, raising=False)
+            memo_switch(disable)
             device = _analytic(bitserial_config(4))
             obj_a, obj_b, dest = _vectors(device)
             for scalar in (3, 3, 9, 3):
@@ -139,30 +158,31 @@ class TestSuiteTransparency:
     KEYS = ("vecadd", "kmeans", "histogram")
 
     @staticmethod
-    def _suite_json(monkeypatch, disable: bool) -> str:
+    def _suite_json(memo_switch, disable: bool) -> str:
         from repro.experiments.runner import export_suite_json, run_suite
+        from repro.obs.telemetry import telemetry_log
 
-        if disable:
-            monkeypatch.setenv(MEMO_DISABLE_ENV, "1")
-        else:
-            monkeypatch.delenv(MEMO_DISABLE_ENV, raising=False)
-        # Only the scalar path repeats the lookups the memo serves.
+        memo_switch(disable)
+        logged = len(telemetry_log())
+        # Only the scalar path repeats the lookups the memo serves; one
+        # job keeps every cell in this process, where the substitution
+        # applies.
         suite = run_suite(
-            keys=TestSuiteTransparency.KEYS, use_cache=False, vector=False
+            keys=TestSuiteTransparency.KEYS, use_cache=False, vector=False,
+            jobs=1,
         )
+        lookups = [t.memo_lookups for t in telemetry_log()[logged:]]
+        assert lookups and all(bool(n) != disable for n in lookups)
         return export_suite_json(suite)
 
-    def test_reduced_suite_byte_identical(self, monkeypatch):
-        memoized = self._suite_json(monkeypatch, disable=False)
-        plain = self._suite_json(monkeypatch, disable=True)
+    def test_reduced_suite_byte_identical(self, memo_switch):
+        memoized = self._suite_json(memo_switch, disable=False)
+        plain = self._suite_json(memo_switch, disable=True)
         assert memoized == plain
 
-    def test_bus_stream_identical(self, monkeypatch):
+    def test_bus_stream_identical(self, memo_switch):
         def stream(disable: bool):
-            if disable:
-                monkeypatch.setenv(MEMO_DISABLE_ENV, "1")
-            else:
-                monkeypatch.delenv(MEMO_DISABLE_ENV, raising=False)
+            memo_switch(disable)
             bus = EventBus()
             sink = bus.subscribe(RingBufferSink())
             device = PimDevice(

@@ -92,9 +92,9 @@ def _report(**overrides) -> LegReport:
 
 
 class TestBenchSchema:
-    def test_run_dict_is_gateable_by_selfbench(self):
-        # The serving BENCH artifact rides the selfbench schema so
-        # ``selfbench --check`` can gate serving QPS with no new tooling.
+    def test_run_dict_follows_the_bench_schema(self):
+        # The serving payload keeps the archived BENCH_PR*.json layout:
+        # ``schema: 1`` and one ``runs`` entry per leg.
         payload = bench_payload([_report()])
         assert payload["schema"] == 1
         (run,) = payload["runs"]
@@ -103,9 +103,6 @@ class TestBenchSchema:
         assert run["commands_simulated"] == 90
         assert run["coalesce_rate"] == 0.41
         assert run["max_queue_depth"] == 5
-        from repro.experiments.selfbench import baseline_run_names
-
-        assert baseline_run_names(payload) == {"serve-warm-dup"}
 
     def test_payload_is_json_serializable(self):
         text = json.dumps(bench_payload([_report(), _report(name="b")]))

@@ -402,71 +402,6 @@ class TestTelemetryReporting:
         assert "age" in out  # verbose per-entry table
 
 
-class TestSelfbenchGate:
-    def run_gate(self, tmp_path, baseline_cps, tolerance="0.25"):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "schema": 1,
-            "runs": [{"run": "suite-cold", "wall_s": 1.0,
-                      "commands_simulated": 1,
-                      "commands_per_s": baseline_cps}],
-        }))
-        return main(["selfbench", "suite-cold", "--check",
-                     "--baseline", str(baseline),
-                     "--tolerance", tolerance])
-
-    def test_check_passes_against_slow_baseline(self, capsys, tmp_path):
-        assert self.run_gate(tmp_path, baseline_cps=1.0) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_check_fails_against_impossible_baseline(self, capsys, tmp_path):
-        assert self.run_gate(tmp_path, baseline_cps=1e18) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_check_requires_baseline(self):
-        with pytest.raises(SystemExit, match="--baseline"):
-            main(["selfbench", "suite-cold", "--check"])
-
-    def test_check_warns_and_passes_when_baseline_lacks_the_leg(
-        self, capsys, tmp_path
-    ):
-        # A baseline archived before this leg existed cannot gate it:
-        # --check must warn per missing leg and exit 0, not hard-fail.
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "schema": 1,
-            "runs": [{"run": "some-other-leg", "wall_s": 1.0,
-                      "commands_simulated": 1, "commands_per_s": 1.0}],
-        }))
-        assert main(["selfbench", "suite-cold", "--check",
-                     "--baseline", str(baseline)]) == 0
-        captured = capsys.readouterr()
-        assert "no baseline entry for 'suite-cold'" in captured.err
-        assert "no gate-able legs" in captured.out
-
-    def test_history_appended(self, capsys, tmp_path):
-        history = tmp_path / "history.jsonl"
-        assert main(["selfbench", "suite-cold",
-                     "--history", str(history)]) == 0
-        (line,) = history.read_text().splitlines()
-        entry = json.loads(line)
-        assert entry["schema"] == 1
-        assert entry["runs"][0]["run"] == "suite-cold"
-
-    def test_check_warns_when_baseline_is_unversioned(self, capsys, tmp_path):
-        # Satellite contract: a baseline without the schema field gets a
-        # warning, never a failure -- the per-leg gate still runs.
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "runs": [{"run": "suite-cold", "wall_s": 9.0,
-                      "commands_simulated": 9, "commands_per_s": 1.0}],
-        }))
-        assert main(["selfbench", "suite-cold", "--check",
-                     "--baseline", str(baseline)]) == 0
-        err = capsys.readouterr().err
-        assert "no 'schema' version field" in err
-
-
 class TestDseSubcommand:
     SPEC = {
         "name": "cli-unit",
