@@ -46,7 +46,6 @@ from repro.perf.plans import (
 )
 from repro.perf.vector import (
     VectorEquivalenceError,
-    VectorStatsTracker,
     vector_check_enabled,
     verify_equivalence,
 )
@@ -180,7 +179,7 @@ def price_group(
     The outcomes mirror :meth:`repro.bench.common.PimBenchmark.run` (the
     snapshot delta against a fresh tracker, the op census aggregated by
     category in first-occurrence order) and
-    :func:`repro.engine.cells.run_cell` (sealed tracker, modeled
+    :func:`repro.engine.cells.run_cell` (plain totals tracker, modeled
     duration, telemetry), so downstream consumers -- DiskCache, reports,
     the frontier -- cannot tell a synthesized outcome from a simulated
     one.
@@ -215,9 +214,7 @@ def price_group(
     commands = int(sum(op_counts.values()))
     outcomes: "list[CellOutcome]" = []
     for position, (spec, _backend, config) in enumerate(group):
-        tracker = VectorStatsTracker.synthesize_sealed(
-            totals.tracker_fields(position)
-        )
+        tracker = totals.tracker(position)
         # A fresh tracker's baseline is the empty snapshot, and the
         # per-cell ``after - before`` delta against it is byte-identical
         # (type, structure, and every float bit) to the snapshot itself.

@@ -225,6 +225,45 @@ class DiskCache:
     def plan_path_for(self, key: str) -> pathlib.Path:
         return self.plans_dir / key[:2] / f"{key}.pkl"
 
+    def _load(
+        self, path: pathlib.Path, expected: type, what: str, fallback: str
+    ) -> "typing.Any | None":
+        """Unpickle one entry; a corrupted one warns, is deleted, and
+        reads as ``None``."""
+        try:
+            with open(path, "rb") as fh:
+                value = pickle.load(fh)
+            if not isinstance(value, expected):
+                raise pickle.UnpicklingError(
+                    f"expected {expected.__name__}, "
+                    f"found {type(value).__name__}"
+                )
+            return value
+        except Exception as exc:  # noqa: BLE001 - any corruption degrades to a miss
+            from repro.obs.metrics import global_registry
+
+            global_registry().counter("cache.corrupt_entries").inc()
+            warnings.warn(
+                f"corrupted {what} entry at {path}: "
+                f"{type(exc).__name__}: {exc}; {fallback}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
+
+    @staticmethod
+    def _store(path: pathlib.Path, value: typing.Any) -> None:
+        """Atomically pickle one entry (temp file + rename)."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        with open(tmp, "wb") as fh:
+            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+
     def get_plan(self, key: str) -> "typing.Any | None":
         """Load a persisted :class:`~repro.perf.plans.PricingPlan`.
 
@@ -236,38 +275,11 @@ class DiskCache:
         path = self.plan_path_for(key)
         if not path.exists():
             return None
-        try:
-            with open(path, "rb") as fh:
-                plan = pickle.load(fh)
-            if not isinstance(plan, PricingPlan):
-                raise pickle.UnpicklingError(
-                    f"expected PricingPlan, found {type(plan).__name__}"
-                )
-            return plan
-        except Exception as exc:  # noqa: BLE001 - corruption degrades to a miss
-            from repro.obs.metrics import global_registry
-
-            global_registry().counter("cache.corrupt_entries").inc()
-            warnings.warn(
-                f"corrupted plan entry at {path}: "
-                f"{type(exc).__name__}: {exc}; recompiling",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return self._load(path, PricingPlan, "plan", "recompiling")
 
     def put_plan(self, key: str, plan: "typing.Any") -> None:
         """Atomically persist one pricing plan."""
-        path = self.plan_path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            pickle.dump(plan, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        self._store(self.plan_path_for(key), plan)
 
     def _count(self, field: str) -> None:
         """Tally one usage event (global registry + session ledger)."""
@@ -282,40 +294,16 @@ class DiskCache:
         if not path.exists():
             self._count("misses")
             return None
-        try:
-            with open(path, "rb") as fh:
-                outcome = pickle.load(fh)
-            if not isinstance(outcome, CellOutcome):
-                raise pickle.UnpicklingError(
-                    f"expected CellOutcome, found {type(outcome).__name__}"
-                )
-            self._count("hits")
-            return outcome
-        except Exception as exc:  # noqa: BLE001 - any corruption degrades to a miss
-            from repro.obs.metrics import global_registry
-
-            global_registry().counter("cache.corrupt_entries").inc()
+        outcome = self._load(path, CellOutcome, "cache", "re-simulating")
+        if outcome is None:
             self._session_usage["corrupt"] += 1
-            warnings.warn(
-                f"corrupted cache entry at {path}: "
-                f"{type(exc).__name__}: {exc}; re-simulating",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        else:
+            self._count("hits")
+        return outcome
 
     def put(self, key: str, outcome: CellOutcome) -> None:
         """Atomically persist an entry (event streams are stripped)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            pickle.dump(outcome.without_events(), fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        self._store(self.path_for(key), outcome.without_events())
         self._count("writes")
 
     def usage(self) -> "dict[str, int]":
@@ -397,10 +385,5 @@ class DiskCache:
 
     def stats(self) -> "tuple[int, int]":
         """(entry count, total bytes) currently stored."""
-        count = size = 0
-        if not self.cells_dir.exists():
-            return count, size
-        for path in self.cells_dir.rglob("*.pkl"):
-            count += 1
-            size += path.stat().st_size
-        return count, size
+        entries = self.entries()  # skips files a racing delete removed
+        return len(entries), sum(size for _key, size, _mtime in entries)

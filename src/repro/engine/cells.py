@@ -307,10 +307,9 @@ def run_cell(
                     f"{getattr(spec.device_type, 'value', spec.device_type)}"
                 ),
             )
-        # Drop the logs and the (unpicklable) pricer: the sealed tracker
-        # is a plain bag of totals that can cross process and disk-cache
-        # boundaries exactly like a scalar tracker.
-        tracker.seal()
+        # Keep only the totals: a plain StatsTracker crosses process and
+        # disk-cache boundaries (and unpickles) like a scalar one.
+        tracker = tracker.totals()
     memo_hits, memo_misses, memo_shapes = device.pipeline.stats()
     if bus is not None and bus.active:
         # Perfetto counter track: the memo's cumulative hit/miss totals

@@ -9,8 +9,8 @@ very different costs:
 * **price** -- evaluate the distinct shapes through the backend's cost
   table and reconstruct the accumulator totals with numpy: microseconds.
 
-The compile product is a :class:`PricingPlan`: the expanded command,
-copy and host logs of a :class:`~repro.perf.vector.VectorStatsTracker`
+The compile product is a :class:`PricingPlan`: the command, copy and
+host logs of a :class:`~repro.perf.vector.VectorStatsTracker`
 plus its interned shape/bucket/kind tables.  :func:`price_plan` is the
 one analytic pricer: it prices a plan under P cost tables and returns P
 rows of accumulator totals.  A vectorized cell is the P = 1 case (its
@@ -49,7 +49,13 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.stats import COPY_DIRECTIONS, CmdStats, CopyStats, EventCounts
+from repro.core.stats import (
+    COPY_DIRECTIONS,
+    CmdStats,
+    CopyStats,
+    EventCounts,
+    StatsTracker,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.base import ArchBackend
@@ -58,7 +64,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.vector import CostTable
 
 #: Layout version of the pickled plan payload.
-PLAN_SCHEMA = 2
+PLAN_SCHEMA = 3
 
 #: PimArchParams fields that only affect command *pricing*, never which
 #: commands a benchmark issues: no benchmark, resource-manager, layout,
@@ -95,8 +101,8 @@ _SLAB_ELEMENTS = 16_000_000
 class PricingPlan:
     """One compiled histogram, ready to re-price under any cost table.
 
-    The expanded (replay groups tiled in place) log columns of a
-    :class:`~repro.perf.vector.VectorStatsTracker`, plus the interned
+    The log columns of a :class:`~repro.perf.vector.VectorStatsTracker`
+    (replays already extended in place), plus the interned
     shape/bucket/kind tables.  The copy and host logs are pre-priced:
     data movement prices off the DRAM spec and host energy off the host
     TDP, both part of the geometry signature.  :func:`compile_plan` adds
@@ -108,22 +114,18 @@ class PricingPlan:
     shape_args: "tuple[typing.Any, ...]"
     bucket_names: "tuple[str, ...]"
     kind_objs: "tuple[typing.Any, ...]"
-    #: Pre-priced ``record_command*`` values: (latency, execution
-    #: energy, background energy, EVENT_FIELDS values).
-    literals: "tuple[tuple[float, float, float, tuple[float, ...]], ...]"
-    # Expanded command-log columns (int64, one entry per issue event);
-    # ``cmd_shape < 0`` marks literal ``-1 - index`` entries.
+    # Command-log columns (int64, one entry per issue event).
     cmd_shape: np.ndarray
     cmd_bucket: np.ndarray
     cmd_kind: np.ndarray
     cmd_mult: np.ndarray
     cmd_batch: np.ndarray
-    # Expanded, pre-priced copy log.
+    # Pre-priced copy log.
     copy_dir: np.ndarray
     copy_bytes: np.ndarray
     copy_latency: np.ndarray
     copy_energy: np.ndarray
-    # Expanded, pre-priced host log.
+    # Pre-priced host log.
     host_time: np.ndarray
     host_energy: np.ndarray
     benchmark_key: str = ""
@@ -177,8 +179,17 @@ class PlanTotals:
             "host_energy_nj": self.host_energy_nj,
         }
         for direction, attr in COPY_DIRECTIONS.items():
-            fields[attr] = self.copies.get(direction, CopyStats())
+            # A fresh CopyStats per row: the rows' trackers stay mutable
+            # and must not share accumulators.
+            stats = self.copies.get(direction)
+            fields[attr] = dataclasses.replace(stats) if stats else CopyStats()
         return fields
+
+    def tracker(self, row: int) -> StatsTracker:
+        """Row ``row`` as a plain :class:`~repro.core.stats.StatsTracker`."""
+        tracker = StatsTracker()
+        vars(tracker).update(self.tracker_fields(row))
+        return tracker
 
 
 def _first_occurrence_order(values: np.ndarray) -> np.ndarray:
@@ -226,28 +237,18 @@ def price_plan(
                     f"cost_table returned {len(table)} rows for "
                     f"{shapes} shapes"
                 )
-    # (fields x points x shapes) unit costs; (fields x literals) values.
+    # (fields x points x shapes) unit costs.
     unit = np.array(
         [[getattr(table, name) for table in tables] for name in VALUE_FIELDS],
         dtype=np.float64,
     ) if shapes else np.zeros((len(VALUE_FIELDS), points, 0))
-    literal = np.array(
-        [(lat, en, bg, *events) for lat, en, bg, events in plan.literals],
-        dtype=np.float64,
-    ).reshape(-1, len(VALUE_FIELDS)).T
 
-    is_shape = plan.cmd_shape >= 0
-    is_literal = ~is_shape
-    shape_rows = plan.cmd_shape[is_shape]
-    literal_rows = -1 - plan.cmd_shape[is_literal]
     mult = plan.cmd_mult
     batch = plan.cmd_batch.astype(bool)
     # Scalar billing semantics:
     #   execute(repeat=r): ONE add of value*r        (pre-multiplied)
-    #   execute_batch(count=c) / literal batch: c iterated adds of value
-    #   literal record_command(count=c): ONE add of value (caller
-    #     already pre-multiplied), counted c times
-    scale = np.where(is_shape & ~batch, mult.astype(np.float64), 1.0)
+    #   execute_batch(count=c): c iterated adds of value
+    scale = np.where(batch, 1.0, mult.astype(np.float64))
     reps = np.where(batch, mult, 1)
 
     # Integer censuses: order-independent, exact int64 scatter-adds.
@@ -265,11 +266,8 @@ def price_plan(
     slab = max(1, _SLAB_ELEMENTS // max(1, int(reps.sum())))
     for start in range(0, points, slab):
         stop = min(points, start + slab)
-        values = np.empty((stop - start, is_shape.size), dtype=np.float64)
         for field in range(len(VALUE_FIELDS)):
-            values[:, is_shape] = unit[field, start:stop][:, shape_rows]
-            values[:, is_literal] = literal[field][literal_rows]
-            addends = values * scale
+            addends = unit[field, start:stop][:, plan.cmd_shape] * scale
             if field < 2:
                 out = latency if field == 0 else energy
                 for index, mask in enumerate(bucket_masks):

@@ -10,12 +10,12 @@ thousands of times per cell, millions of times per suite.
 :class:`VectorStatsTracker` removes that loop.  In vector mode the device
 does not price commands at issue time at all; it appends ``(shape index,
 multiplicity)`` entries to an append-only log -- a *histogram under
-construction* -- and a ``replay_trace`` of a recorded region becomes one
-O(1) group marker instead of re-dispatching every entry.  At finalize
-time the tracker exports its logs as a :class:`~repro.perf.plans.
-PricingPlan`, prices the distinct shapes **once** through the
-architecture backend's :meth:`~repro.arch.base.ArchBackend.cost_table`
-hook, and rebuilds the accumulators with :func:`~repro.perf.plans.
+construction* -- and a ``replay_trace`` of a recorded region extends the
+logs with copies of the recorded span instead of re-dispatching every
+entry through the device.  At finalize time the tracker exports its
+logs as a :class:`~repro.perf.plans.PricingPlan`, prices the distinct
+shapes **once** through the architecture backend's
+:meth:`~repro.arch.base.ArchBackend.cost_table` hook, and rebuilds the accumulators with :func:`~repro.perf.plans.
 price_plan` -- the same pricer a design-space sweep runs over many
 cost tables at once.
 
@@ -54,12 +54,14 @@ import typing
 
 import numpy as np
 
-from repro.core.stats import (
-    COPY_DIRECTIONS,
-    EventCounts,
-    StatsTracker,
+from repro.core.stats import COPY_DIRECTIONS, StatsTracker
+from repro.perf.plans import (
+    DIRECTIONS,
+    EVENT_FIELDS,
+    PlanTotals,
+    PricingPlan,
+    price_plan,
 )
-from repro.perf.plans import DIRECTIONS, EVENT_FIELDS, PricingPlan, price_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.commands import PimCmdKind
@@ -126,24 +128,20 @@ class VectorTrace:
     The vector-mode analogue of :class:`~repro.core.stats.RecordedTrace`:
     instead of holding copies of the recorded ``record_*`` calls it
     holds one ``[start, end)`` index span per log (command, copy,
-    host).  Replaying appends one group marker; the spans are expanded
-    (tiled) only at finalize time.
+    host).  Replaying extends each log with its span, repeated.
     """
 
     spans: "tuple[tuple[int, int], ...]" = ((0, 0),) * 3
 
-    def __len__(self) -> int:
-        return sum(end - start for start, end in self.spans)
-
 
 def _columns(
-    log: "list[tuple]", dtypes: "tuple[type, ...]", order: np.ndarray
+    log: "list[tuple]", dtypes: "tuple[type, ...]"
 ) -> "list[np.ndarray]":
-    """One array per log-tuple position, expanded by ``order``."""
+    """One array per log-tuple position."""
     if not log:
         return [np.zeros(0, dtype=dtype) for dtype in dtypes]
     return [
-        np.array(column, dtype=dtype)[order]
+        np.array(column, dtype=dtype)
         for column, dtype in zip(zip(*log), dtypes)
     ]
 
@@ -154,8 +152,8 @@ class VectorStatsTracker(StatsTracker):
     The device (in vector mode) registers each distinct command shape
     once and appends ``(shape, signature bucket, kind, multiplicity)``
     entries; copies and host kernels append to their own logs.
-    ``recorded_trace`` captures index spans and ``replay_trace`` appends
-    O(1) group markers.  Any aggregate read (``snapshot``, the
+    ``recorded_trace`` captures index spans and ``replay_trace`` extends
+    the logs with them.  Any aggregate read (``snapshot``, the
     ``kernel_*``/``copy_*``/``total_command_count`` properties)
     triggers :meth:`_finalize`, which prices the logs as a one-row
     :func:`~repro.perf.plans.price_plan` call, so the totals are
@@ -164,7 +162,10 @@ class VectorStatsTracker(StatsTracker):
 
     Vector mode is analytic-only and unobserved: the tracker never
     carries an event bus (per-issue events cannot be synthesized from a
-    histogram) and refuses to record once :meth:`seal`-ed.
+    histogram), and commands arrive only as histogram entries -- the
+    pre-priced ``record_command*`` calls raise :class:`TypeError`.
+    :meth:`totals` hands the finalized totals on as a plain
+    :class:`StatsTracker`.
     """
 
     def __init__(
@@ -173,7 +174,6 @@ class VectorStatsTracker(StatsTracker):
     ) -> None:
         super().__init__(bus=None)
         self._pricer = pricer
-        self._sealed = False
         self._clear_logs()
 
     def _clear_logs(self) -> None:
@@ -187,19 +187,15 @@ class VectorStatsTracker(StatsTracker):
         self._kind_objs: "list[PimCmdKind]" = []
         self._kind_ids: "dict[object, int]" = {}
         # The three append-only logs (one per float-accumulator family).
-        # cmd entry: (shape_idx, bucket_idx, kind_idx, mult, is_batch);
-        # literal (pre-priced record_command) entries use
-        # shape_idx = -1 - literal_idx into ``_literals``.
+        # cmd entry: (shape_idx, bucket_idx, kind_idx, mult, is_batch)
         self._cmd_log: "list[tuple[int, int, int, int, int]]" = []
-        self._literals: "list[tuple[float, float, float, tuple[float, ...]]]" = []
         # copy entry: (direction_idx, num_bytes, latency_ns, energy_nj)
         self._copy_log: "list[tuple[int, int, float, float]]" = []
         # host entry: (time_ns, energy_nj)
         self._host_log: "list[tuple[float, float]]" = []
-        # Replay groups: (log positions, trace, times), in time order.
-        self._groups: "list[tuple[tuple[int, ...], VectorTrace, int]]" = []
         # Empty logs finalize to the zero accumulators StatsTracker holds.
-        self._finalized_at = (0, 0, 0, 0)
+        self._priced: "PlanTotals | None" = None
+        self._finalized_at = (0, 0, 0)
 
     # -- interning ----------------------------------------------------------
 
@@ -210,7 +206,6 @@ class VectorStatsTracker(StatsTracker):
         the same tuple the cost memo uses, so the shape count here equals
         the scalar path's distinct-shape count.
         """
-        self._check_mutable()
         self._shape_args.append(args)
         return len(self._shape_args) - 1
 
@@ -233,14 +228,6 @@ class VectorStatsTracker(StatsTracker):
 
     # -- logging ------------------------------------------------------------
 
-    def _check_mutable(self) -> None:
-        if self._sealed:
-            raise RuntimeError(
-                "this VectorStatsTracker is sealed: its logs were "
-                "finalized and dropped (run_cell seals trackers before "
-                "they cross process/cache boundaries)"
-            )
-
     def _logs(self) -> "tuple[list, list, list]":
         return self._cmd_log, self._copy_log, self._host_log
 
@@ -262,63 +249,17 @@ class VectorStatsTracker(StatsTracker):
             (shape_idx, bucket_idx, kind_idx, mult, 1 if is_batch else 0)
         )
 
-    def _log_literal(
-        self,
-        kind: "PimCmdKind",
-        signature: str,
-        values: "tuple[float, float, float]",
-        count: int,
-        events: "EventCounts | None",
-        is_batch: int,
-    ) -> None:
-        # Pre-priced ("literal") entry: callers outside the vector fast
-        # path (tests, library users) still get exact accounting.
-        self._check_mutable()
-        event_values = (
-            tuple(getattr(events, field) for field in EVENT_FIELDS)
-            if events is not None
-            else (0.0,) * len(EVENT_FIELDS)
-        )
-        self._literals.append((*values, event_values))
-        self._cmd_log.append((
-            -len(self._literals), self.bucket_index(signature),
-            self.kind_index(kind), count, is_batch,
-        ))
-
-    def record_command(
-        self,
-        kind: "PimCmdKind",
-        signature: str,
-        latency_ns: float,
-        energy_nj: float,
-        background_energy_nj: float = 0.0,
-        count: int = 1,
-        events: "EventCounts | None" = None,
-    ) -> None:
-        self._log_literal(
-            kind, signature, (latency_ns, energy_nj, background_energy_nj),
-            count, events, 0,
+    def record_command(self, *args, **kwargs) -> None:
+        raise TypeError(
+            "VectorStatsTracker takes commands only as shape entries "
+            "(log_command); issue them through a vector=True PimDevice"
         )
 
-    def record_command_batch(
-        self,
-        kind: "PimCmdKind",
-        signature: str,
-        latency_ns: float,
-        energy_nj: float,
-        background_energy_nj: float = 0.0,
-        count: int = 1,
-        events: "EventCounts | None" = None,
-    ) -> None:
-        self._log_literal(
-            kind, signature, (latency_ns, energy_nj, background_energy_nj),
-            count, events, 1,
-        )
+    record_command_batch = record_command
 
     def record_copy(
         self, direction: str, num_bytes: int, latency_ns: float, energy_nj: float
     ) -> None:
-        self._check_mutable()
         index = _DIR_INDEX.get(direction)
         if index is None:
             raise ValueError(f"unknown copy direction {direction!r}")
@@ -327,7 +268,6 @@ class VectorStatsTracker(StatsTracker):
     def record_host(
         self, time_ns: float, energy_nj: float, label: str = "kernel"
     ) -> None:
-        self._check_mutable()
         self._host_log.append((time_ns, energy_nj))
 
     # -- trace record / replay ----------------------------------------------
@@ -338,11 +278,10 @@ class VectorStatsTracker(StatsTracker):
 
         The recorded pass is billed normally (its entries stay in the
         logs); the returned :class:`VectorTrace` can be re-applied with
-        :meth:`replay_trace` at O(1) cost.  Recording does not nest.
+        :meth:`replay_trace`.  Recording does not nest.
         """
         if self._recording is not None:
             raise RuntimeError("a stats trace is already being recorded")
-        self._check_mutable()
         trace = VectorTrace()
         start = [len(log) for log in self._logs()]
         self._recording = []  # nesting / replay-while-recording sentinel
@@ -352,56 +291,26 @@ class VectorStatsTracker(StatsTracker):
             trace.spans = tuple(zip(start, map(len, self._logs())))
             self._recording = None
 
-    def replay_trace(self, trace, times: int = 1) -> None:
+    def replay_trace(self, trace: VectorTrace, times: int = 1) -> None:
         """Re-apply a recorded trace ``times`` more times.
 
-        A :class:`VectorTrace` costs one group marker; finalize expands
-        it by tiling the span, reproducing the exact entry sequence the
-        scalar path's per-entry re-dispatch would have produced.  Plain
-        :class:`~repro.core.stats.RecordedTrace` objects still replay
-        entry by entry (through the literal ``record_*`` overrides).
+        Extends each log with its recorded span repeated ``times``
+        times: the exact entry sequence the scalar path's per-entry
+        re-dispatch would bill, so finalize needs no special case.
         """
         if times < 0:
             raise ValueError(f"times must be >= 0, got {times}")
         if self._recording is not None:
             raise RuntimeError("cannot replay while recording a trace")
-        self._check_mutable()
         if not isinstance(trace, VectorTrace):
-            super().replay_trace(trace, times)
-            return
-        if times == 0 or len(trace) == 0:
-            return
-        positions = tuple(len(log) for log in self._logs())
-        self._groups.append((positions, trace, times))
+            raise TypeError(
+                "VectorStatsTracker replays VectorTrace spans, not "
+                f"{type(trace).__name__}"
+            )
+        for log, (start, end) in zip(self._logs(), trace.spans):
+            log.extend(log[start:end] * times)
 
     # -- finalize -----------------------------------------------------------
-
-    def _expand(self, family: int) -> np.ndarray:
-        """Expanded log-index sequence for one log, groups included.
-
-        The timeline interleaves plain entries with replay groups at
-        their recorded positions: ``entries[0:pos1], tile(span1, t1),
-        entries[pos1:pos2], tile(span2, t2), ..., entries[posN:]``.
-        Groups are appended in time order, so positions are
-        non-decreasing.
-        """
-        length = len(self._logs()[family])
-        base = np.arange(length, dtype=np.int64)
-        segments = []
-        cursor = 0
-        for positions, trace, times in self._groups:
-            pos = positions[family]
-            start, end = trace.spans[family]
-            if pos > cursor:
-                segments.append(base[cursor:pos])
-                cursor = pos
-            if end > start:
-                segments.append(np.tile(base[start:end], times))
-        if cursor < length:
-            segments.append(base[cursor:length])
-        if len(segments) == 1:
-            return segments[0]
-        return np.concatenate(segments) if segments else base
 
     def _price_table(self) -> "CostTable | None":
         if not self._shape_args:
@@ -423,85 +332,45 @@ class VectorStatsTracker(StatsTracker):
         phase accounting) sees exactly what the scalar tracker would
         hold at the same point.
         """
-        if self._sealed:
-            # Sealed trackers dropped their logs; the stored totals are
-            # final.  (The state check below would conclude the same,
-            # but every aggregate property funnels through here -- the
-            # batched sweep synthesizes thousands of sealed trackers.)
-            return
-        state = (*map(len, self._logs()), len(self._groups))
+        state = tuple(map(len, self._logs()))
         if state == self._finalized_at:
             return
-        totals = price_plan(self.export_plan(), (self._price_table(),))
-        vars(self).update(totals.tracker_fields(0))
+        self._priced = price_plan(self.export_plan(), (self._price_table(),))
+        vars(self).update(self._priced.tracker_fields(0))
         self._finalized_at = state
 
-    def seal(self) -> None:
-        """Finalize, then drop the logs, shape table, and pricer.
+    def totals(self) -> StatsTracker:
+        """The finalized totals as a plain :class:`StatsTracker`.
 
-        The pricer closes over the device's perf/energy models and is
-        not picklable; sealing makes the tracker a plain bag of totals
-        that can cross process and disk-cache boundaries exactly like a
-        scalar :class:`StatsTracker`.  Further ``record_*`` calls raise.
+        It holds no logs and no pricer (which closes over the device's
+        models and does not pickle), so it crosses process and
+        disk-cache boundaries exactly like a scalar tracker.
         """
         self._finalize()
-        self._sealed = True
-        self._pricer = None
-        self._clear_logs()
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    # -- plan export / synthesis ---------------------------------------------
+        if self._priced is None:
+            return StatsTracker()
+        return self._priced.tracker(0)
 
     def export_plan(self) -> PricingPlan:
         """The logs as a :class:`~repro.perf.plans.PricingPlan`.
 
-        Replay groups are tiled in place, so the plan's columns hold the
-        exact addend sequence the scalar path would have accumulated.
-        Requires the logs, so it must be called before :meth:`seal`.
+        Replays already extended the logs, so the plan's columns hold
+        the exact addend sequence the scalar path would have
+        accumulated.
         """
-        if self._sealed:
-            raise RuntimeError(
-                "cannot export a pricing plan from a sealed tracker: "
-                "the logs were dropped at seal time"
-            )
         int64, float64 = np.int64, np.float64
-        cmd = _columns(self._cmd_log, (int64,) * 5, self._expand(0))
-        copy = _columns(
-            self._copy_log, (int64, int64, float64, float64), self._expand(1)
-        )
-        host = _columns(self._host_log, (float64, float64), self._expand(2))
         return PricingPlan(
             tuple(self._shape_args),
             tuple(self._bucket_names),
             tuple(self._kind_objs),
-            tuple(self._literals),
-            *cmd, *copy, *host,
+            *_columns(self._cmd_log, (int64,) * 5),
+            *_columns(self._copy_log, (int64, int64, float64, float64)),
+            *_columns(self._host_log, (float64, float64)),
         )
 
-    @classmethod
-    def synthesize_sealed(
-        cls, fields: "dict[str, typing.Any]"
-    ) -> "VectorStatsTracker":
-        """A sealed tracker holding externally computed totals.
-
-        ``fields`` is one :meth:`~repro.perf.plans.PlanTotals.
-        tracker_fields` row: the batched sweep pricer wraps each point
-        in the same sealed-tracker state :meth:`seal` leaves behind, so
-        synthesized cell outcomes pickle, disk-cache, and snapshot
-        exactly like per-cell vector outcomes.
-        """
-        tracker = cls()
-        vars(tracker).update(fields)
-        tracker._sealed = True
-        return tracker
-
     def reset(self) -> None:
-        """Zero every accumulator and clear the logs (un-seals)."""
+        """Zero every accumulator and clear the logs."""
         super().reset()
-        self._sealed = False
         self._clear_logs()
 
     # -- aggregate views ------------------------------------------------------

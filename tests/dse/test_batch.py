@@ -175,6 +175,31 @@ class TestCaching:
             sweep_payload(warm)
         )
 
+    def test_corrupted_plan_entry_warns_deletes_and_recompiles(
+        self, tmp_path
+    ):
+        import shutil
+
+        from repro.engine.cache import DiskCache
+        from repro.perf.plans import PricingPlan
+
+        spec = _spec()
+        cold = _run(spec, use_cache=True, cache_dir=tmp_path)
+        plan_files = list(DiskCache(tmp_path).plans_dir.rglob("*.pkl"))
+        assert cold.plan_misses == 1 and len(plan_files) == 1
+        plan_files[0].write_bytes(b"not a pickle")
+        shutil.rmtree(DiskCache(tmp_path).cells_dir)  # force plan reads
+        with pytest.warns(RuntimeWarning, match="corrupted plan entry"):
+            again = _run(spec, use_cache=True, cache_dir=tmp_path)
+        assert again.plan_misses == 1 and again.plan_hits == 0
+        assert again.batched_cells == 3
+        # The garbage was deleted and the recompiled plan written back.
+        with open(plan_files[0], "rb") as fh:
+            assert isinstance(pickle.load(fh), PricingPlan)
+        assert render_json(sweep_payload(cold)) == render_json(
+            sweep_payload(again)
+        )
+
     def test_per_cell_path_reads_batched_cache_entries(self, tmp_path):
         """Synthesized outcomes are cached under the normal cell keys:
         the per-cell engine serves them without simulating."""

@@ -103,6 +103,26 @@ class TestDiskCache:
         assert cache.stats() == (0, 0)
         assert cache.clear() == 0  # idempotent on an empty store
 
+    def test_stats_skips_entries_deleted_mid_scan(
+        self, tmp_path, outcome, monkeypatch
+    ):
+        # Another process may unlink a (corrupt) entry between the
+        # directory scan and the stat: stats() counts what is left.
+        import pathlib
+
+        cache = DiskCache(tmp_path)
+        cache.put("c" * 64, outcome)
+        size = cache.path_for("c" * 64).stat().st_size
+        vanished = cache.path_for("f" * 64)
+        rglob = pathlib.Path.rglob
+
+        def racing_rglob(self, pattern):
+            yield from rglob(self, pattern)
+            yield vanished
+
+        monkeypatch.setattr(pathlib.Path, "rglob", racing_rglob)
+        assert cache.stats() == (1, size)
+
     def test_no_temp_files_left_behind(self, tmp_path, outcome):
         cache = DiskCache(tmp_path)
         cache.put("e" * 64, outcome)

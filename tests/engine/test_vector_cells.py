@@ -90,15 +90,20 @@ class TestRunCellVector:
             ref.result.to_dict()
         )
 
-    def test_vector_tracker_is_sealed_and_pickleable(self):
+    def test_vector_tracker_is_plain_and_pickleable(self):
         import pickle
 
+        from repro.core.stats import StatsTracker
+        from repro.perf.vector import tracker_mismatches
+
         outcome = run_cell(_spec())
-        assert outcome.tracker.sealed
+        assert type(outcome.tracker) is StatsTracker
         clone = pickle.loads(pickle.dumps(outcome))
+        assert tracker_mismatches(clone.tracker, outcome.tracker) == []
         assert (
             clone.tracker.total_command_count
             == outcome.tracker.total_command_count
+            > 0
         )
 
     def test_telemetry_stamped_vector(self):

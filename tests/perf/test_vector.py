@@ -26,7 +26,7 @@ from repro.core.device import PimDevice
 from repro.core.errors import PimTypeError
 from repro.core.stats import EventCounts, StatsTracker
 from repro.perf import plans
-from repro.perf.plans import EVENT_FIELDS, VALUE_FIELDS, price_plan
+from repro.perf.plans import VALUE_FIELDS, price_plan
 from repro.perf.vector import (
     CostTable,
     VectorEquivalenceError,
@@ -36,6 +36,23 @@ from repro.perf.vector import (
 )
 
 BACKENDS = list(iter_backends())
+
+
+def _add_tracker(latency_ns, energy_nj):
+    """A vector tracker whose one shape (an add) costs the given values."""
+    values = (latency_ns, energy_nj) + (0.0,) * (len(VALUE_FIELDS) - 2)
+    table = CostTable(*(np.array([value]) for value in values))
+    tracker = VectorStatsTracker(pricer=lambda shapes: table)
+    tracker.register_shape(("add",))
+    return tracker
+
+
+def _log_add(tracker, mult=1, is_batch=False):
+    """One histogram entry for the tracker's add shape."""
+    tracker.log_command(
+        0, tracker.bucket_index("add.int32.v"),
+        tracker.kind_index(PimCmdKind.ADD), mult, is_batch,
+    )
 
 
 def _run_pair(
@@ -78,11 +95,10 @@ class TestOrderedSum:
         expected = 0.0
         for _ in range(10):
             expected += 0.1
-        tracker = VectorStatsTracker()
-        tracker.record_command_batch(
-            PimCmdKind.ADD, "add.int32.v", 0.1, 0.1, count=10
-        )
-        got = price_plan(tracker.export_plan(), (None,)).latency_ns[0, 0]
+        tracker = _add_tracker(0.1, 0.1)
+        _log_add(tracker, 10, is_batch=True)
+        table = tracker._price_table()
+        got = price_plan(tracker.export_plan(), (table,)).latency_ns[0, 0]
         assert got == expected
         assert got != 1.0
 
@@ -100,17 +116,12 @@ _shape_entry = st.tuples(
     st.sampled_from(_SIGNATURES), st.sampled_from(_KINDS), _count,
     st.booleans(),
 )
-_literal_entry = st.tuples(
-    st.just("literal"), st.sampled_from(_SIGNATURES),
-    st.sampled_from(_KINDS), st.tuples(_value, _value, _value), _count,
-    st.none() | st.tuples(*[_value] * len(EVENT_FIELDS)), st.booleans(),
-)
 _copy_entry = st.tuples(
     st.just("copy"), st.sampled_from(("h2d", "d2h", "d2d")),
     st.integers(0, 4096), _value, _value,
 )
 _host_entry = st.tuples(st.just("host"), _value, _value)
-_entry = _shape_entry | _literal_entry | _copy_entry | _host_entry
+_entry = _shape_entry | _copy_entry | _host_entry
 _log = st.lists(
     _entry | st.tuples(
         st.just("replay"), st.lists(_entry, max_size=4),
@@ -151,15 +162,6 @@ def _apply(tracker, entry, table):
                 kind, signature, *(v * mult for v in values[:3]),
                 count=mult, events=events.scaled(mult),
             )
-    elif op == "literal":
-        _, signature, kind, values, count, events, is_batch = entry
-        record = (
-            tracker.record_command_batch if is_batch else tracker.record_command
-        )
-        record(
-            kind, signature, *values, count=count,
-            events=EventCounts(*events) if events is not None else None,
-        )
     elif op == "copy":
         tracker.record_copy(*entry[1:])
     elif op == "host":
@@ -200,13 +202,10 @@ class TestSharedPricerProperties:
         with mock.patch.object(plans, "_SLAB_ELEMENTS", 1):
             slabbed = price_plan(plan, tables)
         for row, table in enumerate(tables):
-            alone = VectorStatsTracker.synthesize_sealed(
-                price_plan(plan, (table,)).tracker_fields(0)
-            )
+            alone = price_plan(plan, (table,)).tracker(0)
             for totals in (together, slabbed):
-                batched = VectorStatsTracker.synthesize_sealed(
-                    totals.tracker_fields(row)
-                )
+                batched = totals.tracker(row)
+                assert type(batched) is StatsTracker
                 assert tracker_mismatches(batched, alone) == []
 
 
@@ -282,17 +281,15 @@ class TestEquivalenceCheckerCatchesDivergence:
         scalar.record_command_batch(
             PimCmdKind.ADD, "add.int32.v", 0.1, 0.1, count=10
         )
-        vector = VectorStatsTracker()
-        vector.record_command_batch(
-            PimCmdKind.ADD, "add.int32.v", 0.1, 0.1, count=10
-        )
+        vector = _add_tracker(0.1, 0.1)
+        _log_add(vector, 10, is_batch=True)
         assert tracker_mismatches(vector, scalar) == []
 
     def test_verify_equivalence_raises_with_label(self):
         a = StatsTracker()
         a.record_command(PimCmdKind.ADD, "add.int32.v", 1.0, 1.0)
-        b = VectorStatsTracker()
-        b.record_command(PimCmdKind.ADD, "add.int32.v", 1.0 + 1e-12, 1.0)
+        b = _add_tracker(1.0 + 1e-12, 1.0)
+        _log_add(b)
         with pytest.raises(VectorEquivalenceError, match="my-cell"):
             verify_equivalence(b, a, label="my-cell")
 
@@ -301,21 +298,24 @@ class TestEquivalenceCheckerCatchesDivergence:
         a.record_command(PimCmdKind.ADD, "add.int32.v", 1.0, 1.0)
         a.record_copy("h2d", 64, 2.0, 3.0)
         a.record_host(5.0, 7.0)
-        b = VectorStatsTracker()
-        b.record_command(PimCmdKind.ADD, "add.int32.v", 1.0, 1.0)
+        b = _add_tracker(1.0, 1.0)
+        _log_add(b)
         b.record_copy("h2d", 64, 2.0, 3.0)
         b.record_host(5.0, 7.0)
         verify_equivalence(b, a, label="equal")
 
 
 class TestReplayGroups:
-    """recorded_trace/replay_trace compress to O(1) markers, same sums."""
+    """replay_trace extends the logs in place: the scalar sums, exactly."""
 
     def _fill(self, tracker, times):
         with tracker.recorded_trace() as trace:
-            tracker.record_command(
-                PimCmdKind.ADD, "add.int32.v", 0.1, 0.2
-            )
+            if isinstance(tracker, VectorStatsTracker):
+                _log_add(tracker)
+            else:
+                tracker.record_command(
+                    PimCmdKind.ADD, "add.int32.v", 0.1, 0.2
+                )
             tracker.record_copy("d2d", 8, 0.3, 0.4)
             tracker.record_host(0.5, 0.6)
         tracker.replay_trace(trace, times=times)
@@ -324,46 +324,75 @@ class TestReplayGroups:
     def test_replay_matches_scalar(self, times):
         scalar = StatsTracker()
         self._fill(scalar, times)
-        vector = VectorStatsTracker()
+        vector = _add_tracker(0.1, 0.2)
         self._fill(vector, times)
         assert tracker_mismatches(vector, scalar) == []
 
     def test_vector_trace_is_compact(self):
-        vector = VectorStatsTracker()
+        # The trace holds one index span per log, not copies of entries.
+        vector = _add_tracker(0.1, 0.2)
         with vector.recorded_trace() as trace:
-            vector.record_command(PimCmdKind.ADD, "add.int32.v", 0.1, 0.2)
-        before = vector.total_command_count
+            _log_add(vector)
+        assert trace.spans == ((0, 1), (0, 0), (0, 0))
         vector.replay_trace(trace, times=1000)
-        assert vector.total_command_count == before + 1000 * before
+        assert vector.total_command_count == 1001
+
+    def test_replay_zero_times_is_noop(self):
+        vector = _add_tracker(0.1, 0.2)
+        self._fill(vector, 0)
+        plan = vector.export_plan()
+        logs = (plan.cmd_shape, plan.copy_dir, plan.host_time)
+        assert [len(log) for log in logs] == [1, 1, 1]
+
+    def test_replay_rejects_scalar_traces(self):
+        scalar = StatsTracker()
+        with scalar.recorded_trace() as trace:
+            scalar.record_host(0.5, 0.6)
+        with pytest.raises(TypeError, match="RecordedTrace"):
+            VectorStatsTracker().replay_trace(trace)
 
 
-class TestSealedTracker:
-    def _sealed(self):
-        tracker = VectorStatsTracker()
-        tracker.record_command(PimCmdKind.ADD, "add.int32.v", 1.5, 2.5)
+class TestTotals:
+    """Vector trackers take shape entries only and hand on plain totals."""
+
+    def _tracker(self):
+        tracker = _add_tracker(1.5, 2.5)
+        _log_add(tracker, 3, is_batch=True)
         tracker.record_copy("h2d", 32, 1.0, 1.0)
-        tracker.seal()
         return tracker
 
-    def test_seal_is_pickleable_and_stable(self):
-        tracker = self._sealed()
-        clone = pickle.loads(pickle.dumps(tracker))
+    def test_totals_is_plain_and_pickleable(self):
+        tracker = self._tracker()
+        totals = tracker.totals()
+        assert type(totals) is StatsTracker
+        clone = pickle.loads(pickle.dumps(totals))
         assert tracker_mismatches(clone, tracker) == []
-        assert clone.sealed
+        assert clone.total_command_count == 3
 
-    def test_sealed_rejects_new_records(self):
-        tracker = self._sealed()
-        with pytest.raises(RuntimeError, match="sealed"):
+    def test_record_command_raises(self):
+        tracker = self._tracker()
+        with pytest.raises(TypeError, match="log_command"):
             tracker.record_command(PimCmdKind.ADD, "add.int32.v", 1.0, 1.0)
-        with pytest.raises(RuntimeError, match="sealed"):
-            tracker.record_copy("h2d", 1, 1.0, 1.0)
+        with pytest.raises(TypeError, match="log_command"):
+            tracker.record_command_batch(
+                PimCmdKind.ADD, "add.int32.v", 1.0, 1.0, count=2
+            )
 
-    def test_reset_unseals(self):
-        tracker = self._sealed()
+    def test_plan_rows_share_no_accumulators(self):
+        tracker = self._tracker()
+        totals = price_plan(tracker.export_plan(), [tracker._price_table()] * 2)
+        first, second = totals.tracker(0), totals.tracker(1)
+        first.record_copy("h2d", 8, 1.0, 1.0)
+        assert first.copy_bytes == 40 and second.copy_bytes == 32
+
+    def test_reset_clears_logs(self):
+        tracker = self._tracker()
         tracker.reset()
-        assert not tracker.sealed
         assert tracker.total_command_count == 0
-        tracker.record_command(PimCmdKind.ADD, "add.int32.v", 1.0, 1.0)
+        assert len(tracker.export_plan().cmd_shape) == 0
+        assert type(tracker.totals()) is StatsTracker
+        tracker.register_shape(("add",))
+        _log_add(tracker)
         assert tracker.total_command_count == 1
 
 

@@ -1,9 +1,11 @@
-"""Start-up guard: scipy and networkx load only where they are used.
+"""Start-up guard: heavy modules load only where they are used.
 
 Only the Figure 1 dendrogram (Ward linkage) needs scipy and only the
 graph kernels need networkx, so importing the CLI and the command
-layers must not pay for either.  Each check runs in a fresh interpreter
-because the pytest process has usually loaded both packages already.
+layers must not pay for either.  Likewise a warm run that only reads
+cached cells must not load the vector pricing engine.  Each check runs
+in a fresh interpreter because the pytest process has usually loaded
+these modules already.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ print(json.dumps({
 """
 
 
-def _run(code: str):
+def _run(code: str, *args: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -86,3 +88,41 @@ def test_scipy_and_networkx_load_on_first_use():
     ])
     assert out["linkage"] == expected.linkage.tolist()
     assert out["edges"] == [list(e) for e in sorted(random_graph(8, 10).edges())]
+
+
+WARM_LOAD = """
+import json, sys
+from repro.engine.cache import DiskCache
+outcome = DiskCache(sys.argv[1]).get(sys.argv[2])
+print(json.dumps({
+    "tracker": type(outcome.tracker).__name__,
+    "commands": outcome.tracker.total_command_count,
+    "vector_engine": sorted(
+        m for m in ("repro.perf.vector", "repro.perf.plans")
+        if m in sys.modules
+    ),
+}))
+"""
+
+
+def test_cached_vector_outcome_loads_without_vector_engine(tmp_path):
+    # A vectorized cell's cached outcome holds plain totals, so a warm
+    # ``figure``/``suite`` unpickles it without the pricing engine.
+    from repro.arch import resolve_backend
+    from repro.engine import CellSpec, DiskCache, cell_cache_key
+    from repro.engine.cells import run_cell
+
+    spec = CellSpec(
+        "vecadd", resolve_backend("fulcrum").device_type, num_ranks=2,
+        paper_scale=False, functional=False, vector=True,
+    )
+    outcome = run_cell(spec)
+    assert outcome.telemetry.vector is True
+    key = cell_cache_key(spec)
+    DiskCache(tmp_path).put(key, outcome)
+    out = _run(WARM_LOAD, str(tmp_path), key)
+    assert out == {
+        "tracker": "StatsTracker",
+        "commands": outcome.tracker.total_command_count,
+        "vector_engine": [],
+    }
