@@ -144,9 +144,10 @@ class ArchBackend(abc.ABC):
         """Price a batch of distinct command shapes as array columns.
 
         The vector engine (``repro.perf.vector``, the default analytic
-        pricer of ``run_suite`` and the CLI) compiles an analytic run
-        into a shape histogram and calls this hook once per cell to
-        price every distinct shape; it returns a
+        pricer of ``run_suite`` and the CLI) records an analytic run
+        into a shape histogram, and :func:`repro.perf.plans.synthesize`
+        calls this hook once per priced point (one per vectorized cell)
+        to price every distinct shape; it returns a
         :class:`repro.perf.vector.CostTable` whose column ``i`` is the
         cost of issuing ``shapes[i]`` exactly once.
 
@@ -155,8 +156,8 @@ class ArchBackend(abc.ABC):
         what ``pipeline.cost_and_energy(shapes[i])`` returns, because
         ``--vector-check`` compares the reconstructed totals bit for
         bit.  This generic fallback simply routes each shape through the
-        device's :class:`~repro.perf.memo.CostPipeline` (so memo
-        telemetry keeps its meaning), which is always correct; backends
+        supplied :class:`~repro.perf.memo.CostPipeline`, which is always
+        correct; backends
         with closed-form batch pricing may override, but only if they
         can hold the bit-identity contract.
 

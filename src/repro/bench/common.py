@@ -212,6 +212,12 @@ class PimBenchmark(abc.ABC):
         gpu: "GpuModel | None" = None,
     ) -> BenchmarkResult:
         """Execute on a device and package the comparison metrics."""
+        if getattr(device, "vector", False):
+            raise TypeError(
+                "a vector=True device only records a shape histogram; "
+                "record it with repro.perf.plans.compile_plan and price "
+                "it with repro.perf.plans.synthesize"
+            )
         cpu = cpu or CpuModel()
         gpu = gpu or GpuModel()
         host = HostModel(device, cpu)

@@ -135,7 +135,7 @@ def _apply_vector_check(args: argparse.Namespace) -> None:
     if getattr(args, "vector_check", False):
         import os
 
-        from repro.perf.vector import VECTOR_CHECK_ENV
+        from repro.engine.cells import VECTOR_CHECK_ENV
 
         os.environ[VECTOR_CHECK_ENV] = "1"
 

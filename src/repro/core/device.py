@@ -105,8 +105,8 @@ class PimDevice:
         if vector:
             from repro.perf.vector import VectorStatsTracker
 
-            self.stats: StatsTracker = VectorStatsTracker(
-                pricer=self._price_shapes
+            self.stats: "StatsTracker | VectorStatsTracker" = (
+                VectorStatsTracker()
             )
         else:
             self.stats = StatsTracker(bus)
@@ -139,10 +139,6 @@ class PimDevice:
                 "vector mode cannot stream per-issue events; attach no bus"
             )
         self.stats.bus = bus
-
-    def _price_shapes(self, shapes):
-        """Vector-mode pricer: route the shape batch to the backend."""
-        return self._backend.cost_table(self.pipeline, shapes)
 
     # -- allocation -----------------------------------------------------------
 

@@ -10,19 +10,18 @@ prices a whole geometry group at once:
 1. group the sweep's cells by :func:`~repro.perf.plans.plan_cache_key`;
 2. compile (or load from the plan cache) **one**
    :class:`~repro.perf.plans.PricingPlan` per group;
-3. evaluate each point's backend ``cost_table`` over the plan's shapes
-   and price all of them in one :func:`~repro.perf.plans.price_plan`
-   call -- the same pricer a single vectorized cell runs with one
-   table, so every synthesized total is bit-identical to the per-cell
-   result, which is itself bit-identical to the scalar path;
-4. synthesize per-cell :class:`~repro.engine.cells.CellOutcome`\\ s that
-   pickle, disk-cache, and report exactly like per-cell outcomes.
+3. synthesize every point of the group with one
+   :func:`~repro.perf.plans.synthesize` call -- the function a single
+   vectorized cell runs with one point, so every synthesized total is
+   bit-identical to the per-cell result, which is itself bit-identical
+   to the scalar path -- and wrap the rows in per-cell
+   :class:`~repro.engine.cells.CellOutcome`\\ s that pickle, disk-cache,
+   and report exactly like per-cell outcomes.
 
-``REPRO_VECTOR_CHECK=1`` (CLI: ``--vector-check``) re-runs the first,
-middle and last synthesized cells through the scalar oracle and
-compares every accumulator and the serialized result at full bit
-precision; a diverging cell becomes a failed outcome naming every
-mismatch.
+``REPRO_VECTOR_CHECK=1`` (CLI: ``--vector-check``) bypasses the result
+cache and checks the first, middle and last synthesized cells with
+:func:`~repro.engine.cells.check_against_oracle`; a diverging cell
+becomes a failed outcome naming every mismatch.
 """
 
 from __future__ import annotations
@@ -34,21 +33,20 @@ import typing
 import warnings
 from collections import OrderedDict
 
-from repro.bench.common import BenchmarkResult
-from repro.engine.cells import CellOutcome
+from repro.engine.cells import (
+    CellOutcome,
+    check_against_oracle,
+    vector_check_enabled,
+)
 from repro.obs.telemetry import CellTelemetry
 from repro.perf.plans import (
     COST_ONLY_ARCH_FIELDS,
     PricingPlan,
     compile_plan,
     plan_cache_key,
-    price_plan,
+    synthesize,
 )
-from repro.perf.vector import (
-    VectorEquivalenceError,
-    vector_check_enabled,
-    verify_equivalence,
-)
+from repro.perf.vector import VectorEquivalenceError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.base import ArchBackend
@@ -121,52 +119,6 @@ def _trace_group_key(
     )
 
 
-_DEFAULT_POWER = None
-
-
-def _default_power():
-    """One shared default :class:`PowerConfig` (frozen, process-wide).
-
-    Every per-cell device constructs ``PowerConfig()`` afresh; the
-    values are identical by definition, so the batched pricer builds it
-    once and shares the instance across points.
-    """
-    global _DEFAULT_POWER
-    if _DEFAULT_POWER is None:
-        from repro.config.power import PowerConfig
-
-        _DEFAULT_POWER = PowerConfig()
-    return _DEFAULT_POWER
-
-
-def _point_pipeline(
-    backend: "ArchBackend", config: "DeviceConfig"
-) -> "typing.Any":
-    """The exact pricing stack a :class:`PimDevice` would build.
-
-    Same constructors, same order (``repro.core.device.PimDevice``):
-    the perf model from the dispatcher, the energy model with the
-    default power config, the memoizing pipeline bound to the point's
-    backend -- so ``cost_table`` prices every shape bit-identically to
-    the per-cell run.  Memoization is off: a pipeline that prices each
-    distinct shape exactly once and is then dropped can never hit its
-    memo, and the memo changes only *when* costs are derived, never
-    their values.
-
-    Dispatch shortcuts only, never value shortcuts: the backend in hand
-    is exactly what ``arch_for(config)`` resolves while the sweep's
-    registration window is open, so calling its factory directly and
-    pre-resolving the ALU energy constant produce the same objects the
-    per-cell engine builds -- minus two registry lookups per point.
-    """
-    from repro.energy.model import EnergyModel
-    from repro.perf.memo import CostPipeline
-
-    perf = backend.make_perf_model(config)
-    energy = EnergyModel(config, power=_default_power(), backend=backend)
-    return CostPipeline(perf, energy, backend, enabled=False)
-
-
 def price_group(
     plan: PricingPlan,
     group: "list[tuple[CellSpec, ArchBackend, DeviceConfig]]",
@@ -174,61 +126,27 @@ def price_group(
     """Price every point of one geometry group from its shared plan.
 
     Returns one synthesized :class:`~repro.engine.cells.CellOutcome`
-    per group entry, in order.  Each outcome's totals are bit-identical
-    to what the per-cell vector path would produce for the same spec.
-    The outcomes mirror :meth:`repro.bench.common.PimBenchmark.run` (the
-    snapshot delta against a fresh tracker, the op census aggregated by
-    category in first-occurrence order) and
-    :func:`repro.engine.cells.run_cell` (plain totals tracker, modeled
-    duration, telemetry), so downstream consumers -- DiskCache, reports,
-    the frontier -- cannot tell a synthesized outcome from a simulated
-    one.
+    per group entry, in order: :func:`~repro.perf.plans.synthesize`
+    with N points -- the function a vectorized cell calls with one --
+    plus the group's wall/CPU time apportioned evenly across its
+    points.  Downstream consumers (DiskCache, reports, the frontier)
+    cannot tell a synthesized outcome from a simulated one.
     """
     from repro.obs.telemetry import peak_rss_kb
 
     group_wall0 = time.perf_counter()
     group_cpu0 = time.process_time()
-    # Per-point cost tables: the only per-point model evaluation left.
-    # The pipelines never memoize (see _point_pipeline), so the
-    # synthesized telemetry reports zero memo traffic, which is exactly
-    # what happened.
-    tables = [
-        backend.cost_table(_point_pipeline(backend, config), plan.shape_args)
-        if plan.shape_args else None
-        for _spec, backend, config in group
-    ]
-    totals = price_plan(plan, tables)
+    rows = synthesize(
+        plan, [(backend, config) for _spec, backend, config in group]
+    )
     points = len(group)
     group_wall = time.perf_counter() - group_wall0
     group_cpu = time.process_time() - group_cpu0
     # One RSS sample serves the whole group: within one pricing pass
     # the value cannot meaningfully change between points.
     rss_kb = peak_rss_kb()
-
-    # The category census is point-independent -- every point of the
-    # group issues the same integer command counts.
-    op_counts: "dict" = {}
-    for kind, count in totals.op_counts.items():
-        if count:
-            op_counts[kind.category] = op_counts.get(kind.category, 0) + count
-    commands = int(sum(op_counts.values()))
     outcomes: "list[CellOutcome]" = []
-    for position, (spec, _backend, config) in enumerate(group):
-        tracker = totals.tracker(position)
-        # A fresh tracker's baseline is the empty snapshot, and the
-        # per-cell ``after - before`` delta against it is byte-identical
-        # (type, structure, and every float bit) to the snapshot itself.
-        result = BenchmarkResult(
-            benchmark=plan.benchmark_name,
-            device_type=config.device_type,
-            stats=tracker.snapshot(),
-            op_counts=dict(op_counts),
-            cpu_time_ns=plan.cpu_time_ns,
-            cpu_energy_nj=plan.cpu_energy_nj,
-            gpu_time_ns=plan.gpu_time_ns,
-            gpu_energy_nj=plan.gpu_energy_nj,
-            verified=None,
-        )
+    for (spec, _backend, _config), (result, tracker) in zip(group, rows):
         telemetry = CellTelemetry(
             benchmark=spec.benchmark_key,
             device=str(getattr(spec.device_type, "value", spec.device_type)),
@@ -237,10 +155,11 @@ def price_group(
             wall_s=group_wall / points,
             cpu_s=group_cpu / points,
             peak_rss_kb=rss_kb,
-            commands_simulated=commands,
+            commands_simulated=int(sum(result.op_counts.values())),
+            # No memo lookup happens: each shape is priced once.
             memo_hits=0,
             memo_misses=0,
-            memo_shapes=0,
+            memo_shapes=len(plan.shape_args),
             faults_injected=(),
             vector=True,
             batched=True,
@@ -260,29 +179,19 @@ def _check_against_oracle(
     """Bit-compare sampled synthesized cells with the scalar oracle.
 
     Sample: the first, middle, and last of ``fresh`` (stable for a
-    given sweep enumeration), each re-simulated with ``vector=False``.
-    A diverging cell's outcome is replaced by a failure carrying every
-    mismatch, so the sweep reports it and is never cached.  Returns the
-    number of cells checked.
+    given sweep enumeration), each checked by
+    :func:`~repro.engine.cells.check_against_oracle`.  A diverging
+    cell's outcome is replaced by a failure carrying every mismatch, so
+    the sweep reports it.  Returns the number of cells checked.
     """
-    from repro.engine.cells import run_cell
     from repro.resilience.failures import failure_from_exception
 
     picks = sorted({0, len(fresh) // 2, len(fresh) - 1}) if fresh else []
     for position in picks:
         spec = fresh[position]
-        oracle = run_cell(dataclasses.replace(spec, vector=False))
-        batched = outcomes[spec]
         try:
-            verify_equivalence(
-                batched.tracker,
-                oracle.tracker,
-                batched.result,
-                oracle.result,
-                label=(
-                    f"batched {spec.benchmark_key} on "
-                    f"{getattr(spec.device_type, 'value', spec.device_type)}"
-                ),
+            check_against_oracle(
+                spec, outcomes[spec].result, outcomes[spec].tracker
             )
         except VectorEquivalenceError as exc:
             outcomes[spec] = CellOutcome.failure(
@@ -315,7 +224,12 @@ def price_cells_batched(
     from repro.obs.metrics import global_registry
     from repro.obs.telemetry import merge_cell_telemetry
 
-    cache: "DiskCache | None" = DiskCache(cache_dir) if use_cache else None
+    # The armed check keeps the sweep off the cell and plan caches, so
+    # no cached entry escapes it.
+    cache: "DiskCache | None" = (
+        DiskCache(cache_dir)
+        if use_cache and not vector_check_enabled() else None
+    )
     report = BatchReport()
     outcomes: "dict[CellSpec, CellOutcome]" = {}
     keys: "dict[CellSpec, str]" = {}
@@ -396,15 +310,14 @@ def price_cells_batched(
             synthesized.add(spec)
     report.synthesized = len(synthesized)
 
-    # Fresh cells in sweep order; checked before caching, so a cell the
-    # oracle rejects is never written.
+    # Fresh cells in sweep order.  Under the check the cache is off, so
+    # a cell the oracle rejects is never written.
     fresh = [spec for spec, _backend in entries if spec in synthesized]
     if vector_check_enabled():
         report.checked = _check_against_oracle(fresh, outcomes)
     if cache is not None:
         for spec in fresh:
-            if outcomes[spec].ok:
-                cache.put(keys[spec], outcomes[spec])
+            cache.put(keys[spec], outcomes[spec])
 
     merge_cell_telemetry(
         registry,

@@ -41,6 +41,18 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.failures import CellFailure
 
 
+#: Environment switch for the strict scalar-equivalence cross-check:
+#: any non-empty value makes vectorized cells also run the scalar path
+#: and bit-compare the totals, and keeps every cell out of the result
+#: cache so none goes unchecked (CLI: ``--vector-check``).
+VECTOR_CHECK_ENV = "REPRO_VECTOR_CHECK"
+
+
+def vector_check_enabled() -> bool:
+    """Whether the strict scalar cross-check is armed (env or CLI)."""
+    return bool(os.environ.get(VECTOR_CHECK_ENV))
+
+
 def resolve_benchmark_class(key: str) -> "type[PimBenchmark]":
     """Benchmark class for a key, searching Table I then the extensions."""
     cls = BENCHMARKS_BY_KEY.get(key)
@@ -242,17 +254,15 @@ def run_cell(
     from repro.obs.telemetry import TelemetryCapture
 
     capture = TelemetryCapture()
+    config = spec.device_config()
+    recorder = None
     if record_events:
         if bus is not None:
             raise ValueError("record_events and a live bus are exclusive")
         from repro.obs import EventBus, RecordingSink
 
-        config = spec.device_config()
         bus = EventBus(process=config.label)
         recorder = bus.subscribe(RecordingSink())
-    else:
-        config = spec.device_config()
-        recorder = None
 
     injector = None
     if spec.fault_plan is not None and spec.fault_plan.device_faults:
@@ -271,59 +281,46 @@ def run_cell(
         and bus is None
         and injector is None
     )
-    bench = spec.make_benchmark()
-    device = PimDevice(
-        config,
-        functional=spec.functional,
-        enforce_capacity=spec.enforce_capacity,
-        bus=bus,
-        faults=injector,
-        vector=vector_active,
-    )
-    result = bench.run(device, CpuModel(), GpuModel())
-    tracker = device.stats
     if vector_active:
-        from repro.perf.vector import vector_check_enabled, verify_equivalence
+        # A vectorized cell is a one-point plan: record, then synthesize
+        # exactly as a sweep prices a geometry group.
+        from repro.arch.registry import arch_for
+        from repro.perf.plans import compile_plan, synthesize
 
+        backend = arch_for(config)
+        plan = compile_plan(spec, backend, config)
+        ((result, tracker),) = synthesize(plan, [(backend, config)])
         if vector_check_enabled():
-            # Strict equivalence mode: re-run the cell through the
-            # scalar path and bit-compare every accumulator and the
-            # serialized result (the suite-JSON payload).
-            scalar_device = PimDevice(
-                spec.device_config(),
-                functional=spec.functional,
-                enforce_capacity=spec.enforce_capacity,
-            )
-            scalar_result = spec.make_benchmark().run(
-                scalar_device, CpuModel(), GpuModel()
-            )
-            verify_equivalence(
-                tracker,
-                scalar_device.stats,
-                result,
-                scalar_result,
-                label=(
-                    f"{spec.benchmark_key} on "
-                    f"{getattr(spec.device_type, 'value', spec.device_type)}"
+            check_against_oracle(spec, result, tracker)
+        # No memo lookup happens: each distinct shape is priced once.
+        memo_hits, memo_misses, memo_shapes = 0, 0, len(plan.shape_args)
+    else:
+        device = PimDevice(
+            config,
+            functional=spec.functional,
+            enforce_capacity=spec.enforce_capacity,
+            bus=bus,
+            faults=injector,
+        )
+        result = spec.make_benchmark().run(device, CpuModel(), GpuModel())
+        tracker = device.stats
+        memo_hits, memo_misses, memo_shapes = device.pipeline.stats()
+        if bus is not None and bus.active:
+            # Perfetto counter track: the memo's cumulative hit/miss
+            # totals at the cell boundary, so hit rates are visible on
+            # the timeline (one sample per cell; the track lives under
+            # the device's process group).  Emitted identically on the
+            # serial and the worker/replay path, preserving stream
+            # byte-identity.
+            lookups = memo_hits + memo_misses
+            bus.emit_counter("cost_memo", {
+                "hits": float(memo_hits),
+                "misses": float(memo_misses),
+                "hit_rate_pct": (
+                    100.0 * memo_hits / lookups if lookups else 0.0
                 ),
-            )
-        # Keep only the totals: a plain StatsTracker crosses process and
-        # disk-cache boundaries (and unpickles) like a scalar one.
-        tracker = tracker.totals()
-    memo_hits, memo_misses, memo_shapes = device.pipeline.stats()
-    if bus is not None and bus.active:
-        # Perfetto counter track: the memo's cumulative hit/miss totals
-        # at the cell boundary, so hit rates are visible on the timeline
-        # (one sample per cell; the track lives under the device's
-        # process group).  Emitted identically on the serial and the
-        # worker/replay path, preserving stream byte-identity.
-        lookups = memo_hits + memo_misses
-        bus.emit_counter("cost_memo", {
-            "hits": float(memo_hits),
-            "misses": float(memo_misses),
-            "hit_rate_pct": 100.0 * memo_hits / lookups if lookups else 0.0,
-        })
-    tracker.bus = None  # the tracker outlives the run; never the bus
+            })
+        tracker.bus = None  # the tracker outlives the run; never the bus
     faults_injected = injector.counts() if injector is not None else None
     return CellOutcome(
         result=result,
@@ -342,5 +339,31 @@ def run_cell(
             memo_shapes=memo_shapes,
             faults_injected=faults_injected,
             vector=vector_active,
+        ),
+    )
+
+
+def check_against_oracle(
+    spec: CellSpec, result: BenchmarkResult, tracker: StatsTracker
+) -> None:
+    """The one oracle check: bit-compare a vector cell with its scalar twin.
+
+    Re-runs ``spec`` through the scalar path and compares every
+    accumulator and the serialized result (the suite-JSON payload);
+    raises :class:`~repro.perf.vector.VectorEquivalenceError` naming
+    every mismatch.  ``run_cell`` lets it fail the cell; a sweep turns
+    it into a failed outcome for the sampled point.
+    """
+    from repro.perf.vector import verify_equivalence
+
+    oracle = run_cell(dataclasses.replace(spec, vector=False))
+    verify_equivalence(
+        tracker,
+        oracle.tracker,
+        result,
+        oracle.result,
+        label=(
+            f"{spec.benchmark_key} on "
+            f"{getattr(spec.device_type, 'value', spec.device_type)}"
         ),
     )

@@ -4,8 +4,8 @@
 funnels through.  Given an ordered list of
 :class:`~repro.engine.cells.CellSpec`, it
 
-1. looks each cell up in the disk cache (unless caching is off or the
-   run is observed),
+1. looks each cell up in the disk cache (unless caching is off, the
+   run is observed, or ``--vector-check`` is armed),
 2. fans the misses out across a :class:`ProcessPoolExecutor` when
    ``jobs > 1`` (or simulates them inline when serial),
 3. merges everything back **in spec order**, so the caller sees the
@@ -34,6 +34,11 @@ clock, so ``bus.now_ns`` still ends at the sum of every cell's
 ``stats.total_time_ns`` -- the invariant the Perfetto export and the
 metrics registry rely on.  Retries and failures additionally surface as
 ``engine``-category instant events on the parent bus.
+
+Equivalence contract: while ``--vector-check`` (``REPRO_VECTOR_CHECK``)
+is armed, cells are neither read from nor written to the cache, so
+every vectorized cell is simulated and checked against the scalar
+oracle (docs/VECTORIZATION.md §3).
 """
 
 from __future__ import annotations
@@ -47,7 +52,12 @@ import typing
 
 from repro.core.errors import PimTimeoutError, PimWorkerCrashError
 from repro.engine.cache import DiskCache, cell_cache_key
-from repro.engine.cells import CellOutcome, CellSpec, run_cell
+from repro.engine.cells import (
+    CellOutcome,
+    CellSpec,
+    run_cell,
+    vector_check_enabled,
+)
 from repro.resilience.failures import (
     failure_from_exception,
     skipped_failure,
@@ -398,7 +408,7 @@ def run_cells(
     jobs = resolve_jobs(jobs)
     policy = policy if policy is not None else RetryPolicy.from_env()
     observed = bus is not None
-    caching = use_cache and not observed
+    caching = use_cache and not observed and not vector_check_enabled()
     cache = DiskCache(cache_dir) if caching else None
     reporter = _Reporter(bus)
 

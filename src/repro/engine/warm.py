@@ -16,15 +16,13 @@ each worker, while preserving the engine's isolation story:
 * the worker entry point is the engine's own ``_worker``, so a cell run
   through a warm slot is byte-identical to one run by ``run_cells``.
 
-The class is synchronous and thread-safe-by-construction (each slot is
-owned by one caller at a time; acquisition goes through a lock-free
-queue).  ``repro.serve`` wraps it with asyncio.
+The class is synchronous and owns no checkout logic: ``repro.serve``
+hands its slots out one cell at a time through its own asyncio queue.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import queue
 import typing
 
 from repro.engine.engine import _kill_pool, _worker
@@ -82,21 +80,18 @@ class WarmSlot:
 
 
 class WarmExecutor:
-    """A fixed fleet of :class:`WarmSlot` workers with checkout semantics.
+    """A fixed fleet of :class:`WarmSlot` workers.
 
-    Callers :meth:`acquire` a slot (blocking until one is free), submit
-    work on it, and :meth:`release` it back -- or :meth:`respawn` it
-    first if the worker hung or died.  The checkout discipline is what
-    makes hang attribution exact: a slot serves one cell at a time.
+    The caller checks slots out (``repro.serve`` queues them), submits
+    work on one, and respawns the slot if its worker hung or died.
+    Serving one cell per slot at a time is what makes hang attribution
+    exact.
     """
 
     def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.slots = [WarmSlot(i) for i in range(workers)]
-        self._free: "queue.SimpleQueue[WarmSlot]" = queue.SimpleQueue()
-        for slot in self.slots:
-            self._free.put(slot)
 
     @property
     def workers(self) -> int:
@@ -111,17 +106,6 @@ class WarmExecutor:
         request, should pay the import cost)."""
         for slot in self.slots:
             slot.warm_up()
-
-    def acquire(self, timeout: "float | None" = None) -> WarmSlot:
-        """Check out a free slot (raises ``queue.Empty`` on timeout)."""
-        if timeout is None:
-            return self._free.get()
-        return self._free.get(timeout=timeout)
-
-    def release(self, slot: WarmSlot) -> None:
-        """Return a checked-out slot to the free pool."""
-        if slot.alive:
-            self._free.put(slot)
 
     def shutdown(self) -> None:
         """Kill every worker process.  Idempotent."""

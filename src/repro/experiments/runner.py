@@ -25,6 +25,7 @@ from repro.arch import device_type_for, suite_device_order
 from repro.bench.common import BenchmarkResult, PimBenchmark
 from repro.bench.registry import BENCHMARK_CLASSES, make_benchmark
 from repro.engine import CellSpec, DiskCache, run_cells
+from repro.engine.cells import vector_check_enabled
 from repro.obs.spans import span
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -142,7 +143,8 @@ def run_suite(
     order, so any job count produces identical output.  ``cache_dir``
     overrides the persistent result store's location (default:
     ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); ``use_cache=False``
-    bypasses both the in-memory and the on-disk tier.
+    bypasses both the in-memory and the on-disk tier, as does an armed
+    ``--vector-check``.
 
     ``policy`` sets the resilience contract (retries, per-cell timeout,
     fail-fast; default from ``$REPRO_MAX_RETRIES``/``$REPRO_CELL_TIMEOUT``).
@@ -163,7 +165,9 @@ def run_suite(
         num_ranks, paper_scale, keys, functional, enforce_capacity,
         tuple(sorted((geometry_overrides or {}).items())), vector,
     )
-    use_cache = use_cache and bus is None
+    # An armed --vector-check must see every cell, so neither cache
+    # tier serves (or stores) one.
+    use_cache = use_cache and bus is None and not vector_check_enabled()
     if use_cache and cache_key in _CACHE:
         return _CACHE[cache_key]
 

@@ -3,9 +3,9 @@
 A vectorized cell (docs/VECTORIZATION.md) splits into two phases with
 very different costs:
 
-* **compile** -- run the benchmark against the device to *build* the
-  shape histogram: every ``execute`` call still goes through Python, so
-  this costs roughly one scalar cell;
+* **compile** -- run the benchmark against a vector-mode device to
+  *record* the shape histogram: every ``execute`` call still goes
+  through Python, but nothing is priced;
 * **price** -- evaluate the distinct shapes through the backend's cost
   table and reconstruct the accumulator totals with numpy: microseconds.
 
@@ -13,10 +13,11 @@ The compile product is a :class:`PricingPlan`: the command, copy and
 host logs of a :class:`~repro.perf.vector.VectorStatsTracker`
 plus its interned shape/bucket/kind tables.  :func:`price_plan` is the
 one analytic pricer: it prices a plan under P cost tables and returns P
-rows of accumulator totals.  A vectorized cell is the P = 1 case (its
-tracker prices its own logs at finalize time); a design-space sweep
+rows of accumulator totals.  :func:`synthesize` is the one outcome
+builder on top of it: a vectorized cell is the one-point case
+(:func:`repro.engine.cells.run_cell`), and a design-space sweep
 (:mod:`repro.dse.batch`) compiles one plan per geometry group and
-prices every point of the group as one P-row call.
+synthesizes every point of the group at once.
 
 The command trace -- which shapes are issued, how many times, in what
 order -- depends only on the benchmark parameters and the *geometry* of
@@ -59,6 +60,7 @@ from repro.core.stats import (
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.base import ArchBackend
+    from repro.bench.common import BenchmarkResult
     from repro.config.device import DeviceConfig
     from repro.engine.cells import CellSpec
     from repro.perf.vector import CostTable
@@ -107,7 +109,7 @@ class PricingPlan:
     data movement prices off the DRAM spec and host energy off the host
     TDP, both part of the geometry signature.  :func:`compile_plan` adds
     the benchmark identity and the device-independent CPU/GPU baselines
-    that outcome synthesis needs.
+    that :func:`synthesize` needs.
     """
 
     #: Representative CommandArgs per distinct shape, in shape order.
@@ -160,8 +162,8 @@ class PlanTotals:
     host_time_ns: float
     host_energy_nj: float
 
-    def tracker_fields(self, row: int) -> "dict[str, typing.Any]":
-        """Row ``row`` as :class:`~repro.core.stats.StatsTracker` fields."""
+    def tracker(self, row: int) -> StatsTracker:
+        """Row ``row`` as a plain :class:`~repro.core.stats.StatsTracker`."""
         fields: "dict[str, typing.Any]" = {
             "commands": OrderedDict(
                 (name, CmdStats(count, latency, energy))
@@ -183,12 +185,8 @@ class PlanTotals:
             # and must not share accumulators.
             stats = self.copies.get(direction)
             fields[attr] = dataclasses.replace(stats) if stats else CopyStats()
-        return fields
-
-    def tracker(self, row: int) -> StatsTracker:
-        """Row ``row`` as a plain :class:`~repro.core.stats.StatsTracker`."""
         tracker = StatsTracker()
-        vars(tracker).update(self.tracker_fields(row))
+        vars(tracker).update(fields)
         return tracker
 
 
@@ -309,6 +307,84 @@ def price_plan(
     )
 
 
+def _point_pipeline(
+    backend: "ArchBackend", config: "DeviceConfig"
+) -> "typing.Any":
+    """The exact pricing stack a :class:`PimDevice` would build.
+
+    Same constructors, same order (``repro.core.device.PimDevice``):
+    the perf model from the dispatcher, the energy model with the
+    default power config, the cost pipeline bound to the point's
+    backend -- so ``cost_table`` prices every shape bit-identically to
+    the scalar device.  Memoization is off: a pipeline that prices each
+    distinct shape exactly once and is then dropped can never hit its
+    memo, and the memo changes only *when* costs are derived, never
+    their values.
+
+    Dispatch shortcuts only, never value shortcuts: the backend in hand
+    is exactly what ``arch_for(config)`` resolves (a sweep calls inside
+    its registration window), so calling its factory directly and
+    pre-resolving the ALU energy constant produce the same objects the
+    device builds -- minus two registry lookups per point.
+    """
+    from repro.energy.model import EnergyModel
+    from repro.perf.memo import CostPipeline
+
+    perf = backend.make_perf_model(config)
+    energy = EnergyModel(config, backend=backend)
+    return CostPipeline(perf, energy, backend, enabled=False)
+
+
+def synthesize(
+    plan: PricingPlan,
+    points: "typing.Sequence[tuple[ArchBackend, DeviceConfig]]",
+) -> "list[tuple[BenchmarkResult, StatsTracker]]":
+    """Price ``plan`` at each ``(backend, config)`` point.
+
+    The one vector outcome builder.  Each point's backend prices the
+    plan's shapes through ``cost_table`` (one call per point), one
+    :func:`price_plan` call prices every row, and each row becomes the
+    ``(BenchmarkResult, StatsTracker)`` pair a scalar
+    :meth:`repro.bench.common.PimBenchmark.run` on that point would
+    leave behind: the snapshot delta against a fresh tracker, the op
+    census aggregated by category in first-occurrence order, and the
+    plan's CPU/GPU baselines.  The trackers are plain
+    :class:`~repro.core.stats.StatsTracker`\\ s, so they pickle and
+    disk-cache like scalar ones.
+    """
+    from repro.bench.common import BenchmarkResult
+
+    totals = price_plan(plan, [
+        backend.cost_table(_point_pipeline(backend, config), plan.shape_args)
+        if plan.shape_args else None
+        for backend, config in points
+    ])
+    # The category census is point-independent -- every point issues
+    # the same integer command counts.
+    op_counts: "dict" = {}
+    for kind, count in totals.op_counts.items():
+        if count:
+            op_counts[kind.category] = op_counts.get(kind.category, 0) + count
+    rows = []
+    for row, (_backend, config) in enumerate(points):
+        tracker = totals.tracker(row)
+        # A fresh tracker's baseline is the empty snapshot, and the
+        # ``after - before`` delta against it is byte-identical (type,
+        # structure, and every float bit) to the snapshot itself.
+        rows.append((BenchmarkResult(
+            benchmark=plan.benchmark_name,
+            device_type=config.device_type,
+            stats=tracker.snapshot(),
+            op_counts=dict(op_counts),
+            cpu_time_ns=plan.cpu_time_ns,
+            cpu_energy_nj=plan.cpu_energy_nj,
+            gpu_time_ns=plan.gpu_time_ns,
+            gpu_energy_nj=plan.gpu_energy_nj,
+            verified=None,
+        ), tracker))
+    return rows
+
+
 def geometry_signature(config: "DeviceConfig") -> str:
     """Digest of the trace-affecting subset of a device config.
 
@@ -375,28 +451,24 @@ def plan_cache_key(
 
 
 def compile_plan(
-    spec: "CellSpec",
-    backend: "ArchBackend",
-    config: "DeviceConfig | None" = None,
+    spec: "CellSpec", backend: "ArchBackend", config: "DeviceConfig"
 ) -> PricingPlan:
-    """Run one cell's benchmark in vector mode and extract its plan.
+    """Record one cell's benchmark in vector mode and export its plan.
 
-    This is the sweep's once-per-geometry-group compile step: it costs
-    one vectorized cell (the Python issue loop runs), after which every
-    sibling point is priced from the returned plan without touching the
-    benchmark again.  The backend must be resolvable through the
-    registry while this runs (the energy model resolves ``arch_for``
-    lazily); :func:`repro.dse.sweep.run_sweep` calls it inside its
-    registration window.
+    Runs the benchmark's PIM phase against a vector-mode device (the
+    Python issue loop runs; nothing is priced), takes the
+    device-independent CPU/GPU baselines, and exports the logs once.
+    :func:`synthesize` prices the result, for one point or for every
+    point of a sweep's geometry group.  The backend must be resolvable
+    through the registry while this runs (the energy model resolves
+    ``arch_for`` lazily); :func:`repro.dse.sweep.run_sweep` calls it
+    inside its registration window.
     """
     from repro.baselines.cpu import CpuModel
     from repro.baselines.gpu import GpuModel
     from repro.core.device import PimDevice
+    from repro.host.model import HostModel
 
-    if config is None:
-        config = backend.make_config(
-            spec.num_ranks, **dict(spec.geometry_overrides)
-        )
     bench = spec.make_benchmark()
     device = PimDevice(
         config,
@@ -404,13 +476,16 @@ def compile_plan(
         enforce_capacity=spec.enforce_capacity,
         vector=True,
     )
-    result = bench.run(device, CpuModel(), GpuModel())
+    cpu = CpuModel()
+    bench.run_pim(device, HostModel(device, cpu))
+    cpu_time, cpu_energy = cpu.run(bench.cpu_profile())
+    gpu_time, gpu_energy = GpuModel().run(bench.gpu_profile())
     return dataclasses.replace(
         device.stats.export_plan(),
         benchmark_key=spec.benchmark_key,
         benchmark_name=bench.name,
-        cpu_time_ns=result.cpu_time_ns,
-        cpu_energy_nj=result.cpu_energy_nj,
-        gpu_time_ns=result.gpu_time_ns,
-        gpu_energy_nj=result.gpu_energy_nj,
+        cpu_time_ns=cpu_time,
+        cpu_energy_nj=cpu_energy,
+        gpu_time_ns=gpu_time,
+        gpu_energy_nj=gpu_energy,
     )

@@ -12,12 +12,14 @@ does not price commands at issue time at all; it appends ``(shape index,
 multiplicity)`` entries to an append-only log -- a *histogram under
 construction* -- and a ``replay_trace`` of a recorded region extends the
 logs with copies of the recorded span instead of re-dispatching every
-entry through the device.  At finalize time the tracker exports its
-logs as a :class:`~repro.perf.plans.PricingPlan`, prices the distinct
-shapes **once** through the architecture backend's
-:meth:`~repro.arch.base.ArchBackend.cost_table` hook, and rebuilds the accumulators with :func:`~repro.perf.plans.
-price_plan` -- the same pricer a design-space sweep runs over many
-cost tables at once.
+entry through the device.  The tracker only records:
+:func:`~repro.perf.plans.compile_plan` exports its logs as a
+:class:`~repro.perf.plans.PricingPlan`, and
+:func:`~repro.perf.plans.synthesize` prices the distinct shapes **once**
+per point through the architecture backend's
+:meth:`~repro.arch.base.ArchBackend.cost_table` hook and rebuilds the
+accumulators with :func:`~repro.perf.plans.price_plan` -- one point for
+a cell, N points for a design-space sweep.
 
 The reconstruction is *byte-identical* to the scalar path, which is a
 stricter contract than "numerically close":
@@ -34,10 +36,11 @@ stricter contract than "numerically close":
   pairwise summation and may differ in the last ulp).
 
 ``REPRO_VECTOR_CHECK=1`` (or ``--vector-check``) arms the strict
-equivalence mode: vectorized cells are re-run through the scalar path
-(every cell of ``run``/``suite``; the first, middle and last
-batch-priced cells of a sweep) and :func:`verify_equivalence` compares
-the two trackers field by field at full bit precision, raising
+equivalence mode: :func:`repro.engine.cells.check_against_oracle`
+re-runs vectorized cells through the scalar path (every cell of
+``run``/``suite``/``figure``; the first, middle and last batch-priced
+cells of a sweep) and :func:`verify_equivalence` compares the two
+trackers field by field at full bit precision, raising
 :class:`VectorEquivalenceError` on divergence.  See
 ``docs/VECTORIZATION.md``.
 """
@@ -48,36 +51,19 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import struct
 import typing
 
 import numpy as np
 
 from repro.core.stats import COPY_DIRECTIONS, StatsTracker
-from repro.perf.plans import (
-    DIRECTIONS,
-    EVENT_FIELDS,
-    PlanTotals,
-    PricingPlan,
-    price_plan,
-)
+from repro.perf.plans import DIRECTIONS, EVENT_FIELDS, PricingPlan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.commands import PimCmdKind
     from repro.perf.base import CommandArgs
 
-#: Environment switch for the strict scalar-equivalence cross-check:
-#: any non-empty value makes vectorized cells also run the scalar path
-#: and bit-compare the totals (CLI: ``--vector-check``).
-VECTOR_CHECK_ENV = "REPRO_VECTOR_CHECK"
-
 _DIR_INDEX = {name: index for index, name in enumerate(DIRECTIONS)}
-
-
-def vector_check_enabled() -> bool:
-    """Whether the strict scalar cross-check is armed (env or CLI)."""
-    return bool(os.environ.get(VECTOR_CHECK_ENV))
 
 
 class VectorEquivalenceError(AssertionError):
@@ -146,41 +132,36 @@ def _columns(
     ]
 
 
-class VectorStatsTracker(StatsTracker):
-    """A :class:`StatsTracker` that defers all pricing to finalize time.
+class VectorStatsTracker:
+    """The command, copy and host logs of one vector-mode device.
 
     The device (in vector mode) registers each distinct command shape
     once and appends ``(shape, signature bucket, kind, multiplicity)``
     entries; copies and host kernels append to their own logs.
     ``recorded_trace`` captures index spans and ``replay_trace`` extends
-    the logs with them.  Any aggregate read (``snapshot``, the
-    ``kernel_*``/``copy_*``/``total_command_count`` properties)
-    triggers :meth:`_finalize`, which prices the logs as a one-row
-    :func:`~repro.perf.plans.price_plan` call, so the totals are
-    byte-identical to the scalar path (see the module docstring for the
-    float-ordering contract).
+    the logs with them.  The tracker only records: it holds logs, not
+    totals.  :meth:`export_plan` hands the logs on as a
+    :class:`~repro.perf.plans.PricingPlan`, which
+    :func:`~repro.perf.plans.synthesize` prices into plain
+    :class:`~repro.core.stats.StatsTracker` totals.
 
     Vector mode is analytic-only and unobserved: the tracker never
     carries an event bus (per-issue events cannot be synthesized from a
     histogram), and commands arrive only as histogram entries -- the
     pre-priced ``record_command*`` calls raise :class:`TypeError`.
-    :meth:`totals` hands the finalized totals on as a plain
-    :class:`StatsTracker`.
     """
 
-    def __init__(
-        self,
-        pricer: "typing.Callable[[tuple[CommandArgs, ...]], CostTable] | None" = None,
-    ) -> None:
-        super().__init__(bus=None)
-        self._pricer = pricer
-        self._clear_logs()
+    #: Vector devices never stream events (``PimDevice`` reads ``bus``).
+    bus = None
 
-    def _clear_logs(self) -> None:
-        # Shape table: representative CommandArgs per distinct shape;
-        # priced once per finalize through ``pricer``.
+    def __init__(self) -> None:
+        self._recording = False
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear the logs and the interned tables."""
+        # Representative CommandArgs per distinct shape.
         self._shape_args: "list[CommandArgs]" = []
-        self._table: "CostTable | None" = None
         # Interned signature buckets and command kinds.
         self._bucket_names: "list[str]" = []
         self._bucket_ids: "dict[str, int]" = {}
@@ -193,9 +174,6 @@ class VectorStatsTracker(StatsTracker):
         self._copy_log: "list[tuple[int, int, float, float]]" = []
         # host entry: (time_ns, energy_nj)
         self._host_log: "list[tuple[float, float]]" = []
-        # Empty logs finalize to the zero accumulators StatsTracker holds.
-        self._priced: "PlanTotals | None" = None
-        self._finalized_at = (0, 0, 0)
 
     # -- interning ----------------------------------------------------------
 
@@ -280,27 +258,27 @@ class VectorStatsTracker(StatsTracker):
         logs); the returned :class:`VectorTrace` can be re-applied with
         :meth:`replay_trace`.  Recording does not nest.
         """
-        if self._recording is not None:
+        if self._recording:
             raise RuntimeError("a stats trace is already being recorded")
         trace = VectorTrace()
         start = [len(log) for log in self._logs()]
-        self._recording = []  # nesting / replay-while-recording sentinel
+        self._recording = True
         try:
             yield trace
         finally:
             trace.spans = tuple(zip(start, map(len, self._logs())))
-            self._recording = None
+            self._recording = False
 
     def replay_trace(self, trace: VectorTrace, times: int = 1) -> None:
         """Re-apply a recorded trace ``times`` more times.
 
         Extends each log with its recorded span repeated ``times``
         times: the exact entry sequence the scalar path's per-entry
-        re-dispatch would bill, so finalize needs no special case.
+        re-dispatch would bill, so pricing needs no special case.
         """
         if times < 0:
             raise ValueError(f"times must be >= 0, got {times}")
-        if self._recording is not None:
+        if self._recording:
             raise RuntimeError("cannot replay while recording a trace")
         if not isinstance(trace, VectorTrace):
             raise TypeError(
@@ -310,46 +288,7 @@ class VectorStatsTracker(StatsTracker):
         for log, (start, end) in zip(self._logs(), trace.spans):
             log.extend(log[start:end] * times)
 
-    # -- finalize -----------------------------------------------------------
-
-    def _price_table(self) -> "CostTable | None":
-        if not self._shape_args:
-            return None
-        if self._table is None or len(self._table) != len(self._shape_args):
-            if self._pricer is None:
-                raise RuntimeError(
-                    "VectorStatsTracker has unpriced shapes but no pricer "
-                    "(was the tracker detached from its device?)"
-                )
-            self._table = self._pricer(tuple(self._shape_args))
-        return self._table
-
-    def _finalize(self) -> None:
-        """Price the logs and rebuild every accumulator, exactly.
-
-        Idempotent full recomputation: the totals are always rebuilt
-        from the complete logs, so a mid-run ``snapshot`` (benchmark
-        phase accounting) sees exactly what the scalar tracker would
-        hold at the same point.
-        """
-        state = tuple(map(len, self._logs()))
-        if state == self._finalized_at:
-            return
-        self._priced = price_plan(self.export_plan(), (self._price_table(),))
-        vars(self).update(self._priced.tracker_fields(0))
-        self._finalized_at = state
-
-    def totals(self) -> StatsTracker:
-        """The finalized totals as a plain :class:`StatsTracker`.
-
-        It holds no logs and no pricer (which closes over the device's
-        models and does not pickle), so it crosses process and
-        disk-cache boundaries exactly like a scalar tracker.
-        """
-        self._finalize()
-        if self._priced is None:
-            return StatsTracker()
-        return self._priced.tracker(0)
+    # -- export -------------------------------------------------------------
 
     def export_plan(self) -> PricingPlan:
         """The logs as a :class:`~repro.perf.plans.PricingPlan`.
@@ -367,47 +306,6 @@ class VectorStatsTracker(StatsTracker):
             *_columns(self._copy_log, (int64, int64, float64, float64)),
             *_columns(self._host_log, (float64, float64)),
         )
-
-    def reset(self) -> None:
-        """Zero every accumulator and clear the logs."""
-        super().reset()
-        self._clear_logs()
-
-    # -- aggregate views ------------------------------------------------------
-
-    def snapshot(self):
-        self._finalize()
-        return super().snapshot()
-
-    @property
-    def kernel_time_ns(self) -> float:
-        self._finalize()
-        return StatsTracker.kernel_time_ns.fget(self)
-
-    @property
-    def kernel_energy_nj(self) -> float:
-        self._finalize()
-        return StatsTracker.kernel_energy_nj.fget(self)
-
-    @property
-    def copy_time_ns(self) -> float:
-        self._finalize()
-        return StatsTracker.copy_time_ns.fget(self)
-
-    @property
-    def copy_energy_nj(self) -> float:
-        self._finalize()
-        return StatsTracker.copy_energy_nj.fget(self)
-
-    @property
-    def copy_bytes(self) -> int:
-        self._finalize()
-        return StatsTracker.copy_bytes.fget(self)
-
-    @property
-    def total_command_count(self) -> int:
-        self._finalize()
-        return StatsTracker.total_command_count.fget(self)
 
 
 # -- strict equivalence ------------------------------------------------------
@@ -434,10 +332,6 @@ def tracker_mismatches(
     last-ulp divergence -- exactly what an iterated-add vs multiply
     substitution produces -- is reported, never absorbed.
     """
-    for tracker in (vector, scalar):
-        finalize = getattr(tracker, "_finalize", None)
-        if finalize is not None:
-            finalize()
     mismatches: "list[str]" = []
 
     def check_float(name: str, a: float, b: float) -> None:
@@ -513,7 +407,6 @@ def verify_equivalence(
     ``repro suite`` exports, so passing here *is* the byte-identical
     suite JSON guarantee.
     """
-    vector_tracker.snapshot()  # force finalize on the vector side
     mismatches = tracker_mismatches(vector_tracker, scalar_tracker)
     if vector_result is not None and scalar_result is not None:
         vec_payload = json.dumps(vector_result.to_dict(), sort_keys=False)

@@ -12,11 +12,11 @@ import pickle
 
 import pytest
 
+from repro.arch.base import ArchBackend
 from repro.dse import SweepSpec, render_json, run_sweep, sweep_payload
 from repro.dse.batch import batch_eligible
-from repro.engine.cells import CellSpec
+from repro.engine.cells import VECTOR_CHECK_ENV, CellSpec
 from repro.obs.metrics import global_registry
-from repro.perf.vector import VECTOR_CHECK_ENV
 
 _RAW = {
     "name": "batch-unit",
@@ -31,6 +31,19 @@ def _spec(**overrides) -> SweepSpec:
     raw = dict(_RAW)
     raw.update(overrides)
     return SweepSpec.from_dict(raw)
+
+
+def _perturb_cost_tables(monkeypatch):
+    """Scale every vector cost table's latency by one part in 1e9."""
+    original = ArchBackend.cost_table
+
+    def perturbed(self, pipeline, shapes):
+        table = original(self, pipeline, shapes)
+        return dataclasses.replace(
+            table, latency_ns=table.latency_ns * (1.0 + 1e-9)
+        )
+
+    monkeypatch.setattr(ArchBackend, "cost_table", perturbed)
 
 
 def _run(spec=None, **kwargs):
@@ -115,17 +128,7 @@ class TestIdentity:
     def test_check_fails_perturbed_cell_and_skips_its_cache_entry(
         self, monkeypatch, tmp_path
     ):
-        from repro.arch.base import ArchBackend
-
-        original = ArchBackend.cost_table
-
-        def perturbed(self, pipeline, shapes):
-            table = original(self, pipeline, shapes)
-            return dataclasses.replace(
-                table, latency_ns=table.latency_ns * (1.0 + 1e-9)
-            )
-
-        monkeypatch.setattr(ArchBackend, "cost_table", perturbed)
+        _perturb_cost_tables(monkeypatch)
         monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
         spec = _spec(axes={"pe_freq_mhz": [200, 300, 400, 500, 600]})
         result = _run(spec, use_cache=True, cache_dir=tmp_path)
@@ -139,7 +142,35 @@ class TestIdentity:
             assert "latency_ns" in message
         monkeypatch.delenv(VECTOR_CHECK_ENV)
         warm = _run(spec, use_cache=True, cache_dir=tmp_path)
-        assert warm.cache_hits == 2  # the failed cells were never written
+        # Nothing, failed cells included, is written while the check
+        # is armed.
+        assert warm.cache_hits == 0
+
+    def test_check_audits_a_warm_cache(self, monkeypatch, tmp_path):
+        """An armed check bypasses the cache, so a cost-table bug that
+        appeared after the cells were cached is still caught."""
+        spec = _spec()
+        cold = _run(spec, use_cache=True, cache_dir=tmp_path)
+        assert cold.batched_cells == 3
+        _perturb_cost_tables(monkeypatch)
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
+        audited = _run(spec, use_cache=True, cache_dir=tmp_path)
+        assert audited.cache_hits == 0
+        assert audited.checked_cells == 3
+        assert sum(o.failed for o in audited.outcomes) == 3
+
+    def test_group_calls_cost_table_once_per_point(self, monkeypatch):
+        calls = []
+        original = ArchBackend.cost_table
+
+        def counted(self, pipeline, shapes):
+            calls.append(len(shapes))
+            return original(self, pipeline, shapes)
+
+        monkeypatch.setattr(ArchBackend, "cost_table", counted)
+        result = _run()  # three clocks, one geometry group
+        assert result.plan_misses == 1 and result.batched_cells == 3
+        assert len(calls) == 3  # the compile itself prices nothing
 
     def test_synthesized_telemetry_flags(self):
         from repro.obs.telemetry import telemetry_log
@@ -154,8 +185,10 @@ class TestIdentity:
             assert not telemetry.from_cache
             assert telemetry.commands_simulated > 0
             # A batched pipeline prices each distinct shape exactly
-            # once -- zero memo traffic is the truthful report.
-            assert telemetry.memo_lookups == 0
+            # once -- zero memo traffic is the truthful report; the
+            # shape census is the plan's.
+            assert telemetry.memo_hits == telemetry.memo_misses == 0
+            assert telemetry.memo_shapes == fresh[0].memo_shapes > 0
 
 
 class TestFallback:

@@ -14,11 +14,25 @@ import json
 import pytest
 
 from repro.arch import resolve_backend
+from repro.arch.base import ArchBackend
 from repro.engine import CellSpec
 from repro.engine.cache import cell_cache_key
-from repro.engine.cells import run_cell
+from repro.engine.cells import VECTOR_CHECK_ENV, run_cell, vector_check_enabled
 
 FULCRUM = resolve_backend("fulcrum").device_type
+
+
+def _perturb_cost_tables(monkeypatch):
+    """Scale every vector cost table's latency by one part in 1e9."""
+    original = ArchBackend.cost_table
+
+    def perturbed(self, pipeline, shapes):
+        table = original(self, pipeline, shapes)
+        return dataclasses.replace(
+            table, latency_ns=table.latency_ns * (1.0 + 1e-9)
+        )
+
+    monkeypatch.setattr(ArchBackend, "cost_table", perturbed)
 
 
 def _spec(**overrides):
@@ -118,6 +132,12 @@ class TestRunCellVector:
         ref = run_cell(_spec(vector=False))
         assert vec.telemetry.memo_shapes == ref.telemetry.memo_shapes
 
+    def test_vector_cell_reports_no_memo_traffic(self):
+        # Each distinct shape is priced once: no memo lookup happens.
+        telemetry = run_cell(_spec()).telemetry
+        assert telemetry.memo_hits == telemetry.memo_misses == 0
+        assert telemetry.memo_shapes > 0
+
 
 class TestScalarFallback:
     def test_functional_cell_falls_back(self):
@@ -147,8 +167,6 @@ class TestScalarFallback:
 
 class TestVectorCheckGate:
     def test_check_passes_on_honest_tables(self, monkeypatch):
-        from repro.perf.vector import VECTOR_CHECK_ENV, vector_check_enabled
-
         monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
         assert vector_check_enabled()
         outcome = run_cell(_spec())
@@ -157,29 +175,49 @@ class TestVectorCheckGate:
     def test_check_off_when_unset_or_empty(self, monkeypatch):
         # Any non-empty value arms the check; unset or empty leaves it
         # off.
-        from repro.perf.vector import VECTOR_CHECK_ENV, vector_check_enabled
-
         monkeypatch.delenv(VECTOR_CHECK_ENV, raising=False)
         assert not vector_check_enabled()
         monkeypatch.setenv(VECTOR_CHECK_ENV, "")
         assert not vector_check_enabled()
 
     def test_check_catches_perturbed_cost_table(self, monkeypatch):
-        from repro.arch.base import ArchBackend
-        from repro.perf.vector import VECTOR_CHECK_ENV, VectorEquivalenceError
+        from repro.perf.vector import VectorEquivalenceError
 
         monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
-        original = ArchBackend.cost_table
-
-        def perturbed(self, pipeline, shapes):
-            table = original(self, pipeline, shapes)
-            return dataclasses.replace(
-                table, latency_ns=table.latency_ns * (1.0 + 1e-9)
-            )
-
-        monkeypatch.setattr(ArchBackend, "cost_table", perturbed)
+        _perturb_cost_tables(monkeypatch)
         with pytest.raises(VectorEquivalenceError, match="vecadd"):
             run_cell(_spec())
+
+    def test_check_audits_a_warm_cache(self, monkeypatch, tmp_path):
+        # A cached cell is not served while the check is armed, so a
+        # cost-table bug introduced after the cell was cached is caught.
+        from repro.engine import run_cells
+
+        spec = _spec()
+        warm = run_cells([spec], jobs=1, cache_dir=tmp_path)
+        assert warm.outcome(spec).ok and warm.misses == 1
+        _perturb_cost_tables(monkeypatch)
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
+        audited = run_cells([spec], jobs=1, cache_dir=tmp_path)
+        assert audited.hits == 0
+        outcome = audited.outcome(spec)
+        assert not outcome.ok
+        assert "diverged from the scalar path" in outcome.error.brief()
+
+    def test_check_audits_a_memoized_suite(self, monkeypatch, tmp_path):
+        # The in-process suite tier is bypassed too.
+        from repro.engine import CellExecutionError
+        from repro.experiments.runner import run_suite
+
+        kwargs = dict(
+            num_ranks=2, paper_scale=False, keys=("vecadd",),
+            cache_dir=tmp_path,
+        )
+        run_suite(**kwargs)
+        _perturb_cost_tables(monkeypatch)
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
+        with pytest.raises(CellExecutionError, match="diverged"):
+            run_suite(**kwargs)
 
 
 class TestSuiteByteIdentity:

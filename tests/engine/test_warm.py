@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import queue
 
 import pytest
 
@@ -82,19 +81,6 @@ class TestWarmSlot:
 
 
 class TestWarmExecutor:
-    def test_checkout_discipline(self):
-        executor = WarmExecutor(workers=2)
-        try:
-            a = executor.acquire()
-            b = executor.acquire()
-            with pytest.raises(queue.Empty):
-                executor.acquire(timeout=0.05)
-            executor.release(a)
-            assert executor.acquire() is a
-            executor.release(b)
-        finally:
-            executor.shutdown()
-
     def test_shutdown_kills_every_worker(self):
         executor = WarmExecutor(workers=2)
         executor.warm_up()

@@ -9,6 +9,7 @@ contract -- and, just as importantly, pin that the equivalence checker
 different doubles, and must be reported, not absorbed).
 """
 
+import json
 import pickle
 from unittest import mock
 
@@ -25,8 +26,9 @@ from repro.core.commands import PimCmdKind
 from repro.core.device import PimDevice
 from repro.core.errors import PimTypeError
 from repro.core.stats import EventCounts, StatsTracker
+from repro.engine.cells import CellSpec
 from repro.perf import plans
-from repro.perf.plans import VALUE_FIELDS, price_plan
+from repro.perf.plans import VALUE_FIELDS, compile_plan, price_plan, synthesize
 from repro.perf.vector import (
     CostTable,
     VectorEquivalenceError,
@@ -39,12 +41,17 @@ BACKENDS = list(iter_backends())
 
 
 def _add_tracker(latency_ns, energy_nj):
-    """A vector tracker whose one shape (an add) costs the given values."""
+    """A vector tracker with one shape (an add), and that shape's table."""
     values = (latency_ns, energy_nj) + (0.0,) * (len(VALUE_FIELDS) - 2)
     table = CostTable(*(np.array([value]) for value in values))
-    tracker = VectorStatsTracker(pricer=lambda shapes: table)
+    tracker = VectorStatsTracker()
     tracker.register_shape(("add",))
-    return tracker
+    return tracker, table
+
+
+def _priced(tracker, table=None):
+    """A vector tracker's logs priced under one table: plain totals."""
+    return price_plan(tracker.export_plan(), (table,)).tracker(0)
 
 
 def _log_add(tracker, mult=1, is_batch=False):
@@ -59,20 +66,24 @@ def _run_pair(
     backend, key="vecadd", num_ranks=2, paper_scale=False,
     enforce_capacity=True,
 ):
-    """One benchmark through the scalar and the vector path."""
-    bench = make_benchmark(key, paper_scale=paper_scale)
+    """One benchmark through scalar ``bench.run`` and compile + price.
+
+    Returns ``(scalar tracker, scalar result, vector tracker, vector
+    result)``.
+    """
+    config = backend.make_config(num_ranks)
     scalar = PimDevice(
-        backend.make_config(num_ranks), functional=False,
-        enforce_capacity=enforce_capacity,
+        config, functional=False, enforce_capacity=enforce_capacity,
     )
-    scalar_result = bench.run(scalar, CpuModel(), GpuModel())
     bench = make_benchmark(key, paper_scale=paper_scale)
-    vector = PimDevice(
-        backend.make_config(num_ranks), functional=False, vector=True,
-        enforce_capacity=enforce_capacity,
+    scalar_result = bench.run(scalar, CpuModel(), GpuModel())
+    spec = CellSpec(
+        key, backend.device_type, num_ranks, paper_scale=paper_scale,
+        enforce_capacity=enforce_capacity, vector=True,
     )
-    vector_result = bench.run(vector, CpuModel(), GpuModel())
-    return scalar, scalar_result, vector, vector_result
+    plan = compile_plan(spec, backend, config)
+    ((vector_result, vector),) = synthesize(plan, [(backend, config)])
+    return scalar.stats, scalar_result, vector, vector_result
 
 
 class TestOrderedSum:
@@ -95,9 +106,8 @@ class TestOrderedSum:
         expected = 0.0
         for _ in range(10):
             expected += 0.1
-        tracker = _add_tracker(0.1, 0.1)
+        tracker, table = _add_tracker(0.1, 0.1)
         _log_add(tracker, 10, is_batch=True)
-        table = tracker._price_table()
         got = price_plan(tracker.export_plan(), (table,)).latency_ns[0, 0]
         assert got == expected
         assert got != 1.0
@@ -175,7 +185,7 @@ def _apply(tracker, entry, table):
 
 
 def _vector_tracker(log, table):
-    tracker = VectorStatsTracker(pricer=lambda shapes: table)
+    tracker = VectorStatsTracker()
     for shape in range(_SHAPES):
         tracker.register_shape(("shape", shape))
     for entry in log:
@@ -190,7 +200,7 @@ class TestSharedPricerProperties:
         scalar = StatsTracker()
         for entry in log:
             _apply(scalar, entry, table)
-        vector = _vector_tracker(log, table)
+        vector = _priced(_vector_tracker(log, table), table)
         assert tracker_mismatches(vector, scalar) == []
 
     @settings(max_examples=40, deadline=None)
@@ -215,14 +225,12 @@ class TestByteIdentityEveryBackend:
 
     def test_trackers_bit_identical(self, backend):
         scalar, _, vector, _ = _run_pair(backend)
-        assert tracker_mismatches(vector.stats, scalar.stats) == []
+        assert tracker_mismatches(vector, scalar) == []
 
     def test_results_and_payloads_identical(self, backend):
-        import json
-
         scalar, scalar_result, vector, vector_result = _run_pair(backend)
         verify_equivalence(
-            vector.stats, scalar.stats, vector_result, scalar_result,
+            vector, scalar, vector_result, scalar_result,
             label=f"vecadd on {backend.id}",
         )
         assert json.dumps(vector_result.to_dict()) == json.dumps(
@@ -242,7 +250,7 @@ class TestByteIdentityAcrossBenchmarks:
             backend, key=key, enforce_capacity=False
         )
         verify_equivalence(
-            vector.stats, scalar.stats, vector_result, scalar_result,
+            vector, scalar, vector_result, scalar_result,
             label=f"{key} on fulcrum",
         )
 
@@ -255,7 +263,7 @@ class TestByteIdentityAcrossBenchmarks:
             enforce_capacity=False,
         )
         verify_equivalence(
-            vector.stats, scalar.stats, vector_result, scalar_result,
+            vector, scalar, vector_result, scalar_result,
             label="vecadd on bitserial (paper scale)",
         )
 
@@ -281,28 +289,28 @@ class TestEquivalenceCheckerCatchesDivergence:
         scalar.record_command_batch(
             PimCmdKind.ADD, "add.int32.v", 0.1, 0.1, count=10
         )
-        vector = _add_tracker(0.1, 0.1)
+        vector, table = _add_tracker(0.1, 0.1)
         _log_add(vector, 10, is_batch=True)
-        assert tracker_mismatches(vector, scalar) == []
+        assert tracker_mismatches(_priced(vector, table), scalar) == []
 
     def test_verify_equivalence_raises_with_label(self):
         a = StatsTracker()
         a.record_command(PimCmdKind.ADD, "add.int32.v", 1.0, 1.0)
-        b = _add_tracker(1.0 + 1e-12, 1.0)
+        b, table = _add_tracker(1.0 + 1e-12, 1.0)
         _log_add(b)
         with pytest.raises(VectorEquivalenceError, match="my-cell"):
-            verify_equivalence(b, a, label="my-cell")
+            verify_equivalence(_priced(b, table), a, label="my-cell")
 
     def test_verify_equivalence_passes_on_equal(self):
         a = StatsTracker()
         a.record_command(PimCmdKind.ADD, "add.int32.v", 1.0, 1.0)
         a.record_copy("h2d", 64, 2.0, 3.0)
         a.record_host(5.0, 7.0)
-        b = _add_tracker(1.0, 1.0)
+        b, table = _add_tracker(1.0, 1.0)
         _log_add(b)
         b.record_copy("h2d", 64, 2.0, 3.0)
         b.record_host(5.0, 7.0)
-        verify_equivalence(b, a, label="equal")
+        verify_equivalence(_priced(b, table), a, label="equal")
 
 
 class TestReplayGroups:
@@ -324,21 +332,21 @@ class TestReplayGroups:
     def test_replay_matches_scalar(self, times):
         scalar = StatsTracker()
         self._fill(scalar, times)
-        vector = _add_tracker(0.1, 0.2)
+        vector, table = _add_tracker(0.1, 0.2)
         self._fill(vector, times)
-        assert tracker_mismatches(vector, scalar) == []
+        assert tracker_mismatches(_priced(vector, table), scalar) == []
 
     def test_vector_trace_is_compact(self):
         # The trace holds one index span per log, not copies of entries.
-        vector = _add_tracker(0.1, 0.2)
+        vector, table = _add_tracker(0.1, 0.2)
         with vector.recorded_trace() as trace:
             _log_add(vector)
         assert trace.spans == ((0, 1), (0, 0), (0, 0))
         vector.replay_trace(trace, times=1000)
-        assert vector.total_command_count == 1001
+        assert _priced(vector, table).total_command_count == 1001
 
     def test_replay_zero_times_is_noop(self):
-        vector = _add_tracker(0.1, 0.2)
+        vector, _table = _add_tracker(0.1, 0.2)
         self._fill(vector, 0)
         plan = vector.export_plan()
         logs = (plan.cmd_shape, plan.copy_dir, plan.host_time)
@@ -353,24 +361,30 @@ class TestReplayGroups:
 
 
 class TestTotals:
-    """Vector trackers take shape entries only and hand on plain totals."""
+    """Vector trackers only record; pricing hands on plain totals."""
 
     def _tracker(self):
-        tracker = _add_tracker(1.5, 2.5)
+        tracker, table = _add_tracker(1.5, 2.5)
         _log_add(tracker, 3, is_batch=True)
         tracker.record_copy("h2d", 32, 1.0, 1.0)
-        return tracker
+        return tracker, table
 
     def test_totals_is_plain_and_pickleable(self):
-        tracker = self._tracker()
-        totals = tracker.totals()
+        tracker, table = self._tracker()
+        totals = _priced(tracker, table)
         assert type(totals) is StatsTracker
         clone = pickle.loads(pickle.dumps(totals))
-        assert tracker_mismatches(clone, tracker) == []
+        assert tracker_mismatches(clone, totals) == []
         assert clone.total_command_count == 3
 
+    def test_tracker_holds_logs_not_totals(self):
+        tracker, _table = self._tracker()
+        assert not isinstance(tracker, StatsTracker)
+        for name in ("snapshot", "totals", "total_command_count"):
+            assert not hasattr(tracker, name)
+
     def test_record_command_raises(self):
-        tracker = self._tracker()
+        tracker, _table = self._tracker()
         with pytest.raises(TypeError, match="log_command"):
             tracker.record_command(PimCmdKind.ADD, "add.int32.v", 1.0, 1.0)
         with pytest.raises(TypeError, match="log_command"):
@@ -379,21 +393,77 @@ class TestTotals:
             )
 
     def test_plan_rows_share_no_accumulators(self):
-        tracker = self._tracker()
-        totals = price_plan(tracker.export_plan(), [tracker._price_table()] * 2)
+        tracker, table = self._tracker()
+        totals = price_plan(tracker.export_plan(), [table] * 2)
         first, second = totals.tracker(0), totals.tracker(1)
         first.record_copy("h2d", 8, 1.0, 1.0)
         assert first.copy_bytes == 40 and second.copy_bytes == 32
 
     def test_reset_clears_logs(self):
-        tracker = self._tracker()
+        tracker, table = self._tracker()
         tracker.reset()
-        assert tracker.total_command_count == 0
-        assert len(tracker.export_plan().cmd_shape) == 0
-        assert type(tracker.totals()) is StatsTracker
+        plan = tracker.export_plan()
+        assert len(plan.cmd_shape) == len(plan.copy_dir) == 0
+        assert plan.shape_args == ()
+        assert _priced(tracker).total_command_count == 0
         tracker.register_shape(("add",))
         _log_add(tracker)
-        assert tracker.total_command_count == 1
+        assert _priced(tracker, table).total_command_count == 1
+
+
+class TestCompileThenPrice:
+    """compile_plan records only; synthesize prices once per point."""
+
+    def _count_cost_tables(self, monkeypatch):
+        from repro.arch.base import ArchBackend
+
+        calls = []
+        original = ArchBackend.cost_table
+
+        def counted(self, pipeline, shapes):
+            calls.append(len(shapes))
+            return original(self, pipeline, shapes)
+
+        monkeypatch.setattr(ArchBackend, "cost_table", counted)
+        return calls
+
+    def _cell(self, backend):
+        return CellSpec(
+            "vecadd", backend.device_type, 2, paper_scale=False, vector=True
+        )
+
+    def test_compile_plan_never_prices(self, monkeypatch):
+        from repro.arch import resolve_backend
+
+        calls = self._count_cost_tables(monkeypatch)
+        backend = resolve_backend("bank")
+        plan = compile_plan(self._cell(backend), backend, backend.make_config(2))
+        assert calls == []
+        assert len(plan.shape_args) > 0
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_synthesize_prices_once_per_point(self, monkeypatch, points):
+        from repro.arch import resolve_backend
+
+        backend = resolve_backend("bank")
+        config = backend.make_config(2)
+        plan = compile_plan(self._cell(backend), backend, config)
+        calls = self._count_cost_tables(monkeypatch)
+        rows = synthesize(plan, [(backend, config)] * points)
+        assert calls == [len(plan.shape_args)] * points
+        assert len(rows) == points
+        payloads = {json.dumps(result.to_dict()) for result, _ in rows}
+        assert len(payloads) == 1
+
+    def test_bench_run_on_vector_device_raises(self):
+        from repro.arch import resolve_backend
+
+        device = PimDevice(
+            resolve_backend("fulcrum").make_config(2),
+            functional=False, vector=True,
+        )
+        with pytest.raises(TypeError, match="compile_plan"):
+            make_benchmark("vecadd", paper_scale=False).run(device)
 
 
 class TestVectorDeviceValidation:

@@ -154,7 +154,7 @@ class TestCommands:
     def test_run_vector_check_sets_env_and_passes(self, capsys):
         import os
 
-        from repro.perf.vector import VECTOR_CHECK_ENV
+        from repro.engine.cells import VECTOR_CHECK_ENV
 
         before = os.environ.pop(VECTOR_CHECK_ENV, None)
         try:
@@ -443,7 +443,7 @@ class TestDseSubcommand:
 
     def test_run_vector_check_probe_passes(self, capsys, tmp_path,
                                            monkeypatch):
-        from repro.perf.vector import VECTOR_CHECK_ENV
+        from repro.engine.cells import VECTOR_CHECK_ENV
 
         # The flag exports the env var; monkeypatch restores it.
         monkeypatch.setenv(VECTOR_CHECK_ENV, "")
@@ -460,7 +460,7 @@ class TestDseSubcommand:
         import dataclasses
 
         from repro.arch.base import ArchBackend
-        from repro.perf.vector import VECTOR_CHECK_ENV
+        from repro.engine.cells import VECTOR_CHECK_ENV
 
         original = ArchBackend.cost_table
 
