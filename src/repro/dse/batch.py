@@ -15,11 +15,16 @@ prices a whole geometry group at once:
    vectorized cell runs with one point, so every synthesized total is
    bit-identical to the per-cell result, which is itself bit-identical
    to the scalar path -- and wrap the rows in per-cell
-   :class:`~repro.engine.cells.CellOutcome`\\ s that pickle, disk-cache,
-   and report exactly like per-cell outcomes.
+   :class:`~repro.engine.cells.CellOutcome`\\ s that report exactly
+   like per-cell outcomes.
 
-``REPRO_VECTOR_CHECK=1`` (CLI: ``--vector-check``) bypasses the result
-cache and checks the first, middle and last synthesized cells with
+The plan store is the only cache tier: a synthesized outcome is a pure
+function of its plan and its point's cost table, so it is never
+written to the per-cell store; a warm sweep re-synthesizes it from the
+stored plan.
+
+``REPRO_VECTOR_CHECK=1`` (CLI: ``--vector-check``) bypasses the plan
+store and checks the first, middle and last synthesized cells with
 :func:`~repro.engine.cells.check_against_oracle`; a diverging cell
 becomes a failed outcome naming every mismatch.
 """
@@ -69,9 +74,12 @@ def batch_eligible(spec: "CellSpec") -> bool:
 
 @dataclasses.dataclass
 class BatchReport:
-    """What one :func:`price_cells_batched` call did."""
+    """What one :func:`price_cells_batched` call did.
 
-    cache_hits: int = 0
+    Every cell it returns was synthesized from a plan (``synthesized``);
+    the per-cell cache is never read or written.
+    """
+
     synthesized: int = 0
     plan_hits: int = 0
     plan_misses: int = 0
@@ -129,7 +137,7 @@ def price_group(
     per group entry, in order: :func:`~repro.perf.plans.synthesize`
     with N points -- the function a vectorized cell calls with one --
     plus the group's wall/CPU time apportioned evenly across its
-    points.  Downstream consumers (DiskCache, reports, the frontier)
+    points.  Downstream consumers (reports, the frontier)
     cannot tell a synthesized outcome from a simulated one.
     """
     from repro.obs.telemetry import peak_rss_kb
@@ -205,55 +213,38 @@ def price_cells_batched(
     use_cache: bool = True,
     cache_dir: "str | os.PathLike | None" = None,
 ) -> "tuple[dict[CellSpec, CellOutcome], BatchReport]":
-    """Serve every eligible cell from the plan cache + matrix pricer.
+    """Synthesize every eligible cell from its geometry group's plan.
 
     ``entries`` pairs each cell spec with its (derived) backend; the
     backends must be registry-resolvable while this runs (the sweep
-    calls inside its registration window).  Cells already in the
-    per-cell disk cache are served from it (telemetry re-flagged
-    ``from_cache=True`` exactly like the engine); the rest are grouped
-    by plan key, priced, written back to the per-cell cache under their
-    normal keys, and their telemetry merged into the global registry in
-    entry order -- the same accounting contract as ``run_cells``.
+    calls inside its registration window).  Cells are grouped by plan
+    key; each group's plan is loaded from the plan store (or compiled
+    and written back) and every point of the group is synthesized from
+    it.  Outcomes are never disk-cached, so every cell is synthesized
+    on every run.  Their telemetry is merged into the global registry
+    in entry order -- the same accounting contract as ``run_cells``.
 
     A group whose compile or pricing fails is *deferred*, not failed:
     its cells are left out of the returned mapping and the sweep routes
     them through the per-cell engine, which owns failure semantics.
     """
-    from repro.engine.cache import DiskCache, cell_cache_key
+    from repro.engine.cache import DiskCache
     from repro.obs.metrics import global_registry
     from repro.obs.telemetry import merge_cell_telemetry
 
-    # The armed check keeps the sweep off the cell and plan caches, so
-    # no cached entry escapes it.
+    # The armed check keeps the sweep off the plan store, so no stored
+    # plan escapes it.
     cache: "DiskCache | None" = (
         DiskCache(cache_dir)
         if use_cache and not vector_check_enabled() else None
     )
     report = BatchReport()
     outcomes: "dict[CellSpec, CellOutcome]" = {}
-    keys: "dict[CellSpec, str]" = {}
-    synthesized: "set[CellSpec]" = set()
-
-    if cache is not None:
-        for spec, _backend in entries:
-            key = keys[spec] = cell_cache_key(spec)
-            cached = cache.get(key)
-            if cached is not None:
-                telemetry = getattr(cached, "telemetry", None)
-                if telemetry is not None:
-                    cached.telemetry = dataclasses.replace(
-                        telemetry, from_cache=True
-                    )
-                outcomes[spec] = cached
-                report.cache_hits += 1
 
     groups: "OrderedDict[str, list[tuple[CellSpec, ArchBackend, DeviceConfig]]]" = OrderedDict()
     known_keys: "dict[typing.Hashable, str]" = {}
     unkeyed = 0
     for spec, backend in entries:
-        if spec in outcomes:
-            continue
         # A cell whose config or plan key cannot even be computed (an
         # unknown benchmark, an invalid geometry) is deferred like a
         # failed compile: the per-cell engine owns failure semantics
@@ -307,17 +298,14 @@ def price_cells_batched(
             continue
         for (spec, _backend, _config), outcome in zip(group, priced):
             outcomes[spec] = outcome
-            synthesized.add(spec)
-    report.synthesized = len(synthesized)
+    report.synthesized = len(outcomes)
 
-    # Fresh cells in sweep order.  Under the check the cache is off, so
-    # a cell the oracle rejects is never written.
-    fresh = [spec for spec, _backend in entries if spec in synthesized]
     if vector_check_enabled():
-        report.checked = _check_against_oracle(fresh, outcomes)
-    if cache is not None:
-        for spec in fresh:
-            cache.put(keys[spec], outcomes[spec])
+        # Sample in sweep order, not group order.
+        report.checked = _check_against_oracle(
+            [spec for spec, _backend in entries if spec in outcomes],
+            outcomes,
+        )
 
     merge_cell_telemetry(
         registry,
@@ -326,6 +314,4 @@ def price_cells_batched(
          and (telemetry := getattr(outcomes[spec], "telemetry", None))
          is not None),
     )
-    if cache is not None:
-        cache.flush_usage()
     return outcomes, report

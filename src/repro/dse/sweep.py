@@ -7,11 +7,13 @@ For every compiled point it derives a
 which registrations are new so the registry is restored afterwards --
 a sweep must leave the process exactly as it found it, including under
 ``repro serve``), builds one :class:`~repro.engine.cells.CellSpec` per
-(point, benchmark) with the vectorized pricer on by default, and hands
-the whole batch to :func:`repro.engine.run_cells` -- which supplies
-caching (parametric cache keys are sound by construction: the knob
-digest rides in both the device-config material and the model-version
-stamp), process fan-out, retries, and deterministic merge order.
+(point, benchmark) with the vectorized pricer on by default, prices
+the batch-eligible cells from cached per-geometry plans
+(:mod:`repro.dse.batch`), and hands the rest to
+:func:`repro.engine.run_cells` -- which supplies per-cell caching
+(parametric cache keys are sound by construction: the knob digest rides
+in both the device-config material and the model-version stamp),
+process fan-out, retries, and deterministic merge order.
 
 Metrics per point: kernel+host latency (ns) and energy (nJ), geometric
 mean over the sweep's benchmarks, plus the ``banks x pe-width`` area
@@ -108,6 +110,8 @@ class SweepResult:
     spec: SweepSpec
     outcomes: "list[PointOutcome]"
     frontier_ids: "tuple[str, ...]"
+    #: Per-cell cache hits among the cells ``run_cells`` served.  A
+    #: batch-priced cell is synthesized on every run: it is a miss.
     cache_hits: int = 0
     cache_misses: int = 0
     jobs: int = 1
@@ -188,12 +192,15 @@ def run_sweep(
     analytic vector cells are grouped by geometry signature and priced
     through the matrix pricer (:mod:`repro.dse.batch`) -- one benchmark
     compile per group instead of one per point, with bit-identical
-    totals by the PR 7 summation contract.  The per-cell engine path
-    still runs for anything the matrix pricer rejects (``vector=False``,
-    functional, fault plans) or defers.  Under the strict
-    equivalence gate (``REPRO_VECTOR_CHECK``) the sweep still
-    batch-prices, and the first, middle and last synthesized cells are
-    bit-compared against the scalar oracle.
+    totals by the summation contract.  With ``use_cache`` the group's
+    plan is persisted in the plan store; the synthesized cells are not,
+    so a warm sweep re-prices them from stored plans.  The per-cell
+    engine path, with its per-cell cache, still runs for anything the
+    matrix pricer rejects (``vector=False``, functional, fault plans)
+    or defers.  Under the strict equivalence gate
+    (``REPRO_VECTOR_CHECK``) the sweep still batch-prices, and the
+    first, middle and last synthesized cells are bit-compared against
+    the scalar oracle.
     """
     wall0 = time.perf_counter()
     points = spec.compile_points()
@@ -218,7 +225,7 @@ def run_sweep(
                 cell_specs.append(cell)
                 index[cell] = (point, benchmark)
         batch_outcomes: "dict[CellSpec, typing.Any]" = {}
-        plan_hits = plan_misses = batch_hits = synthesized = checked = 0
+        plan_hits = plan_misses = synthesized = checked = 0
         if vector:
             eligible = [
                 (cell, derived[index[cell][0].point_id])
@@ -231,7 +238,6 @@ def run_sweep(
                 )
                 plan_hits = batch_report.plan_hits
                 plan_misses = batch_report.plan_misses
-                batch_hits = batch_report.cache_hits
                 synthesized = batch_report.synthesized
                 checked = batch_report.checked
         remaining = [c for c in cell_specs if c not in batch_outcomes]
@@ -304,7 +310,7 @@ def run_sweep(
         spec=spec,
         outcomes=outcomes,
         frontier_ids=tuple(p.key for p in frontier),
-        cache_hits=batch_hits + (execution.hits if execution else 0),
+        cache_hits=execution.hits if execution else 0,
         cache_misses=synthesized + (execution.misses if execution else 0),
         jobs=execution.jobs if execution else resolve_jobs(jobs),
         sample_results=sample_results,

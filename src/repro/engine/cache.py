@@ -186,7 +186,8 @@ class DiskCache:
     """File-per-entry pickle store under a cache root.
 
     Entries live at ``<root>/cells/<key[:2]>/<key>.pkl`` (the two-char
-    fan-out keeps directories small on full-sweep workloads).  Writes
+    fan-out keeps directories small on full-sweep workloads); pricing
+    plans at ``<root>/plans/<key[:2]>/<key>.pkl``.  Writes
     are atomic (temp file + rename) so a crashed or parallel run never
     leaves a half-written entry behind for the next reader.
     """
@@ -356,31 +357,34 @@ class DiskCache:
                 pass
         return totals
 
+    def _entry_paths(self) -> "list[pathlib.Path]":
+        """Every stored entry file: cells, then plans."""
+        return [
+            path
+            for root in (self.cells_dir, self.plans_dir)
+            for path in sorted(root.rglob("*.pkl"))
+        ]
+
     def entries(self) -> "list[tuple[str, int, float]]":
-        """Every stored entry as ``(key, bytes, mtime)``, sorted by key."""
+        """Every stored cell and plan as ``(key, bytes, mtime)``, by key."""
         found = []
-        if not self.cells_dir.exists():
-            return found
-        for path in sorted(self.cells_dir.rglob("*.pkl")):
+        for path in self._entry_paths():
             try:
                 stat = path.stat()
             except OSError:  # racing delete
                 continue
             found.append((path.stem, stat.st_size, stat.st_mtime))
-        return found
+        return sorted(found)
 
     def clear(self) -> int:
         """Delete every entry (cells and plans); returns how many."""
         removed = 0
-        for root in (self.cells_dir, self.plans_dir):
-            if not root.exists():
-                continue
-            for path in sorted(root.rglob("*.pkl")):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        for path in self._entry_paths():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed
 
     def stats(self) -> "tuple[int, int]":

@@ -130,19 +130,18 @@ def model_version(device_type: "DeviceTypeLike", benchmark_key: str) -> str:
 def vector_stamp() -> str:
     """Digest of the vectorized pricing engine's own sources.
 
-    Covers the histogram tracker (``perf/vector.py``), the shared
-    pricer and plan layout (``perf/plans.py``), and the sweep pricer
-    that synthesizes batch-priced outcomes (``dse/batch.py``).  Folded
-    into the cache key only for ``vector=True`` cells, and into every
-    pricing-plan key: editing any of the three invalidates exactly the
-    vectorized entries and the plans (scalar keys never contain it).
+    Covers the histogram tracker (``perf/vector.py``) and the shared
+    pricer and plan layout (``perf/plans.py``).  The sweep pricer
+    (``dse/batch.py``) is not covered: it persists nothing whose content
+    it decides.  Folded into the cache key only for ``vector=True``
+    cells, and into every pricing-plan key: editing either file
+    invalidates exactly the vectorized entries and the plans (scalar
+    keys never contain it).
     Vectorized and scalar results never share a cache entry even though
     their totals are byte-identical by contract -- a belt-and-braces
     guard so a vector bug cannot poison scalar results, or vice versa.
     """
-    return _digest_entries(
-        ("perf/vector.py", "perf/plans.py", "dse/batch.py")
-    )[:12]
+    return _digest_entries(("perf/vector.py", "perf/plans.py"))[:12]
 
 
 def clear_stamp_caches() -> None:

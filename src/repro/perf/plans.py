@@ -36,8 +36,8 @@ signature, as does ``fulcrum_subarrays_per_core``, which feeds the
 device's core count.
 
 Plan-cache entries are stamped with :func:`repro.engine.version.
-vector_stamp` (this module + the vector engine + the sweep pricer), the
-same digest every vectorized cell key carries.
+vector_stamp` (this module + the vector engine), the same digest every
+vectorized cell key carries.
 """
 
 from __future__ import annotations

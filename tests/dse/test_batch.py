@@ -15,6 +15,7 @@ import pytest
 from repro.arch.base import ArchBackend
 from repro.dse import SweepSpec, render_json, run_sweep, sweep_payload
 from repro.dse.batch import batch_eligible
+from repro.engine.cache import DiskCache
 from repro.engine.cells import VECTOR_CHECK_ENV, CellSpec
 from repro.obs.metrics import global_registry
 
@@ -140,11 +141,9 @@ class TestIdentity:
             (message,) = outcome.errors.values()
             assert "diverged from the scalar path" in message
             assert "latency_ns" in message
-        monkeypatch.delenv(VECTOR_CHECK_ENV)
-        warm = _run(spec, use_cache=True, cache_dir=tmp_path)
         # Nothing, failed cells included, is written while the check
-        # is armed.
-        assert warm.cache_hits == 0
+        # is armed: not even the plan.
+        assert not list(DiskCache(tmp_path).plans_dir.rglob("*.pkl"))
 
     def test_check_audits_a_warm_cache(self, monkeypatch, tmp_path):
         """An armed check bypasses the cache, so a cost-table bug that
@@ -199,21 +198,37 @@ class TestFallback:
 
 class TestCaching:
     def test_warm_run_serves_batched_entries_from_disk(self, tmp_path):
+        """A warm sweep loads its plan and re-synthesizes every cell."""
         spec = _spec()
         cold = _run(spec, use_cache=True, cache_dir=tmp_path)
         warm = _run(spec, use_cache=True, cache_dir=tmp_path)
-        assert cold.batched_cells == 3 and cold.cache_hits == 0
-        assert warm.cache_hits == 3 and warm.batched_cells == 0
+        assert cold.plan_misses == 1 and cold.batched_cells == 3
+        assert warm.plan_hits == 1 and warm.plan_misses == 0
+        assert warm.cache_hits == 0 and warm.batched_cells == 3
         assert render_json(sweep_payload(cold)) == render_json(
             sweep_payload(warm)
         )
 
+    def test_cold_sweep_writes_no_cell_entries(self, monkeypatch, tmp_path):
+        """The plan store is the sweep's only cache tier: batch-priced
+        cells never reach the per-cell store."""
+        puts = []
+        original = DiskCache.put
+
+        def counted(self, key, outcome):
+            puts.append(key)
+            return original(self, key, outcome)
+
+        monkeypatch.setattr(DiskCache, "put", counted)
+        cold = _run(use_cache=True, cache_dir=tmp_path)
+        assert cold.batched_cells == 3
+        assert puts == []
+        assert not list(DiskCache(tmp_path).cells_dir.rglob("*.pkl"))
+        assert len(list(DiskCache(tmp_path).plans_dir.rglob("*.pkl"))) == 1
+
     def test_corrupted_plan_entry_warns_deletes_and_recompiles(
         self, tmp_path
     ):
-        import shutil
-
-        from repro.engine.cache import DiskCache
         from repro.perf.plans import PricingPlan
 
         spec = _spec()
@@ -221,7 +236,6 @@ class TestCaching:
         plan_files = list(DiskCache(tmp_path).plans_dir.rglob("*.pkl"))
         assert cold.plan_misses == 1 and len(plan_files) == 1
         plan_files[0].write_bytes(b"not a pickle")
-        shutil.rmtree(DiskCache(tmp_path).cells_dir)  # force plan reads
         with pytest.warns(RuntimeWarning, match="corrupted plan entry"):
             again = _run(spec, use_cache=True, cache_dir=tmp_path)
         assert again.plan_misses == 1 and again.plan_hits == 0
@@ -232,56 +246,6 @@ class TestCaching:
         assert render_json(sweep_payload(cold)) == render_json(
             sweep_payload(again)
         )
-
-    def test_per_cell_path_reads_batched_cache_entries(self, tmp_path):
-        """Synthesized outcomes are cached under the normal cell keys:
-        the per-cell engine serves them without simulating."""
-        from repro.arch.parametric import ParametricBackend
-        from repro.arch.registry import (
-            register_backend,
-            resolve_backend,
-            unregister_backend,
-        )
-        from repro.engine import run_cells
-
-        spec = _spec()
-        cold = _run(spec, use_cache=True, cache_dir=tmp_path)
-        assert cold.batched_cells == 3
-        backends = [
-            ParametricBackend(
-                resolve_backend(point.base), point.knobs, canonical=True
-            )
-            for point in spec.compile_points()
-        ]
-        cells = [
-            CellSpec(
-                benchmark_key="vecadd",
-                device_type=backend.device_type,
-                num_ranks=spec.num_ranks,
-                paper_scale=True,
-                functional=False,
-                enforce_capacity=False,
-                vector=True,
-            )
-            for backend in backends
-        ]
-        for backend in backends:
-            register_backend(backend)
-        try:
-            warm = run_cells(
-                cells, jobs=1, use_cache=True, cache_dir=tmp_path
-            )
-        finally:
-            for backend in backends:
-                unregister_backend(backend.id)
-        assert warm.hits == 3 and warm.misses == 0
-        for point, cell in zip(cold.outcomes, cells):
-            result = warm.outcomes[cell].result
-            assert point.per_benchmark["vecadd"] == {
-                "latency_ns": result.pim_kernel_host_time_ns,
-                "energy_nj": result.pim_kernel_host_energy_nj,
-                "commands": float(sum(result.op_counts.values())),
-            }
 
 
 class TestCellSpecHash:

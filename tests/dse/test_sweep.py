@@ -202,11 +202,18 @@ class TestReport:
 
 class TestCaching:
     def test_second_run_is_all_hits(self, tmp_path):
+        """Plan hits: the warm sweep compiles nothing and re-synthesizes
+        every cell from the stored plans."""
         spec = _spec()
         cold = run_sweep(spec, jobs=1, cache_dir=tmp_path)
         warm = run_sweep(spec, jobs=1, cache_dir=tmp_path)
         assert cold.cache_misses == 2 and cold.cache_hits == 0
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
+        assert cold.plan_misses == 2 and cold.plan_hits == 0
+        assert warm.plan_hits == 2 and warm.plan_misses == 0
+        assert warm.cache_hits == 0 and warm.batched_cells == 2
         for a, b in zip(cold.outcomes, warm.outcomes):
             assert a.metrics == b.metrics
         assert isinstance(warm.outcomes[0].metrics, PointMetrics)
+        assert render_json(sweep_payload(cold)) == render_json(
+            sweep_payload(warm)
+        )

@@ -62,18 +62,34 @@ class TestCacheKeySeparation:
         assert len(stamp) == 12
         assert stamp == vector_stamp()
 
-    @pytest.mark.parametrize("source", ["perf/plans.py", "dse/batch.py"])
-    def test_pricer_edit_moves_vector_keys_only(self, source, monkeypatch):
-        """Batch-priced outcomes are cached under vector keys, so an
-        edit to the shared pricer or the sweep pricer must move them;
-        scalar keys never contain the vector stamp."""
+    @pytest.mark.parametrize("source, moves", [
+        pytest.param("perf/plans.py", True, id="perf/plans.py"),
+        pytest.param("dse/batch.py", False, id="dse/batch.py"),
+    ])
+    def test_pricer_edit_moves_vector_keys_only(
+        self, source, moves, monkeypatch
+    ):
+        """An edit to the shared pricer moves vector cell keys and plan
+        keys; scalar keys never contain the vector stamp.  The sweep
+        pricer persists nothing whose content it decides, so an edit to
+        it moves no key at all."""
         import pathlib
 
         from repro.engine import version
+        from repro.perf.plans import plan_cache_key
 
-        spec = _spec(device_type=resolve_backend("bank").device_type)
+        backend = resolve_backend("bank")
+        spec = _spec(device_type=backend.device_type)
         scalar = dataclasses.replace(spec, vector=False)
-        before = cell_cache_key(spec), cell_cache_key(scalar)
+
+        def keys():
+            return (
+                cell_cache_key(spec),
+                plan_cache_key(backend, spec),
+                cell_cache_key(scalar),
+            )
+
+        before = keys()
         read_bytes = pathlib.Path.read_bytes
 
         def edited(path):
@@ -85,8 +101,10 @@ class TestCacheKeySeparation:
         monkeypatch.setattr(pathlib.Path, "read_bytes", edited)
         version.clear_stamp_caches()
         try:
-            assert cell_cache_key(spec) != before[0]
-            assert cell_cache_key(scalar) == before[1]
+            vector_key, plan_key, scalar_key = keys()
+            assert (vector_key != before[0]) is moves
+            assert (plan_key != before[1]) is moves
+            assert scalar_key == before[2]
         finally:
             monkeypatch.undo()
             version.clear_stamp_caches()

@@ -503,6 +503,38 @@ class TestDseSubcommand:
         assert "on the Pareto frontier" in out
         assert "latency_ns" in out
 
+    def _cached_run(self, tmp_path, cache, *extra):
+        return main(["dse", "run", "--spec", self._spec_file(tmp_path),
+                     "--jobs", "1", "--cache-dir", str(cache), *extra])
+
+    def test_warm_sweep_reprices_from_plans(self, capsys, tmp_path):
+        """A cached sweep stores one plan per geometry group and no
+        cell; the warm rerun compiles nothing and writes the same
+        report byte for byte."""
+        cache = tmp_path / "cache"
+        reports = [tmp_path / "cold.json", tmp_path / "warm.json"]
+        for report in reports:
+            assert self._cached_run(
+                tmp_path, cache, "--report", str(report)
+            ) == 0
+        out = capsys.readouterr().out
+        assert "plan cache: 0 hit(s), 2 compile(s)" in out
+        assert "plan cache: 2 hit(s), 0 compile(s)" in out
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert not list((cache / "cells").rglob("*.pkl"))
+
+    def test_cache_info_counts_sweep_plans(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        assert self._cached_run(tmp_path, cache) == 0
+        plans = list((cache / "plans").rglob("*.pkl"))
+        assert len(plans) == 2
+        capsys.readouterr()
+        assert main(["cache", "info", "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        size = sum(path.stat().st_size for path in plans)
+        assert "Entries         : 2" in out
+        assert f"Size            : {size / 1024:.1f} KiB" in out
+
     def test_bad_spec_exits_with_coded_message(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "axes": {"warp": [1]}}))
