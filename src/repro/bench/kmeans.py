@@ -98,7 +98,7 @@ class KMeansBenchmark(PimBenchmark):
         if device.functional:
             for _ in range(iterations):
                 one_iteration()
-        else:
+        elif iterations:
             # Analytic iterations issue the identical command sequence
             # (the representative scalars don't change between Lloyd
             # rounds), so record the first iteration and replay the rest

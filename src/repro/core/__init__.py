@@ -1,6 +1,6 @@
 """Core simulator: device, objects, resources, commands, and stats."""
 
-from repro.core.commands import CmdSpec, CommandTrace, OpCategory, PimCmdKind
+from repro.core.commands import CmdSpec, OpCategory, PimCmdKind
 from repro.core.device import PimDevice
 from repro.core.errors import (
     PimAllocationError,
@@ -22,7 +22,6 @@ from repro.core.stats import (
 
 __all__ = [
     "CmdSpec",
-    "CommandTrace",
     "OpCategory",
     "PimCmdKind",
     "PimDevice",

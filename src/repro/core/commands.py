@@ -113,14 +113,3 @@ SCALAR_COMPARE_KINDS = (
     PimCmdKind.MAX_SCALAR,
 )
 
-
-@dataclasses.dataclass(frozen=True)
-class CommandTrace:
-    """One executed command, as recorded by the stats tracker."""
-
-    kind: PimCmdKind
-    dtype_bits: int
-    num_elements: int
-    latency_ns: float
-    energy_nj: float
-    background_energy_nj: float = 0.0

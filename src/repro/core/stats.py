@@ -100,19 +100,25 @@ class CopyStats:
 
 @dataclasses.dataclass
 class RecordedTrace:
-    """A replayable sub-trace: the ``record_*`` calls one code region made.
+    """A replayable sub-trace: the recording calls one code region made.
 
-    Captured by :meth:`StatsTracker.recorded_trace` and re-applied by
-    :meth:`StatsTracker.replay_trace`.  Replaying dispatches the *same
-    method calls with the same arguments in the same order*, so the
-    accumulators advance through the identical sequence of float
-    operations -- and an attached bus sees the identical event stream --
-    as re-running the region.  Benchmarks whose analytic inner loops
+    Captured by :meth:`TraceRecording.recorded_trace` and re-applied by
+    :meth:`TraceRecording.replay_trace` on either stats tracker: the
+    scalar tracker's ``record_*`` calls, or the vector tracker's
+    ``log_command``/``record_copy``/``record_host`` calls.  Replaying
+    dispatches the *same method calls with the same arguments in the
+    same order*, so the accumulators advance through the identical
+    sequence of float operations -- an attached bus sees the identical
+    event stream, a vector log receives the identical entries -- as
+    re-running the region.  Benchmarks whose analytic inner loops
     repeat an identical command sequence (AES mix-columns per column,
     k-means per iteration, histogram per channel) record one repetition
     and replay the rest.
     """
 
+    #: The tracker class that recorded the calls; only its instances
+    #: (or subclasses) have the methods the entries name.
+    tracker: type
     entries: "list[tuple[str, tuple]]" = dataclasses.field(
         default_factory=list
     )
@@ -121,7 +127,60 @@ class RecordedTrace:
         return len(self.entries)
 
 
-class StatsTracker:
+class TraceRecording:
+    """Trace record/replay, shared by both stats trackers.
+
+    A tracker sets ``_recording`` to ``None`` in ``__init__``; its
+    recording methods append ``(method name, args)`` to it while a trace
+    is being recorded, so when nothing records the cost is one
+    (instance) attribute check per call.
+    """
+
+    _recording: "list[tuple[str, tuple]] | None"
+
+    @contextlib.contextmanager
+    def recorded_trace(self) -> "typing.Iterator[RecordedTrace]":
+        """Capture every recording call made inside the ``with`` body.
+
+        The recorded pass itself is billed normally; the returned
+        :class:`RecordedTrace` can then be re-applied with
+        :meth:`replay_trace`.  Recording does not nest.
+        """
+        if self._recording is not None:
+            raise RuntimeError("a stats trace is already being recorded")
+        trace = RecordedTrace(type(self))
+        self._recording = trace.entries
+        try:
+            yield trace
+        finally:
+            self._recording = None
+
+    def replay_trace(self, trace: RecordedTrace, times: int = 1) -> None:
+        """Re-apply a recorded trace ``times`` more times.
+
+        Dispatches each captured call back through the same method, so
+        totals, per-signature tables, the event census, any attached
+        bus's event stream and the vector logs are bit-identical to
+        running the recorded region ``times`` more times.  A trace
+        recorded by the other tracker kind raises :class:`TypeError`
+        before anything is billed.
+        """
+        if times < 0:
+            raise ValueError(f"times must be >= 0, got {times}")
+        if self._recording is not None:
+            raise RuntimeError("cannot replay while recording a trace")
+        if not isinstance(self, trace.tracker):
+            raise TypeError(
+                f"a {trace.tracker.__name__} trace cannot be replayed on "
+                f"a {type(self).__name__}"
+            )
+        calls = [(getattr(self, name), args) for name, args in trace.entries]
+        for _ in range(times):
+            for method, args in calls:
+                method(*args)
+
+
+class StatsTracker(TraceRecording):
     """Mutable statistics store attached to a device.
 
     ``bus`` is the optional observability hook: when an
@@ -142,7 +201,7 @@ class StatsTracker:
         self.host_time_ns = 0.0
         self.host_energy_nj = 0.0
         self.events = EventCounts()
-        self._recording: "list[tuple[str, tuple]] | None" = None
+        self._recording = None
 
     # -- recording ----------------------------------------------------------
 
@@ -290,41 +349,6 @@ class StatsTracker:
             self._recording.append(
                 ("record_host", (time_ns, energy_nj, label))
             )
-
-    # -- trace record / replay ----------------------------------------------
-
-    @contextlib.contextmanager
-    def recorded_trace(self) -> "typing.Iterator[RecordedTrace]":
-        """Capture every ``record_*`` call made inside the ``with`` body.
-
-        The recorded pass itself is billed normally; the returned
-        :class:`RecordedTrace` can then be re-applied with
-        :meth:`replay_trace`.  Recording does not nest.
-        """
-        if self._recording is not None:
-            raise RuntimeError("a stats trace is already being recorded")
-        trace = RecordedTrace()
-        self._recording = trace.entries
-        try:
-            yield trace
-        finally:
-            self._recording = None
-
-    def replay_trace(self, trace: RecordedTrace, times: int = 1) -> None:
-        """Re-apply a recorded trace ``times`` more times.
-
-        Dispatches each captured call back through the same ``record_*``
-        method, so totals, per-signature tables, the event census, and
-        any attached bus's event stream are bit-identical to running
-        the recorded region ``times`` more times.
-        """
-        if times < 0:
-            raise ValueError(f"times must be >= 0, got {times}")
-        if self._recording is not None:
-            raise RuntimeError("cannot replay while recording a trace")
-        for _ in range(times):
-            for method_name, args in trace.entries:
-                getattr(self, method_name)(*args)
 
     def reset(self) -> None:
         """Zero every accumulator; the attached bus (if any) is kept."""

@@ -19,8 +19,7 @@ from repro.arch import resolve_backend
 from repro.config.device import PimArchParams
 from repro.core.commands import PimCmdKind
 from repro.core.device import PimDevice
-
-NUM_ELEMENTS = 256 * 1024 * 1024
+from repro.experiments.sensitivity import NUM_ELEMENTS, single_op_latency_ms
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,22 +29,6 @@ class AblationPoint:
     study: str
     value: float
     latency_ms: float
-
-
-def _single_op_latency_ms(
-    device: PimDevice, kind: PimCmdKind, num_elements: int = NUM_ELEMENTS
-) -> float:
-    obj_a = device.alloc(num_elements)
-    inputs = [obj_a]
-    if kind.spec.num_vector_inputs == 2:
-        inputs.append(device.alloc_associated(obj_a))
-    dest = None if kind.spec.produces_scalar else device.alloc_associated(obj_a)
-    before = device.stats.kernel_time_ns
-    device.execute(kind, tuple(inputs), dest)
-    latency = (device.stats.kernel_time_ns - before) / 1e6
-    for obj in inputs + ([dest] if dest is not None else []):
-        device.free(obj)
-    return latency
 
 
 def gdl_width_sweep(
@@ -60,7 +43,7 @@ def gdl_width_sweep(
         points.append(AblationPoint(
             study="gdl_width",
             value=float(width),
-            latency_ms=_single_op_latency_ms(device, kind),
+            latency_ms=single_op_latency_ms(device, kind),
         ))
     return points
 
@@ -80,7 +63,7 @@ def alu_clock_sweep(
         points.append(AblationPoint(
             study="alu_clock",
             value=freq,
-            latency_ms=_single_op_latency_ms(device, kind),
+            latency_ms=single_op_latency_ms(device, kind),
         ))
     return points
 
@@ -99,7 +82,7 @@ def fulcrum_simd_width_sweep(
         points.append(AblationPoint(
             study="fulcrum_simd",
             value=float(width),
-            latency_ms=_single_op_latency_ms(device, PimCmdKind.ADD),
+            latency_ms=single_op_latency_ms(device, PimCmdKind.ADD),
         ))
     return points
 
@@ -114,7 +97,7 @@ def bitserial_reduction_strategies() -> "list[AblationPoint]":
     """
     config = resolve_backend("bitserial").make_config(32)
     device = PimDevice(config, functional=False)
-    on_pim = _single_op_latency_ms(device, PimCmdKind.REDSUM)
+    on_pim = single_op_latency_ms(device, PimCmdKind.REDSUM)
 
     # Host offload: one device-to-host transfer plus a streaming host sum.
     from repro.baselines.cpu import CpuModel
@@ -189,7 +172,7 @@ def digital_vs_analog_bitserial(
             points.append(AblationPoint(
                 study=f"bitserial:{label}:{kind.api_name}",
                 value=float(index),
-                latency_ms=_single_op_latency_ms(device, kind),
+                latency_ms=single_op_latency_ms(device, kind),
             ))
     return points
 

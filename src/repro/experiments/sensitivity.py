@@ -44,16 +44,13 @@ class SensitivityPoint:
     latency_ms: float
 
 
-def _measure(device: PimDevice, operation: str) -> float:
+def single_op_latency_ms(device: PimDevice, kind: PimCmdKind) -> float:
     """Kernel latency (ms) of one primitive over the 256M-element vector."""
-    kind = _OP_KINDS[operation]
     obj_a = device.alloc(NUM_ELEMENTS)
     inputs = [obj_a]
     if kind.spec.num_vector_inputs == 2:
         inputs.append(device.alloc_associated(obj_a))
-    dest = None
-    if not kind.spec.produces_scalar:
-        dest = device.alloc_associated(obj_a)
+    dest = None if kind.spec.produces_scalar else device.alloc_associated(obj_a)
     before = device.stats.kernel_time_ns
     device.execute(kind, tuple(inputs), dest)
     latency_ms = (device.stats.kernel_time_ns - before) / 1e6
@@ -77,7 +74,9 @@ def column_sensitivity(num_ranks: int = 8) -> "list[SensitivityPoint]":
                     operation=operation,
                     parameter="cols",
                     value=cols,
-                    latency_ms=_measure(device, operation),
+                    latency_ms=single_op_latency_ms(
+                        device, _OP_KINDS[operation]
+                    ),
                 ))
     return points
 
@@ -97,7 +96,9 @@ def bank_sensitivity(num_ranks: int = 8) -> "list[SensitivityPoint]":
                     operation=operation,
                     parameter="banks",
                     value=banks,
-                    latency_ms=_measure(device, operation),
+                    latency_ms=single_op_latency_ms(
+                        device, _OP_KINDS[operation]
+                    ),
                 ))
     return points
 

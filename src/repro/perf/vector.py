@@ -10,9 +10,9 @@ thousands of times per cell, millions of times per suite.
 :class:`VectorStatsTracker` removes that loop.  In vector mode the device
 does not price commands at issue time at all; it appends ``(shape index,
 multiplicity)`` entries to an append-only log -- a *histogram under
-construction* -- and a ``replay_trace`` of a recorded region extends the
-logs with copies of the recorded span instead of re-dispatching every
-entry through the device.  The tracker only records:
+construction* -- and a ``replay_trace`` of a recorded region re-appends
+the recorded entries without re-walking them through the device.  The
+tracker only records:
 :func:`~repro.perf.plans.compile_plan` exports its logs as a
 :class:`~repro.perf.plans.PricingPlan`, and
 :func:`~repro.perf.plans.synthesize` prices the distinct shapes **once**
@@ -47,7 +47,6 @@ trackers field by field at full bit precision, raising
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -56,7 +55,7 @@ import typing
 
 import numpy as np
 
-from repro.core.stats import COPY_DIRECTIONS, StatsTracker
+from repro.core.stats import COPY_DIRECTIONS, StatsTracker, TraceRecording
 from repro.perf.plans import DIRECTIONS, EVENT_FIELDS, PricingPlan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,19 +106,6 @@ class CostTable:
         return len(self.latency_ns)
 
 
-@dataclasses.dataclass
-class VectorTrace:
-    """A replayable span of the vector logs.
-
-    The vector-mode analogue of :class:`~repro.core.stats.RecordedTrace`:
-    instead of holding copies of the recorded ``record_*`` calls it
-    holds one ``[start, end)`` index span per log (command, copy,
-    host).  Replaying extends each log with its span, repeated.
-    """
-
-    spans: "tuple[tuple[int, int], ...]" = ((0, 0),) * 3
-
-
 def _columns(
     log: "list[tuple]", dtypes: "tuple[type, ...]"
 ) -> "list[np.ndarray]":
@@ -132,14 +118,16 @@ def _columns(
     ]
 
 
-class VectorStatsTracker:
+class VectorStatsTracker(TraceRecording):
     """The command, copy and host logs of one vector-mode device.
 
     The device (in vector mode) registers each distinct command shape
     once and appends ``(shape, signature bucket, kind, multiplicity)``
     entries; copies and host kernels append to their own logs.
-    ``recorded_trace`` captures index spans and ``replay_trace`` extends
-    the logs with them.  The tracker only records: it holds logs, not
+    ``recorded_trace`` and ``replay_trace`` are the scalar tracker's
+    (:class:`~repro.core.stats.TraceRecording`): a trace holds the
+    ``log_command``/``record_copy``/``record_host`` calls and replay
+    dispatches them again.  The tracker only records: it holds logs, not
     totals.  :meth:`export_plan` hands the logs on as a
     :class:`~repro.perf.plans.PricingPlan`, which
     :func:`~repro.perf.plans.synthesize` prices into plain
@@ -155,7 +143,7 @@ class VectorStatsTracker:
     bus = None
 
     def __init__(self) -> None:
-        self._recording = False
+        self._recording = None
         self.reset()
 
     def reset(self) -> None:
@@ -206,9 +194,6 @@ class VectorStatsTracker:
 
     # -- logging ------------------------------------------------------------
 
-    def _logs(self) -> "tuple[list, list, list]":
-        return self._cmd_log, self._copy_log, self._host_log
-
     def log_command(
         self,
         shape_idx: int,
@@ -226,6 +211,11 @@ class VectorStatsTracker:
         self._cmd_log.append(
             (shape_idx, bucket_idx, kind_idx, mult, 1 if is_batch else 0)
         )
+        if self._recording is not None:
+            self._recording.append((
+                "log_command",
+                (shape_idx, bucket_idx, kind_idx, mult, is_batch),
+            ))
 
     def record_command(self, *args, **kwargs) -> None:
         raise TypeError(
@@ -242,58 +232,26 @@ class VectorStatsTracker:
         if index is None:
             raise ValueError(f"unknown copy direction {direction!r}")
         self._copy_log.append((index, num_bytes, latency_ns, energy_nj))
+        if self._recording is not None:
+            self._recording.append(
+                ("record_copy", (direction, num_bytes, latency_ns, energy_nj))
+            )
 
     def record_host(
         self, time_ns: float, energy_nj: float, label: str = "kernel"
     ) -> None:
         self._host_log.append((time_ns, energy_nj))
-
-    # -- trace record / replay ----------------------------------------------
-
-    @contextlib.contextmanager
-    def recorded_trace(self) -> "typing.Iterator[VectorTrace]":
-        """Capture the log spans the ``with`` body appends.
-
-        The recorded pass is billed normally (its entries stay in the
-        logs); the returned :class:`VectorTrace` can be re-applied with
-        :meth:`replay_trace`.  Recording does not nest.
-        """
-        if self._recording:
-            raise RuntimeError("a stats trace is already being recorded")
-        trace = VectorTrace()
-        start = [len(log) for log in self._logs()]
-        self._recording = True
-        try:
-            yield trace
-        finally:
-            trace.spans = tuple(zip(start, map(len, self._logs())))
-            self._recording = False
-
-    def replay_trace(self, trace: VectorTrace, times: int = 1) -> None:
-        """Re-apply a recorded trace ``times`` more times.
-
-        Extends each log with its recorded span repeated ``times``
-        times: the exact entry sequence the scalar path's per-entry
-        re-dispatch would bill, so pricing needs no special case.
-        """
-        if times < 0:
-            raise ValueError(f"times must be >= 0, got {times}")
-        if self._recording:
-            raise RuntimeError("cannot replay while recording a trace")
-        if not isinstance(trace, VectorTrace):
-            raise TypeError(
-                "VectorStatsTracker replays VectorTrace spans, not "
-                f"{type(trace).__name__}"
+        if self._recording is not None:
+            self._recording.append(
+                ("record_host", (time_ns, energy_nj, label))
             )
-        for log, (start, end) in zip(self._logs(), trace.spans):
-            log.extend(log[start:end] * times)
 
     # -- export -------------------------------------------------------------
 
     def export_plan(self) -> PricingPlan:
         """The logs as a :class:`~repro.perf.plans.PricingPlan`.
 
-        Replays already extended the logs, so the plan's columns hold
+        Replays already appended their entries, so the plan's columns hold
         the exact addend sequence the scalar path would have
         accumulated.
         """

@@ -6,9 +6,13 @@ moves every figure.
 """
 
 
+import types
+
+from repro.arch import resolve_backend
 from repro.bench.registry import make_benchmark
 from repro.config.device import PimDeviceType
 from repro.core.commands import PimCmdKind
+from repro.perf.plans import compile_plan, synthesize
 
 from tests.conftest import make_device
 
@@ -79,6 +83,29 @@ class TestTraceShapes:
         assert counts[PimCmdKind.SELECT] == iters * k * 2
         assert counts[PimCmdKind.REDSUM] == iters * k * 3
         assert counts[PimCmdKind.MIN] == iters * (k - 1)
+
+    def test_kmeans_zero_iterations_on_every_path(self):
+        """No Lloyd round: analytic and vector runs issue what functional does."""
+        params = dict(num_points=512, k=3, iterations=0)
+        functional = make_benchmark("kmeans", **params).run(
+            make_device(PimDeviceType.FULCRUM)
+        )
+        analytic = make_benchmark("kmeans", **params).run(
+            make_device(PimDeviceType.FULCRUM, functional=False)
+        )
+        backend = resolve_backend("fulcrum")
+        config = backend.make_config(4)
+        spec = types.SimpleNamespace(
+            benchmark_key="kmeans", enforce_capacity=True,
+            make_benchmark=lambda: make_benchmark("kmeans", **params),
+        )
+        ((vector, _tracker),) = synthesize(
+            compile_plan(spec, backend, config), [(backend, config)]
+        )
+        assert functional.verified
+        assert functional.op_counts  # the setup broadcast still issues
+        assert analytic.op_counts == functional.op_counts
+        assert vector.op_counts == functional.op_counts
 
     def test_filter_is_compare_plus_count(self):
         counts = op_counts("filter", num_records=1024)

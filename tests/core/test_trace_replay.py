@@ -1,18 +1,22 @@
-"""StatsTracker trace record/replay: the batching tool behind benchmarks.
+"""Stats-tracker trace record/replay: the batching tool behind benchmarks.
 
-``recorded_trace()`` captures the ``record_*`` calls a code region makes;
+``recorded_trace()`` captures the recording calls a code region makes;
 ``replay_trace(trace, times=N)`` re-dispatches them, which must be
-indistinguishable -- in every accumulator and on an attached bus -- from
-running the region ``N`` more times.
+indistinguishable -- in every accumulator, on an attached bus and in a
+vector tracker's logs -- from running the region ``N`` more times.  Both
+trackers share the implementation, so the guards run on both.
 """
+
+import copy
 
 import pytest
 
 from repro.config import bitserial_config
 from repro.core.commands import PimCmdKind
 from repro.core.device import PimDevice
-from repro.core.stats import RecordedTrace, StatsTracker
+from repro.core.stats import StatsTracker
 from repro.obs import EventBus, RingBufferSink
+from repro.perf.vector import VectorStatsTracker
 
 
 def _region(device, objs):
@@ -93,28 +97,62 @@ class TestRecordReplay:
         assert replayed.commands == looped.commands
 
 
+def _record_region(tracker):
+    """One command, copy and host kernel, in the tracker's own form."""
+    if isinstance(tracker, VectorStatsTracker):
+        tracker.log_command(
+            tracker.register_shape(("add",)),
+            tracker.bucket_index("add.int32.v"),
+            tracker.kind_index(PimCmdKind.ADD), 1,
+        )
+    else:
+        tracker.record_command(PimCmdKind.ADD, "add.int32.v", 0.1, 0.2)
+    tracker.record_copy("d2d", 8, 0.3, 0.4)
+    tracker.record_host(0.5, 0.6)
+
+
+def _state(tracker):
+    """Everything a replay can change: scalar totals or vector logs."""
+    if isinstance(tracker, VectorStatsTracker):
+        return copy.deepcopy(
+            (tracker._cmd_log, tracker._copy_log, tracker._host_log)
+        )
+    return copy.deepcopy(
+        (tracker.snapshot(), tracker.commands, tracker.op_counts)
+    )
+
+
 class TestRecordingGuards:
+    """The record/replay guards; the subclass below reruns them on the
+    vector tracker, which shares the same implementation."""
+
+    tracker_cls = StatsTracker
+
     def test_recording_does_not_nest(self):
-        tracker = StatsTracker()
+        tracker = self.tracker_cls()
         with tracker.recorded_trace():
             with pytest.raises(RuntimeError, match="already"):
                 with tracker.recorded_trace():
                     pass  # pragma: no cover - the guard raises first
 
     def test_replay_while_recording_rejected(self):
-        tracker = StatsTracker()
+        tracker = self.tracker_cls()
         with tracker.recorded_trace() as trace:
             tracker.record_host(5.0, 1.0)
             with pytest.raises(RuntimeError, match="replay"):
                 tracker.replay_trace(trace)
 
     def test_negative_times_rejected(self):
-        tracker = StatsTracker()
+        tracker = self.tracker_cls()
+        with tracker.recorded_trace() as trace:
+            _record_region(tracker)
+        before = _state(tracker)
         with pytest.raises(ValueError, match="times"):
-            tracker.replay_trace(RecordedTrace(), times=-1)
+            tracker.replay_trace(trace, times=-1)
+        assert _state(tracker) == before
 
     def test_recording_cleared_after_exception(self):
-        tracker = StatsTracker()
+        tracker = self.tracker_cls()
         with pytest.raises(RuntimeError, match="boom"):
             with tracker.recorded_trace():
                 raise RuntimeError("boom")
@@ -123,3 +161,16 @@ class TestRecordingGuards:
         with tracker.recorded_trace() as trace:
             pass
         assert len(trace) == 0
+
+    def test_replay_zero_times_is_noop(self):
+        tracker = self.tracker_cls()
+        with tracker.recorded_trace() as trace:
+            _record_region(tracker)
+        assert len(trace) == 3
+        before = _state(tracker)
+        tracker.replay_trace(trace, times=0)
+        assert _state(tracker) == before
+
+
+class TestVectorRecordingGuards(TestRecordingGuards):
+    tracker_cls = VectorStatsTracker

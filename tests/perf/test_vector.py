@@ -9,6 +9,7 @@ contract -- and, just as importantly, pin that the equivalence checker
 different doubles, and must be reported, not absorbed).
 """
 
+import copy
 import json
 import pickle
 from unittest import mock
@@ -314,7 +315,11 @@ class TestEquivalenceCheckerCatchesDivergence:
 
 
 class TestReplayGroups:
-    """replay_trace extends the logs in place: the scalar sums, exactly."""
+    """Replay re-appends the recorded entries: the scalar sums, exactly.
+
+    The record/replay guards run on both trackers in
+    tests/core/test_trace_replay.py.
+    """
 
     def _fill(self, tracker, times):
         with tracker.recorded_trace() as trace:
@@ -336,28 +341,38 @@ class TestReplayGroups:
         self._fill(vector, times)
         assert tracker_mismatches(_priced(vector, table), scalar) == []
 
-    def test_vector_trace_is_compact(self):
-        # The trace holds one index span per log, not copies of entries.
-        vector, table = _add_tracker(0.1, 0.2)
-        with vector.recorded_trace() as trace:
-            _log_add(vector)
-        assert trace.spans == ((0, 1), (0, 0), (0, 0))
-        vector.replay_trace(trace, times=1000)
-        assert _priced(vector, table).total_command_count == 1001
-
-    def test_replay_zero_times_is_noop(self):
-        vector, _table = _add_tracker(0.1, 0.2)
-        self._fill(vector, 0)
-        plan = vector.export_plan()
-        logs = (plan.cmd_shape, plan.copy_dir, plan.host_time)
-        assert [len(log) for log in logs] == [1, 1, 1]
-
     def test_replay_rejects_scalar_traces(self):
         scalar = StatsTracker()
         with scalar.recorded_trace() as trace:
             scalar.record_host(0.5, 0.6)
-        with pytest.raises(TypeError, match="RecordedTrace"):
-            VectorStatsTracker().replay_trace(trace)
+        vector, table = _add_tracker(0.1, 0.2)
+        self._fill(vector, 1)
+        before = _priced(vector, table)
+        with pytest.raises(
+            TypeError,
+            match="a StatsTracker trace cannot be replayed on a "
+                  "VectorStatsTracker",
+        ):
+            vector.replay_trace(trace, times=2)
+        assert tracker_mismatches(_priced(vector, table), before) == []
+        assert len(vector.export_plan().host_time) == 2
+
+    def test_scalar_replay_rejects_vector_traces(self):
+        vector, _table = _add_tracker(0.1, 0.2)
+        with vector.recorded_trace() as trace:
+            _log_add(vector)
+            vector.record_host(0.5, 0.6)
+        scalar = StatsTracker()
+        self._fill(scalar, 1)
+        before = copy.deepcopy(scalar)
+        with pytest.raises(
+            TypeError,
+            match="a VectorStatsTracker trace cannot be replayed on a "
+                  "StatsTracker",
+        ):
+            scalar.replay_trace(trace, times=2)
+        assert tracker_mismatches(scalar, before) == []
+        assert scalar.commands == before.commands
 
 
 class TestTotals:
