@@ -17,8 +17,11 @@ from repro.config.presets import make_device_config
 from repro.core.commands import PimCmdKind
 from repro.core.device import PimDevice
 from repro.experiments.runner import DEVICE_ORDER
+from repro.experiments.sensitivity import (
+    single_op_latency_ms,
+    single_op_operands,
+)
 
-NUM_ELEMENTS = 256 * 1024 * 1024
 OPERATIONS = {
     "add": PimCmdKind.ADD,
     "mul": PimCmdKind.MUL,
@@ -38,20 +41,11 @@ class MemoryTechPoint:
 
 
 def _measure(device: PimDevice, kind: PimCmdKind) -> "tuple[float, float]":
-    obj_a = device.alloc(NUM_ELEMENTS)
-    inputs = [obj_a]
-    if kind.spec.num_vector_inputs == 2:
-        inputs.append(device.alloc_associated(obj_a))
-    dest = None if kind.spec.produces_scalar else device.alloc_associated(obj_a)
-    for obj in inputs:
-        device.copy_host_to_device(None, obj)
-    kernel_before = device.stats.kernel_time_ns
-    device.execute(kind, tuple(inputs), dest)
-    kernel_ms = (device.stats.kernel_time_ns - kernel_before) / 1e6
-    transfer_ms = device.stats.copy_time_ns / 1e6
-    for obj in inputs + ([dest] if dest is not None else []):
-        device.free(obj)
-    return kernel_ms, transfer_ms
+    """Kernel latency and operand transfer time (ms) of one primitive."""
+    with single_op_operands(device, kind) as (inputs, _dest):
+        for obj in inputs:
+            device.copy_host_to_device(None, obj)
+    return single_op_latency_ms(device, kind), device.stats.copy_time_ns / 1e6
 
 
 def memory_technology_comparison(

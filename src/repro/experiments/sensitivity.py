@@ -12,12 +12,15 @@ multiple row groups per core across the whole parameter range.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import typing
 
 from repro.config.device import PimDeviceType
 from repro.config.presets import make_device_config
 from repro.core.commands import PimCmdKind
 from repro.core.device import PimDevice
+from repro.core.object import PimObject
 from repro.experiments.runner import DEVICE_ORDER
 
 NUM_ELEMENTS = 256 * 1024 * 1024
@@ -44,19 +47,31 @@ class SensitivityPoint:
     latency_ms: float
 
 
-def single_op_latency_ms(device: PimDevice, kind: PimCmdKind) -> float:
-    """Kernel latency (ms) of one primitive over the 256M-element vector."""
+@contextlib.contextmanager
+def single_op_operands(
+    device: PimDevice, kind: PimCmdKind
+) -> "typing.Iterator[tuple[tuple[PimObject, ...], PimObject | None]]":
+    """One primitive's operands over the 256M-element vector.
+
+    Yields ``(inputs, dest)`` (``dest`` is ``None`` for a scalar result)
+    and frees every object on exit.
+    """
     obj_a = device.alloc(NUM_ELEMENTS)
     inputs = [obj_a]
     if kind.spec.num_vector_inputs == 2:
         inputs.append(device.alloc_associated(obj_a))
     dest = None if kind.spec.produces_scalar else device.alloc_associated(obj_a)
-    before = device.stats.kernel_time_ns
-    device.execute(kind, tuple(inputs), dest)
-    latency_ms = (device.stats.kernel_time_ns - before) / 1e6
+    yield tuple(inputs), dest
     for obj in inputs + ([dest] if dest is not None else []):
         device.free(obj)
-    return latency_ms
+
+
+def single_op_latency_ms(device: PimDevice, kind: PimCmdKind) -> float:
+    """Kernel latency (ms) of one primitive over the 256M-element vector."""
+    with single_op_operands(device, kind) as (inputs, dest):
+        before = device.stats.kernel_time_ns
+        device.execute(kind, inputs, dest)
+        return (device.stats.kernel_time_ns - before) / 1e6
 
 
 def column_sensitivity(num_ranks: int = 8) -> "list[SensitivityPoint]":

@@ -93,9 +93,11 @@ VALUE_FIELDS = ("latency_ns", "execution_nj", "background_nj") + EVENT_FIELDS
 #: Copy-direction order of a plan's ``copy_dir`` column.
 DIRECTIONS = tuple(COPY_DIRECTIONS)
 
-#: Soft cap on the expanded-addend matrix (points x repeated entries)
-#: one pricing slab may hold, in float64 elements (~128 MiB).  Purely a
-#: memory bound: rows are independent, so slabbing cannot change a bit.
+#: Soft cap, in float64 elements (~128 MiB), on each pricing buffer:
+#: a chunk of expanded entries x distinct cost rows, and the gathered
+#: addends of a block of distinct rows.  Purely a memory bound: each
+#: chunk carries the running totals in as its first row, so the adds
+#: happen in the same order and chunking cannot change a bit.
 _SLAB_ELEMENTS = 16_000_000
 
 
@@ -196,23 +198,84 @@ def _first_occurrence_order(values: np.ndarray) -> np.ndarray:
     return uniq[np.argsort(first, kind="stable")]
 
 
-def _row_sums(
+def _column_sums(
     addends: np.ndarray, reps: "np.ndarray | None" = None
 ) -> np.ndarray:
-    """Exact left-to-right float sums of each row: ``(P, E) -> (P,)``.
+    """Exact top-to-bottom float sums of each column: ``(E, K) -> (K,)``.
 
-    ``reps[e] > 1`` replicates column ``e`` that many times (iterated
-    addition, the ``execute_batch`` contract).  ``np.add.accumulate`` is
-    *defined* as the sequential reduction, applied independently per
-    row; ``np.sum``/``np.add.reduce`` use pairwise summation and would
-    differ from the scalar path in the last ulp.
+    ``reps[e]`` replicates row ``e`` that many times (iterated addition,
+    the ``execute_batch`` contract; ``None`` means once each).
+    ``np.add.accumulate`` is *defined* as the sequential reduction, and
+    down axis 0 each step is one add across the K columns;
+    ``np.sum``/``np.add.reduce`` use pairwise summation and would differ
+    from the scalar path in the last ulp.  The expanded rows are walked
+    in chunks of at most ``_SLAB_ELEMENTS // K`` rows, each carrying the
+    running totals in as its first row.
     """
-    if reps is not None and not bool(np.all(reps == 1)):
-        addends = np.repeat(addends, reps, axis=1)
-    points, width = addends.shape
-    seq = np.zeros((points, width + 1), dtype=np.float64)
-    seq[:, 1:] = addends
-    return np.add.accumulate(seq, axis=1)[:, -1]
+    entries, width = addends.shape
+    step = max(1, _SLAB_ELEMENTS // max(1, width))
+    ends = None if reps is None else np.cumsum(reps)
+    expanded = entries if reps is None else int(reps.sum())
+    total = np.zeros(width, dtype=np.float64)
+    for start in range(0, expanded, step):
+        stop = min(expanded, start + step)
+        if ends is None:
+            chunk = addends[start:stop].copy()
+        else:
+            # The entries overlapping [start, stop), each clipped to it.
+            first = int(np.searchsorted(ends, start, side="right"))
+            last = int(np.searchsorted(ends, stop, side="left")) + 1
+            counts = (
+                np.minimum(ends[first:last], stop)
+                - np.maximum(ends[first:last] - reps[first:last], start)
+            )
+            chunk = np.repeat(addends[first:last], counts, axis=0)
+        chunk[0] += total
+        total = np.add.accumulate(chunk, axis=0, out=chunk)[-1].copy()
+        del chunk  # freed before the next chunk is built
+    return total
+
+
+def _distinct_rows(rows: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The bytewise-distinct rows of ``rows`` and each row's index in them."""
+    slots: "dict[bytes, int]" = {}
+    inverse = np.array(
+        [slots.setdefault(row.tobytes(), len(slots)) for row in rows],
+        dtype=np.intp,
+    )
+    distinct = np.empty((len(slots), rows.shape[1]), dtype=rows.dtype)
+    distinct[inverse] = rows
+    return distinct, inverse
+
+
+def _segment_sums(
+    rows: np.ndarray,
+    shape: np.ndarray,
+    scale: np.ndarray,
+    reps: np.ndarray,
+    segments: "list[tuple[int, int]]",
+) -> np.ndarray:
+    """Sum each unit-cost row over each entry segment: ``(segments, K)``.
+
+    Log entry ``e`` adds ``rows[k, shape[e]] * scale[e]``, ``reps[e]``
+    times.  Two bytewise-identical rows expand to the same addend
+    sequence, so only the distinct rows are summed and their sums are
+    scattered back.  Distinct rows are gathered in blocks of at most
+    ``_SLAB_ELEMENTS`` addends.
+    """
+    distinct, inverse = _distinct_rows(rows)
+    if bool(np.all(reps == 1)):
+        reps = None
+    sums = np.empty((len(segments), len(distinct)), dtype=np.float64)
+    block = max(1, _SLAB_ELEMENTS // max(1, len(shape)))
+    for low in range(0, len(distinct), block):
+        addends = np.ascontiguousarray(distinct[low:low + block].T)[shape]
+        addends *= scale[:, None]
+        for index, (start, stop) in enumerate(segments):
+            sums[index, low:low + block] = _column_sums(
+                addends[start:stop], None if reps is None else reps[start:stop]
+            )
+    return sums[:, inverse]
 
 
 def price_plan(
@@ -223,7 +286,8 @@ def price_plan(
     Row ``p`` of the result is bit-identical to the scalar
     :class:`~repro.core.stats.StatsTracker` that issued the plan's
     commands priced by ``tables[p]``: every float accumulator is rebuilt
-    from the scalar path's exact addend sequence by :func:`_row_sums`.
+    from the scalar path's exact addend sequence by :func:`_column_sums`,
+    once per bytewise-distinct cost row (:func:`_segment_sums`).
     ``tables`` may hold ``None`` only when the plan has no shapes.
     """
     points = len(tables)
@@ -254,41 +318,45 @@ def price_plan(
     np.add.at(bucket_counts, plan.cmd_bucket, mult)
     kind_counts = np.zeros(len(plan.kind_objs), dtype=np.int64)
     np.add.at(kind_counts, plan.cmd_kind, mult)
-    buckets = _first_occurrence_order(plan.cmd_bucket).tolist()
-    bucket_masks = [plan.cmd_bucket == bucket for bucket in buckets]
 
-    latency = np.zeros((points, len(buckets)), dtype=np.float64)
-    energy = np.zeros((points, len(buckets)), dtype=np.float64)
-    # Background energy, then the event census.
-    totals = np.zeros((points, len(VALUE_FIELDS) - 2), dtype=np.float64)
-    slab = max(1, _SLAB_ELEMENTS // max(1, int(reps.sum())))
-    for start in range(0, points, slab):
-        stop = min(points, start + slab)
-        for field in range(len(VALUE_FIELDS)):
-            addends = unit[field, start:stop][:, plan.cmd_shape] * scale
-            if field < 2:
-                out = latency if field == 0 else energy
-                for index, mask in enumerate(bucket_masks):
-                    out[start:stop, index] = _row_sums(
-                        addends[:, mask], reps[mask]
-                    )
-            else:
-                totals[start:stop, field - 2] = _row_sums(addends, reps)
+    # Latency and execution energy are summed per bucket: one stable
+    # sort makes each bucket a contiguous run in log order (narrow keys
+    # take numpy's radix sort).
+    keys = plan.cmd_bucket.astype(
+        np.min_scalar_type(max(0, len(plan.bucket_names) - 1))
+    )
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    boundary = np.ones(len(keys), dtype=bool)
+    boundary[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(boundary)
+    stops = np.append(starts[1:], len(keys))
+    rank = np.argsort(order[starts])  # buckets in first-occurrence order
+    buckets = keys[starts][rank].tolist()
+    bucketed = _segment_sums(
+        unit[:2].reshape(2 * points, shapes),
+        plan.cmd_shape[order], scale[order], reps[order],
+        list(zip(starts[rank].tolist(), stops[rank].tolist())),
+    )
+    # Background energy, then the event census, over the whole log.
+    totals = np.ascontiguousarray(_segment_sums(
+        unit[2:].reshape((len(VALUE_FIELDS) - 2) * points, shapes),
+        plan.cmd_shape, scale, reps, [(0, len(plan.cmd_shape))],
+    ).reshape(len(VALUE_FIELDS) - 2, points).T)
 
     # Copies and host: pre-priced and table-independent; each pair of
-    # float columns is summed as two rows of one call.
+    # float columns is summed as two columns of one call.
+    copy_pairs = np.stack((plan.copy_latency, plan.copy_energy), axis=1)
     copies: "dict[str, CopyStats]" = {}
     for index, direction in enumerate(DIRECTIONS):
         mask = plan.copy_dir == index
         if bool(np.any(mask)):
-            lat, en = _row_sums(np.stack(
-                (plan.copy_latency[mask], plan.copy_energy[mask])
-            )).tolist()
+            lat, en = _column_sums(copy_pairs[mask]).tolist()
             copies[direction] = CopyStats(
                 int(plan.copy_bytes[mask].sum()), lat, en
             )
-    host_time, host_energy = _row_sums(
-        np.stack((plan.host_time, plan.host_energy))
+    host_time, host_energy = _column_sums(
+        np.stack((plan.host_time, plan.host_energy), axis=1)
     ).tolist()
     return PlanTotals(
         bucket_names=tuple(plan.bucket_names[b] for b in buckets),
@@ -297,8 +365,8 @@ def price_plan(
             plan.kind_objs[kind]: int(kind_counts[kind])
             for kind in _first_occurrence_order(plan.cmd_kind).tolist()
         },
-        latency_ns=latency,
-        energy_nj=energy,
+        latency_ns=np.ascontiguousarray(bucketed[:, :points].T),
+        energy_nj=np.ascontiguousarray(bucketed[:, points:].T),
         background_nj=totals[:, 0],
         events=totals[:, 1:],
         copies=copies,

@@ -10,8 +10,10 @@ different doubles, and must be reported, not absorbed).
 """
 
 import copy
+import dataclasses
 import json
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -146,6 +148,33 @@ _table = st.tuples(
 ).map(lambda columns: CostTable(*(np.array(c) for c in columns)))
 
 
+@st.composite
+def _pooled_tables(draw):
+    """P tables drawn from a pool of at most three, so rows repeat.
+
+    The pool's last table differs from its first in one field only.
+    """
+    pool = draw(st.lists(_table, min_size=1, max_size=2))
+    field = draw(st.sampled_from(VALUE_FIELDS))
+    column = draw(st.lists(_value, min_size=_SHAPES, max_size=_SHAPES))
+    pool.append(dataclasses.replace(pool[0], **{field: np.array(column)}))
+    return draw(st.lists(
+        st.sampled_from(pool), min_size=len(pool) + 1, max_size=8
+    ))
+
+
+@st.composite
+def _batched_log(draw):
+    """A random log with at least one ``execute_batch`` entry of count > 1."""
+    log = draw(_log)
+    for _ in range(draw(st.integers(1, 3))):
+        entry = ("shape", draw(st.integers(0, _SHAPES - 1)),
+                 draw(st.sampled_from(_SIGNATURES)),
+                 draw(st.sampled_from(_KINDS)), draw(st.integers(2, 40)), True)
+        log.insert(draw(st.integers(0, len(log))), entry)
+    return log
+
+
 def _apply(tracker, entry, table):
     """One log entry, issued the way the device would bill it.
 
@@ -205,11 +234,11 @@ class TestSharedPricerProperties:
         assert tracker_mismatches(vector, scalar) == []
 
     @settings(max_examples=40, deadline=None)
-    @given(_log, st.lists(_table, min_size=1, max_size=4))
+    @given(_batched_log(), _pooled_tables())
     def test_p_rows_match_p_one_row_calls(self, log, tables):
         plan = _vector_tracker(log, tables[0]).export_plan()
         together = price_plan(plan, tables)
-        # A one-element slab bound prices every row separately.
+        # A one-element slab bound sums one expanded entry per chunk.
         with mock.patch.object(plans, "_SLAB_ELEMENTS", 1):
             slabbed = price_plan(plan, tables)
         for row, table in enumerate(tables):
@@ -218,6 +247,90 @@ class TestSharedPricerProperties:
                 batched = totals.tracker(row)
                 assert type(batched) is StatsTracker
                 assert tracker_mismatches(batched, alone) == []
+
+
+class TestDistinctRows:
+    """Each bytewise-distinct cost row is summed once per segment."""
+
+    def test_120_tables_with_two_latency_rows(self, monkeypatch):
+        tracker = _vector_tracker([
+            ("shape", 0, _SIGNATURES[0], _KINDS[0], 2, False),
+            ("shape", 1, _SIGNATURES[1], _KINDS[1], 3, True),
+            ("shape", 2, _SIGNATURES[0], _KINDS[0], 1, False),
+        ], None)
+        plan = tracker.export_plan()
+        columns = [np.array([0.1, 0.2, 0.3]) * (k + 1) for k in range(8)]
+        base = CostTable(*columns)
+        other = dataclasses.replace(base, latency_ns=np.array([0.7, 0.2, 0.3]))
+        tables = [base, other] * 60
+        widths = []
+        real = plans._column_sums
+
+        def spy(addends, reps=None):
+            widths.append(addends.shape[1])
+            return real(addends, reps)
+
+        monkeypatch.setattr(plans, "_column_sums", spy)
+        totals = price_plan(plan, tables)
+        # Latency 2 + execution energy 1 per bucket, background 1 + the
+        # five counters over the whole log (9 cost rows, not 960), then
+        # the host time/energy pair.
+        assert widths == [3, 3, 6, 2]
+        monkeypatch.setattr(plans, "_column_sums", real)
+        for row in (0, 1, 118, 119):
+            alone = price_plan(plan, (tables[row],)).tracker(0)
+            assert tracker_mismatches(totals.tracker(row), alone) == []
+
+
+class TestBoundedSums:
+    """The slab bound caps every summation buffer, not just points."""
+
+    BOUND = 64
+
+    def _spy(self, monkeypatch, peaks):
+        """Record the peak traced allocation of every ``_column_sums``."""
+        real = plans._column_sums
+
+        def spy(addends, reps=None):
+            tracemalloc.start()
+            try:
+                sums = real(addends, reps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return sums
+
+        monkeypatch.setattr(plans, "_SLAB_ELEMENTS", self.BOUND)
+        monkeypatch.setattr(plans, "_column_sums", spy)
+
+    def test_huge_batch_entry_is_chunked(self, monkeypatch):
+        count = 100_000
+        tracker, table = _add_tracker(0.1, 0.3)
+        _log_add(tracker, count, is_batch=True)
+        peaks = []
+        self._spy(monkeypatch, peaks)
+        got = price_plan(tracker.export_plan(), (table,))
+        latency = energy = 0.0
+        for _ in range(count):
+            latency += 0.1
+            energy += 0.3
+        assert got.latency_ns[0, 0] == latency
+        assert got.energy_nj[0, 0] == energy
+        # Expanded whole, one column of this entry is 800 kB; a chunk
+        # of BOUND float64 elements is 512 B, plus interpreter overhead.
+        assert peaks and max(peaks) < 64 * 1024
+
+    @settings(max_examples=40, deadline=None)
+    @given(_batched_log(), _pooled_tables())
+    def test_chunked_pricing_is_bit_equal(self, log, tables):
+        plan = _vector_tracker(log, tables[0]).export_plan()
+        expected = price_plan(plan, tables)
+        with mock.patch.object(plans, "_SLAB_ELEMENTS", self.BOUND):
+            chunked = price_plan(plan, tables)
+        for row in range(len(tables)):
+            assert tracker_mismatches(
+                chunked.tracker(row), expected.tracker(row)
+            ) == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=[b.id for b in BACKENDS])
