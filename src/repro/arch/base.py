@@ -146,52 +146,65 @@ class ArchBackend(abc.ABC):
         The vector engine (``repro.perf.vector``, the default analytic
         pricer of ``run_suite`` and the CLI) records an analytic run
         into a shape histogram, and :func:`repro.perf.plans.synthesize`
-        calls this hook once per priced point (one per vectorized cell)
-        to price every distinct shape; it returns a
-        :class:`repro.perf.vector.CostTable` whose column ``i`` is the
-        cost of issuing ``shapes[i]`` exactly once.
+        calls this hook to price every distinct shape; it returns a
+        :class:`repro.perf.vector.CostTable` whose columns are
+        ``(pipeline.points, len(shapes))`` arrays: entry ``[p, i]`` is
+        the cost of issuing ``shapes[i]`` exactly once at design point
+        ``p``.
 
         The contract is *bit-identity with the scalar path*: for every
-        shape the column values must equal -- at full float precision --
-        what ``pipeline.cost_and_energy(shapes[i])`` returns, because
+        shape and point the values must equal -- at full float
+        precision -- what a one-point pipeline's
+        ``cost_and_energy(shapes[i])`` returns, because
         ``--vector-check`` compares the reconstructed totals bit for
         bit.  This generic fallback simply routes each shape through the
         supplied :class:`~repro.perf.memo.CostPipeline`, which is always
-        correct; backends
-        with closed-form batch pricing may override, but only if they
-        can hold the bit-identity contract.
+        correct; backends with closed-form batch pricing may override,
+        but only if they can hold the bit-identity contract.
 
-        Batched sweeps (:mod:`repro.dse.batch`) call this hook once per
-        *design point* with a shapes tuple shared by the whole geometry
-        group: the same ``shapes`` arrive with a different ``pipeline``
-        (a different cost/energy model) each time.  Implementations must
-        therefore price through the supplied pipeline's models on every
-        call and never cache columns statically keyed on the shapes
-        alone -- per-pipeline memoization (what ``CostPipeline`` already
-        provides) is the correct granularity.
+        One call prices a vector of design points: a batched sweep
+        (:mod:`repro.dse.batch`) hands in one pipeline per integer-knob
+        sub-group of a geometry group, whose models carry the points'
+        float cost knobs (clocks, the ALU energy constant) as float64
+        arrays of length ``pipeline.points``.  Each cost field the
+        pipeline returns is then a float (point-independent, broadcast
+        here) or such an array.  An override must stay array-safe --
+        the same float operations in the same order, no ``math`` calls
+        or branches on a float knob -- and must price through the
+        supplied pipeline's models on every call, never caching columns
+        keyed on the shapes alone.
         """
         import numpy as np
 
         from repro.perf.vector import CostTable
 
-        count = len(shapes)
         names = ("latency_ns", "execution_nj", "background_nj",
                  *COST_COUNTERS)
-        # One backing allocation; the CostTable columns are row views.
-        # Counter rows are read as direct attributes in COST_COUNTERS
+        # Counter values are read as direct attributes in COST_COUNTERS
         # order (a getattr loop here is measurable in batched sweeps).
-        data = np.zeros((len(names), count), dtype=np.float64)
         cost_and_energy = pipeline.cost_and_energy
-        for index, args in enumerate(shapes):
+        rows = []
+        for args in shapes:
             cost, energy = cost_and_energy(args)
-            data[0, index] = cost.latency_ns
-            data[1, index] = energy.execution_nj
-            data[2, index] = energy.background_nj
-            data[3, index] = cost.row_activations
-            data[4, index] = cost.lane_logic_ops
-            data[5, index] = cost.alu_word_ops
-            data[6, index] = cost.walker_bits
-            data[7, index] = cost.gdl_bits
+            rows.append((
+                cost.latency_ns, energy.execution_nj, energy.background_nj,
+                cost.row_activations, cost.lane_logic_ops,
+                cost.alu_word_ops, cost.walker_bits, cost.gdl_bits,
+            ))
+        points = pipeline.points
+        if points == 1:
+            # Plain floats: one conversion, (shapes, fields) -> (fields,
+            # 1, shapes).
+            data = np.array(rows, dtype=np.float64).reshape(
+                len(shapes), len(names)
+            ).T[:, None, :]
+        else:
+            # Each value is a float or a (points,) array; assigning
+            # either fills its (points,) slot.
+            data = np.empty((len(names), points, len(shapes)))
+            for index, row in enumerate(rows):
+                for field, value in enumerate(row):
+                    data[field, :, index] = value
         return CostTable(**{
             name: data[row] for row, name in enumerate(names)
         })

@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import math
 import typing
 import weakref
 
@@ -140,7 +141,10 @@ def normalize_knobs(
     """Validate and canonicalize a knob dict against a base backend.
 
     Returns the canonical knob tuple: aliases resolved, values coerced
-    to their declared numeric type, entries sorted by name.  Two dicts
+    to their declared numeric type, entries sorted by name.  Every value
+    must be a finite number; clocks (the float processing-element knobs)
+    must be positive and ``alu_op_pj`` non-negative, so no point can
+    price to a NaN, infinite, or negative cost.  Two dicts
     that differ only in key order (or in ``250`` vs ``250.0`` for a
     float knob) normalize to the identical tuple -- the property the
     content-addressed identity below relies on.
@@ -165,6 +169,23 @@ def normalize_knobs(
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise PimConfigError(
                 f"knob {name!r} needs a number, got {value!r}",
+                knob=str(name), value=repr(value),
+            )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise PimConfigError(
+                f"knob {name!r} needs a finite number, got {value!r}",
+                knob=str(name), value=repr(value),
+            )
+        if key in ARCH_KNOBS and kind is float and value <= 0:
+            raise PimConfigError(
+                f"knob {name!r} is a clock and must be positive, "
+                f"got {value!r}",
+                knob=str(name), value=repr(value),
+            )
+        if key in ENERGY_KNOBS and value < 0:
+            raise PimConfigError(
+                f"knob {name!r} is an energy and must be non-negative, "
+                f"got {value!r}",
                 knob=str(name), value=repr(value),
             )
         if kind is int and float(value) != int(value):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 from repro.config.dram import DramSpec
 
@@ -207,6 +208,19 @@ class PimArchParams:
             raise ValueError("bank-level ALPU must be 32, 64, or 128 bits wide")
         if self.fulcrum_subarrays_per_core < 1:
             raise ValueError("fulcrum_subarrays_per_core must be >= 1")
+        for field in dataclasses.fields(self):
+            if field.type != "float":
+                continue
+            # The float fields are the clocks: each a float, or a
+            # float64 array when a sweep prices a vector of design
+            # points at once (repro.perf.plans).
+            freq = getattr(self, field.name)
+            valid = (freq > 0) & (freq < math.inf)
+            if not (valid.all() if hasattr(valid, "all") else valid):
+                raise ValueError(
+                    f"{field.name} must be a positive finite clock, "
+                    f"got {freq!r}"
+                )
 
     @property
     def fulcrum_cycle_ns(self) -> float:

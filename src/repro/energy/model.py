@@ -37,7 +37,7 @@ class EnergyModel:
         self,
         config: DeviceConfig,
         power: "PowerConfig | None" = None,
-        backend: "object | None" = None,
+        alu_op_pj: "float | None" = None,
     ) -> None:
         self.config = config
         self.power = power or PowerConfig()
@@ -47,13 +47,11 @@ class EnergyModel:
         # construction time) and then reused for every command: the
         # registry dispatch and the per-chip background derivation are
         # pure functions of immutable configuration.  A caller that
-        # already holds the config's backend (the batched sweep pricer)
-        # may pass it to skip the registry dispatch; the value is the
-        # same one ``arch_for(config)`` would resolve.
-        self._alu_pj: "float | None" = (
-            backend.alu_op_pj(self.power)  # type: ignore[attr-defined]
-            if backend is not None else None
-        )
+        # already holds the config's backend (the sweep pricer) passes
+        # its ``alu_op_pj(power)`` to skip the registry dispatch: the
+        # value ``arch_for(config)`` would resolve, or a float64 array
+        # of one such value per design point priced at once.
+        self._alu_pj: "float | None" = alu_op_pj
         self._background_w: "float | None" = None
 
     def _alu_op_pj(self) -> float:

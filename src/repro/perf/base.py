@@ -18,7 +18,12 @@ from repro.core.layout import ObjectLayout
 
 @dataclasses.dataclass(frozen=True)
 class CmdCost:
-    """Latency plus energy-relevant event counts of one command."""
+    """Latency plus energy-relevant event counts of one command.
+
+    Each field is a float, or a float64 array of one value per design
+    point when the config's float cost knobs are arrays; the perf
+    models' arithmetic is the same either way.
+    """
 
     latency_ns: float
     row_activations: float = 0.0  # row reads+writes, totaled across cores
@@ -29,7 +34,10 @@ class CmdCost:
     cores_active: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency_ns < 0:
+        # ``latency_ns`` is a float, or a float64 array when one cost
+        # model prices a vector of design points (repro.perf.plans).
+        negative = self.latency_ns < 0
+        if negative is True or (negative is not False and negative.any()):
             raise ValueError(f"latency must be non-negative, got {self.latency_ns}")
 
 

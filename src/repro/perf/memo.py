@@ -46,8 +46,8 @@ class CostPipeline:
     benchmark's traced runs.
     """
 
-    __slots__ = ("perf", "energy", "backend", "enabled", "hits", "misses",
-                 "_memo")
+    __slots__ = ("perf", "energy", "backend", "enabled", "points", "hits",
+                 "misses", "_memo")
 
     def __init__(
         self,
@@ -55,11 +55,16 @@ class CostPipeline:
         energy: "EnergyModel",
         backend: "ArchBackend",
         enabled: bool = True,
+        points: int = 1,
     ) -> None:
         self.perf = perf
         self.energy = energy
         self.backend = backend
         self.enabled = enabled
+        #: Design points the models price at once: above one, their
+        #: float cost knobs are float64 arrays of that length and every
+        #: cost field is a float or such an array (repro.perf.plans).
+        self.points = points
         self.hits = 0
         self.misses = 0
         self._memo: "dict[tuple, tuple[CmdCost, CommandEnergy]]" = {}

@@ -50,6 +50,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.arch.parametric import ARCH_KNOBS
 from repro.core.stats import (
     COPY_DIRECTIONS,
     CmdStats,
@@ -82,6 +83,13 @@ COST_ONLY_ARCH_FIELDS = (
     "bank_alu_bits",
     "bank_alu_freq_mhz",
     "bank_num_walkers",
+)
+
+#: The float-typed cost-only fields (the clocks).  A sweep's points
+#: that differ only in these (and in the ALU energy constant) price in
+#: one vectorized pass; see :func:`_knob_pipelines`.
+FLOAT_COST_FIELDS = tuple(
+    field for field in COST_ONLY_ARCH_FIELDS if ARCH_KNOBS.get(field) is float
 )
 
 #: EventCounts fields, in declaration order (= CostTable column order).
@@ -278,32 +286,25 @@ def _segment_sums(
     return sums[:, inverse]
 
 
-def price_plan(
-    plan: PricingPlan, tables: "typing.Sequence[CostTable | None]"
-) -> PlanTotals:
-    """Price ``plan`` under each of ``tables``: the one analytic pricer.
+def price_plan(plan: PricingPlan, unit: np.ndarray) -> PlanTotals:
+    """Price ``plan`` under P cost tables: the one analytic pricer.
 
-    Row ``p`` of the result is bit-identical to the scalar
-    :class:`~repro.core.stats.StatsTracker` that issued the plan's
-    commands priced by ``tables[p]``: every float accumulator is rebuilt
-    from the scalar path's exact addend sequence by :func:`_column_sums`,
-    once per bytewise-distinct cost row (:func:`_segment_sums`).
-    ``tables`` may hold ``None`` only when the plan has no shapes.
+    ``unit`` holds the unit costs, ``(len(VALUE_FIELDS), P, shapes)``
+    float64: ``unit[f, p, i]`` is field ``VALUE_FIELDS[f]`` of issuing
+    shape ``i`` once at point ``p`` (what :func:`synthesize` gathers
+    from ``cost_table``).  Row ``p`` of the result is bit-identical to
+    the scalar :class:`~repro.core.stats.StatsTracker` that issued the
+    plan's commands priced by ``unit[:, p]``: every float accumulator is
+    rebuilt from the scalar path's exact addend sequence by
+    :func:`_column_sums`, once per bytewise-distinct cost row
+    (:func:`_segment_sums`).
     """
-    points = len(tables)
-    shapes = len(plan.shape_args)
-    if shapes:
-        for table in tables:
-            if len(table) != shapes:
-                raise ValueError(
-                    f"cost_table returned {len(table)} rows for "
-                    f"{shapes} shapes"
-                )
-    # (fields x points x shapes) unit costs.
-    unit = np.array(
-        [[getattr(table, name) for table in tables] for name in VALUE_FIELDS],
-        dtype=np.float64,
-    ) if shapes else np.zeros((len(VALUE_FIELDS), points, 0))
+    fields, points, shapes = unit.shape
+    if fields != len(VALUE_FIELDS) or shapes != len(plan.shape_args):
+        raise ValueError(
+            f"unit costs of shape {unit.shape} do not price "
+            f"{len(VALUE_FIELDS)} fields of {len(plan.shape_args)} shapes"
+        )
 
     mult = plan.cmd_mult
     batch = plan.cmd_batch.astype(bool)
@@ -375,32 +376,98 @@ def price_plan(
     )
 
 
-def _point_pipeline(
-    backend: "ArchBackend", config: "DeviceConfig"
-) -> "typing.Any":
-    """The exact pricing stack a :class:`PimDevice` would build.
+def _knob_pipelines(
+    points: "typing.Sequence[tuple[ArchBackend, DeviceConfig]]",
+) -> "typing.Iterator[tuple[list[int], ArchBackend, typing.Any]]":
+    """One cost pipeline per integer-knob sub-group of ``points``.
 
-    Same constructors, same order (``repro.core.device.PimDevice``):
-    the perf model from the dispatcher, the energy model with the
-    default power config, the cost pipeline bound to the point's
-    backend -- so ``cost_table`` prices every shape bit-identically to
-    the scalar device.  Memoization is off: a pipeline that prices each
-    distinct shape exactly once and is then dropped can never hit its
-    memo, and the memo changes only *when* costs are derived, never
-    their values.
+    Points whose backends share a base and whose configs differ only in
+    :data:`FLOAT_COST_FIELDS` (and in the ALU energy constant their
+    backends supply) share one pipeline whose float knobs are float64
+    arrays in point order, so the *same* ``cost_of``/``command_energy``
+    code prices all of them in one pass: ``+``, ``*`` and ``/`` on
+    float64 arrays are the IEEE operations on Python floats, element by
+    element and in the same order.  Integer knobs feed ``max``, ``//``
+    and ``math.ceil``, so they stay Python ints and split the
+    sub-groups.  A one-point sub-group keeps its plain floats: a single
+    cell runs exactly the scalar device's code.
 
-    Dispatch shortcuts only, never value shortcuts: the backend in hand
-    is exactly what ``arch_for(config)`` resolves (a sweep calls inside
-    its registration window), so calling its factory directly and
-    pre-resolving the ALU energy constant produce the same objects the
-    device builds -- minus two registry lookups per point.
+    Yields ``(point indices, backend, pipeline)``.  The pipeline is the
+    stack a :class:`~repro.core.device.PimDevice` would build, with
+    memoization off (each distinct shape is priced once).  Dispatch
+    shortcuts only, never value shortcuts: each backend is exactly what
+    ``arch_for(config)`` resolves (a sweep calls inside its
+    registration window), so its factory and its ``alu_op_pj`` give
+    the objects and values the device would use.
     """
+    from repro.config.power import PowerConfig
     from repro.energy.model import EnergyModel
     from repro.perf.memo import CostPipeline
 
-    perf = backend.make_perf_model(config)
-    energy = EnergyModel(config, backend=backend)
-    return CostPipeline(perf, energy, backend, enabled=False)
+    subgroups: "dict[typing.Hashable, list[int]]" = {}
+    for index, (backend, config) in enumerate(points):
+        arch = config.arch
+        key = (
+            getattr(backend, "base", backend),
+            config.dram,
+            tuple(
+                getattr(arch, field.name)
+                for field in dataclasses.fields(arch)
+                if field.name not in FLOAT_COST_FIELDS
+            ),
+        )
+        subgroups.setdefault(key, []).append(index)
+    power = PowerConfig()
+    for rows in subgroups.values():
+        backend, config = points[rows[0]]
+        alu_op_pj = backend.alu_op_pj(power)
+        if len(rows) > 1:
+            config = dataclasses.replace(config, arch=dataclasses.replace(
+                config.arch, **{
+                    field: np.array(
+                        [getattr(points[row][1].arch, field) for row in rows],
+                        dtype=np.float64,
+                    )
+                    for field in FLOAT_COST_FIELDS
+                },
+            ))
+            alu_op_pj = np.array(
+                [points[row][0].alu_op_pj(power) for row in rows],
+                dtype=np.float64,
+            )
+        yield rows, backend, CostPipeline(
+            backend.make_perf_model(config),
+            EnergyModel(config, power, alu_op_pj=alu_op_pj),
+            backend,
+            enabled=False,
+            points=len(rows),
+        )
+
+
+def unit_costs(
+    shapes: "tuple[typing.Any, ...]",
+    points: "typing.Sequence[tuple[ArchBackend, DeviceConfig]]",
+) -> np.ndarray:
+    """``(len(VALUE_FIELDS), len(points), len(shapes))`` unit costs.
+
+    One ``cost_table`` call per integer-knob sub-group of the points
+    (:func:`_knob_pipelines`), its ``(sub-group, shapes)`` columns
+    scattered back into point order: what :func:`price_plan` takes.
+    """
+    unit = np.zeros((len(VALUE_FIELDS), len(points), len(shapes)))
+    if not shapes:
+        return unit
+    for rows, backend, pipeline in _knob_pipelines(points):
+        table = backend.cost_table(pipeline, shapes)
+        for field, name in enumerate(VALUE_FIELDS):
+            column = getattr(table, name)
+            if column.shape != (len(rows), len(shapes)):
+                raise ValueError(
+                    f"cost_table returned {name} of shape {column.shape} "
+                    f"for {len(rows)} point(s) x {len(shapes)} shapes"
+                )
+            unit[field, rows] = column
+    return unit
 
 
 def synthesize(
@@ -409,8 +476,9 @@ def synthesize(
 ) -> "list[tuple[BenchmarkResult, StatsTracker]]":
     """Price ``plan`` at each ``(backend, config)`` point.
 
-    The one vector outcome builder.  Each point's backend prices the
-    plan's shapes through ``cost_table`` (one call per point), one
+    The one vector outcome builder.  The plan's shapes are priced
+    through ``cost_table`` once per integer-knob sub-group of the points
+    (:func:`unit_costs`; one call for a single cell), one
     :func:`price_plan` call prices every row, and each row becomes the
     ``(BenchmarkResult, StatsTracker)`` pair a scalar
     :meth:`repro.bench.common.PimBenchmark.run` on that point would
@@ -422,11 +490,7 @@ def synthesize(
     """
     from repro.bench.common import BenchmarkResult
 
-    totals = price_plan(plan, [
-        backend.cost_table(_point_pipeline(backend, config), plan.shape_args)
-        if plan.shape_args else None
-        for backend, config in points
-    ])
+    totals = price_plan(plan, unit_costs(plan.shape_args, points))
     # The category census is point-independent -- every point issues
     # the same integer command counts.
     op_counts: "dict" = {}

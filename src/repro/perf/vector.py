@@ -16,7 +16,7 @@ tracker only records:
 :func:`~repro.perf.plans.compile_plan` exports its logs as a
 :class:`~repro.perf.plans.PricingPlan`, and
 :func:`~repro.perf.plans.synthesize` prices the distinct shapes **once**
-per point through the architecture backend's
+per group of design points through the architecture backend's
 :meth:`~repro.arch.base.ArchBackend.cost_table` hook and rebuilds the
 accumulators with :func:`~repro.perf.plans.price_plan` -- one point for
 a cell, N points for a design-space sweep.
@@ -87,10 +87,11 @@ class CostTable:
     """Per-shape cost columns, aligned with the tracker's shape list.
 
     The vector-mode product of :meth:`repro.arch.base.ArchBackend.
-    cost_table`: column ``i`` of every array is the cost of issuing
-    shape ``i`` exactly once, bit-identical to what the scalar path's
+    cost_table`: every field is a ``(points, shapes)`` array whose entry
+    ``[p, i]`` is the cost of issuing shape ``i`` exactly once at design
+    point ``p``, bit-identical to what the scalar path's
     :class:`~repro.perf.memo.CostPipeline` would return for the same
-    :class:`~repro.perf.base.CommandArgs`.
+    :class:`~repro.perf.base.CommandArgs` on that point.
     """
 
     latency_ns: np.ndarray
@@ -102,8 +103,6 @@ class CostTable:
     walker_bits: np.ndarray
     gdl_bits: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.latency_ns)
 
 
 def _columns(

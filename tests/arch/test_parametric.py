@@ -35,7 +35,7 @@ from repro.arch.parametric import (
     knob_digest,
     normalize_knobs,
 )
-from repro.config.device import PimAllocType
+from repro.config.device import PimAllocType, PimArchParams
 from repro.config.power import PowerConfig
 from repro.core.commands import PimCmdKind
 from repro.core.errors import PimConfigError, PimStatus
@@ -243,6 +243,49 @@ class TestContentAddressedIdentity:
         knobs = (("bank_alu_bits", 128), ("banks_per_rank", 64))
         assert knob_digest(knobs) == knob_digest(tuple(knobs))
         assert knob_digest(knobs) != knob_digest(knobs[:1])
+
+
+class TestKnobRanges:
+    """Every knob is finite; clocks are positive, energies non-negative."""
+
+    @pytest.mark.parametrize("knobs,needle", [
+        ({"pe_freq_mhz": math.nan}, "finite"),
+        ({"pe_freq_mhz": math.inf}, "finite"),
+        ({"pe_freq_mhz": 0}, "positive"),
+        ({"bank_alu_freq_mhz": -164.0}, "positive"),
+        ({"alu_op_pj": -5.0}, "non-negative"),
+        ({"alu_op_pj": math.nan}, "finite"),
+        ({"banks_per_rank": math.inf}, "finite"),
+    ])
+    def test_normalize_rejects_out_of_range_values(self, knobs, needle):
+        ((name, value),) = knobs.items()
+        with pytest.raises(PimConfigError) as exc_info:
+            normalize_knobs(resolve_backend("bank"), knobs)
+        assert exc_info.value.status is PimStatus.ERR_CONFIG
+        message = str(exc_info.value)
+        assert needle in message
+        assert repr(name) in message and repr(value) in message
+
+    def test_zero_energy_is_valid_and_negative_is_not(self):
+        bank = resolve_backend("bank")
+        assert normalize_knobs(bank, {"alu_op_pj": 0}) == (("alu_op_pj", 0.0),)
+        with pytest.raises(PimConfigError, match="alu_op_pj"):
+            normalize_knobs(bank, {"alu_op_pj": -1e-9})
+
+    @pytest.mark.parametrize("field", ["fulcrum_alu_freq_mhz",
+                                       "bank_alu_freq_mhz"])
+    @pytest.mark.parametrize("freq", [0.0, -164.0, math.nan, math.inf])
+    def test_hand_built_arch_rejects_bad_clocks(self, field, freq):
+        with pytest.raises(ValueError, match=field):
+            PimArchParams(**{field: freq})
+
+    def test_array_clocks_are_checked_elementwise(self):
+        import numpy as np
+
+        arch = PimArchParams(bank_alu_freq_mhz=np.array([100.0, 250.0]))
+        assert arch.bank_cycle_ns.tolist() == [1e3 / 100.0, 1e3 / 250.0]
+        with pytest.raises(ValueError, match="bank_alu_freq_mhz"):
+            PimArchParams(bank_alu_freq_mhz=np.array([100.0, 0.0]))
 
 
 class TestDerivedConfig:

@@ -158,18 +158,29 @@ class TestIdentity:
         assert audited.checked_cells == 3
         assert sum(o.failed for o in audited.outcomes) == 3
 
-    def test_group_calls_cost_table_once_per_point(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "widths,expected", [((64,), 1), ((32, 64), 2)],
+        ids=["one-width", "two-widths"],
+    )
+    def test_group_calls_cost_table_once_per_subgroup(
+        self, monkeypatch, widths, expected
+    ):
+        """One call per integer-knob sub-group: clocks share a call, ALU
+        widths split them."""
         calls = []
         original = ArchBackend.cost_table
 
         def counted(self, pipeline, shapes):
-            calls.append(len(shapes))
+            calls.append(pipeline.points)
             return original(self, pipeline, shapes)
 
         monkeypatch.setattr(ArchBackend, "cost_table", counted)
-        result = _run()  # three clocks, one geometry group
-        assert result.plan_misses == 1 and result.batched_cells == 3
-        assert len(calls) == 3  # the compile itself prices nothing
+        axes = {"pe_freq_mhz": [200, 300, 400], "pe_width_bits": list(widths)}
+        result = _run(_spec(axes=axes))  # one geometry group
+        assert result.plan_misses == 1
+        assert result.batched_cells == 3 * len(widths)
+        # The compile itself prices nothing.
+        assert calls == [3] * expected
 
     def test_synthesized_telemetry_flags(self):
         from repro.obs.telemetry import telemetry_log

@@ -129,6 +129,27 @@ class TestCompilation:
         assert backend.id == point.point_id
 
 
+class TestKnobValues:
+    """Knob values are checked where the spec compiles its points."""
+
+    @pytest.mark.parametrize("text,needle", [
+        ("NaN", "finite"), ("Infinity", "finite"), ("0", "positive"),
+    ])
+    def test_bad_clock_from_json_is_coded(self, text, needle):
+        raw = json.dumps(_spec(axes={"pe_freq_mhz": [200]}))
+        spec = SweepSpec.from_json(raw.replace("[200]", f"[200, {text}]"))
+        with pytest.raises(PimConfigError) as exc_info:
+            spec.compile_points()
+        assert exc_info.value.status is PimStatus.ERR_CONFIG
+        assert "'pe_freq_mhz'" in str(exc_info.value)
+        assert needle in str(exc_info.value)
+
+    def test_negative_energy_is_coded(self):
+        spec = SweepSpec.from_dict(_spec(points=[{"alu_op_pj": -5.0}]))
+        with pytest.raises(PimConfigError, match="alu_op_pj.*non-negative"):
+            spec.compile_points()
+
+
 class TestCeiling:
     def test_default_ceiling(self, monkeypatch):
         monkeypatch.delenv(MAX_POINTS_ENV, raising=False)

@@ -9,8 +9,10 @@ contract -- and, just as importantly, pin that the equivalence checker
 different doubles, and must be reported, not absorbed).
 """
 
+import contextlib
 import copy
 import dataclasses
+import functools
 import json
 import pickle
 import tracemalloc
@@ -31,7 +33,13 @@ from repro.core.errors import PimTypeError
 from repro.core.stats import EventCounts, StatsTracker
 from repro.engine.cells import CellSpec
 from repro.perf import plans
-from repro.perf.plans import VALUE_FIELDS, compile_plan, price_plan, synthesize
+from repro.perf.plans import (
+    EVENT_FIELDS,
+    VALUE_FIELDS,
+    compile_plan,
+    price_plan,
+    synthesize,
+)
 from repro.perf.vector import (
     CostTable,
     VectorEquivalenceError,
@@ -52,9 +60,24 @@ def _add_tracker(latency_ns, energy_nj):
     return tracker, table
 
 
+def _unit(plan, tables):
+    """P one-point tables (``None``: no shapes) as ``price_plan``'s stack."""
+    shapes = len(plan.shape_args)
+    return np.array(
+        [[getattr(table, name) if table is not None else np.zeros(shapes)
+          for table in tables] for name in VALUE_FIELDS],
+        dtype=np.float64,
+    ).reshape(len(VALUE_FIELDS), len(tables), shapes)
+
+
+def _price(plan, tables):
+    """``price_plan`` under a sequence of one-point tables."""
+    return price_plan(plan, _unit(plan, tables))
+
+
 def _priced(tracker, table=None):
     """A vector tracker's logs priced under one table: plain totals."""
-    return price_plan(tracker.export_plan(), (table,)).tracker(0)
+    return _price(tracker.export_plan(), (table,)).tracker(0)
 
 
 def _log_add(tracker, mult=1, is_batch=False):
@@ -100,7 +123,7 @@ class TestOrderedSum:
         tracker = VectorStatsTracker()
         for v in values:
             tracker.record_host(v, 0.0)
-        got = price_plan(tracker.export_plan(), (None,)).host_time_ns
+        got = _price(tracker.export_plan(), (None,)).host_time_ns
         assert got == expected  # bit-equal, not approx
 
     def test_reps_replicate_iterated_add(self):
@@ -111,7 +134,7 @@ class TestOrderedSum:
             expected += 0.1
         tracker, table = _add_tracker(0.1, 0.1)
         _log_add(tracker, 10, is_batch=True)
-        got = price_plan(tracker.export_plan(), (table,)).latency_ns[0, 0]
+        got = _price(tracker.export_plan(), (table,)).latency_ns[0, 0]
         assert got == expected
         assert got != 1.0
 
@@ -237,12 +260,12 @@ class TestSharedPricerProperties:
     @given(_batched_log(), _pooled_tables())
     def test_p_rows_match_p_one_row_calls(self, log, tables):
         plan = _vector_tracker(log, tables[0]).export_plan()
-        together = price_plan(plan, tables)
+        together = _price(plan, tables)
         # A one-element slab bound sums one expanded entry per chunk.
         with mock.patch.object(plans, "_SLAB_ELEMENTS", 1):
-            slabbed = price_plan(plan, tables)
+            slabbed = _price(plan, tables)
         for row, table in enumerate(tables):
-            alone = price_plan(plan, (table,)).tracker(0)
+            alone = _price(plan, (table,)).tracker(0)
             for totals in (together, slabbed):
                 batched = totals.tracker(row)
                 assert type(batched) is StatsTracker
@@ -271,14 +294,14 @@ class TestDistinctRows:
             return real(addends, reps)
 
         monkeypatch.setattr(plans, "_column_sums", spy)
-        totals = price_plan(plan, tables)
+        totals = _price(plan, tables)
         # Latency 2 + execution energy 1 per bucket, background 1 + the
         # five counters over the whole log (9 cost rows, not 960), then
         # the host time/energy pair.
         assert widths == [3, 3, 6, 2]
         monkeypatch.setattr(plans, "_column_sums", real)
         for row in (0, 1, 118, 119):
-            alone = price_plan(plan, (tables[row],)).tracker(0)
+            alone = _price(plan, (tables[row],)).tracker(0)
             assert tracker_mismatches(totals.tracker(row), alone) == []
 
 
@@ -309,7 +332,7 @@ class TestBoundedSums:
         _log_add(tracker, count, is_batch=True)
         peaks = []
         self._spy(monkeypatch, peaks)
-        got = price_plan(tracker.export_plan(), (table,))
+        got = _price(tracker.export_plan(), (table,))
         latency = energy = 0.0
         for _ in range(count):
             latency += 0.1
@@ -324,9 +347,9 @@ class TestBoundedSums:
     @given(_batched_log(), _pooled_tables())
     def test_chunked_pricing_is_bit_equal(self, log, tables):
         plan = _vector_tracker(log, tables[0]).export_plan()
-        expected = price_plan(plan, tables)
+        expected = _price(plan, tables)
         with mock.patch.object(plans, "_SLAB_ELEMENTS", self.BOUND):
-            chunked = price_plan(plan, tables)
+            chunked = _price(plan, tables)
         for row in range(len(tables)):
             assert tracker_mismatches(
                 chunked.tracker(row), expected.tracker(row)
@@ -522,7 +545,7 @@ class TestTotals:
 
     def test_plan_rows_share_no_accumulators(self):
         tracker, table = self._tracker()
-        totals = price_plan(tracker.export_plan(), [table] * 2)
+        totals = _price(tracker.export_plan(), [table] * 2)
         first, second = totals.tracker(0), totals.tracker(1)
         first.record_copy("h2d", 8, 1.0, 1.0)
         assert first.copy_bytes == 40 and second.copy_bytes == 32
@@ -540,7 +563,7 @@ class TestTotals:
 
 
 class TestCompileThenPrice:
-    """compile_plan records only; synthesize prices once per point."""
+    """compile_plan records only; synthesize prices once per sub-group."""
 
     def _count_cost_tables(self, monkeypatch):
         from repro.arch.base import ArchBackend
@@ -570,7 +593,7 @@ class TestCompileThenPrice:
         assert len(plan.shape_args) > 0
 
     @pytest.mark.parametrize("points", [1, 3])
-    def test_synthesize_prices_once_per_point(self, monkeypatch, points):
+    def test_synthesize_prices_once_per_subgroup(self, monkeypatch, points):
         from repro.arch import resolve_backend
 
         backend = resolve_backend("bank")
@@ -578,7 +601,7 @@ class TestCompileThenPrice:
         plan = compile_plan(self._cell(backend), backend, config)
         calls = self._count_cost_tables(monkeypatch)
         rows = synthesize(plan, [(backend, config)] * points)
-        assert calls == [len(plan.shape_args)] * points
+        assert calls == [len(plan.shape_args)]
         assert len(rows) == points
         payloads = {json.dumps(result.to_dict()) for result, _ in rows}
         assert len(payloads) == 1
@@ -592,6 +615,132 @@ class TestCompileThenPrice:
         )
         with pytest.raises(TypeError, match="compile_plan"):
             make_benchmark("vecadd", paper_scale=False).run(device)
+
+
+@functools.lru_cache(maxsize=None)
+def _real_shapes(base_id):
+    """The distinct shapes of three real plans on one base backend."""
+    from repro.arch import resolve_backend
+
+    base = resolve_backend(base_id)
+    shapes = ()
+    for key in ("gemv", "histogram", "kmeans"):
+        spec = CellSpec(key, base.device_type, 2, paper_scale=False,
+                        enforce_capacity=False, vector=True)
+        shapes += compile_plan(spec, base, base.make_config(2)).shape_args
+    return shapes
+
+
+def _knob_axes(base):
+    """The float knobs that apply to ``base``, and one integer knob."""
+    if base.device_type.is_bit_serial:
+        return (), ("bitserial_num_registers", (4, 8))
+    return ("pe_freq_mhz",), ("pe_width_bits", (32, 64))
+
+
+_positive = st.floats(0.5, 5000.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _knob_points(draw):
+    """A base backend and P derived knob dicts over 1-2 integer values."""
+    base = draw(st.sampled_from([b for b in BACKENDS if not b.transient]))
+    floats, (int_knob, int_pool) = _knob_axes(base)
+    ints = draw(st.lists(st.sampled_from(int_pool), min_size=1,
+                         max_size=2, unique=True))
+    dicts = []
+    for _ in range(draw(st.integers(1, 6))):
+        knobs = {name: draw(_positive) for name in floats}
+        knobs["alu_op_pj"] = draw(st.floats(0.0, 10.0, allow_nan=False))
+        knobs[int_knob] = draw(st.sampled_from(ints))
+        dicts.append(knobs)
+    return base, dicts
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestKnobVector:
+    """One cost_of/command_energy pass over a knob vector equals P passes.
+
+    ``unit_costs`` prices every integer-knob sub-group of a geometry
+    group in one ``cost_table`` call whose models carry the float knobs
+    as float64 arrays; each point's row must bit-equal the one-point
+    pipeline a scalar device builds for that point.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(_knob_points())
+    def test_group_table_bit_equals_per_point_pipelines(self, case):
+        from repro.arch import derive_backend, temporary_backend
+        from repro.energy.model import EnergyModel
+        from repro.perf.memo import CostPipeline
+
+        base, dicts = case
+        shapes = _real_shapes(base.id)
+        backends = [derive_backend(base, knobs) for knobs in dicts]
+        points = [(backend, backend.make_config(2)) for backend in backends]
+        with contextlib.ExitStack() as stack:
+            for backend in backends:
+                stack.enter_context(temporary_backend(backend))
+            unit = plans.unit_costs(shapes, points)
+            for row, (backend, config) in enumerate(points):
+                pipeline = CostPipeline(
+                    backend.make_perf_model(config), EnergyModel(config),
+                    backend, enabled=False,
+                )
+                for column, args in enumerate(shapes):
+                    cost, energy = pipeline.cost_and_energy(args)
+                    expected = (
+                        cost.latency_ns, energy.execution_nj,
+                        energy.background_nj,
+                    ) + tuple(getattr(cost, name) for name in EVENT_FIELDS)
+                    assert _bits(unit[:, row, column]) == _bits(expected), (
+                        f"{backend.id} point {row} shape {column}"
+                    )
+
+    def test_negative_latency_raises_on_the_array_path(self):
+        from repro.perf.base import CmdCost
+
+        CmdCost(latency_ns=np.array([0.0, 2.5]))
+        for latency in (np.array([1.0, -1e-9, 3.0]), np.float64(-1.0), -1.0):
+            with pytest.raises(ValueError, match="non-negative"):
+                CmdCost(latency_ns=latency)
+
+    def test_one_point_hands_cost_of_python_floats(self, monkeypatch):
+        from repro.arch import derive_backend, temporary_backend
+        from repro.energy.model import EnergyModel
+        from repro.perf.banklevel import BankLevelPerfModel
+
+        seen = []
+        cost_of = BankLevelPerfModel.cost_of
+        command_energy = EnergyModel.command_energy
+
+        def spy_cost(model, args):
+            seen.append(type(model.config.arch.bank_alu_freq_mhz))
+            return cost_of(model, args)
+
+        def spy_energy(model, cost):
+            seen.append(type(model._alu_op_pj()))
+            seen.append(type(cost.latency_ns))
+            return command_energy(model, cost)
+
+        monkeypatch.setattr(BankLevelPerfModel, "cost_of", spy_cost)
+        monkeypatch.setattr(EnergyModel, "command_energy", spy_energy)
+        backend = derive_backend("bank", {"pe_freq_mhz": 250.0,
+                                          "alu_op_pj": 0.3})
+        config = backend.make_config(2)
+        with temporary_backend(backend):
+            plan = compile_plan(self._cell(backend), backend, config)
+            synthesize(plan, [(backend, config)])
+        assert seen and set(seen) == {float}
+
+    def _cell(self, backend):
+        return CellSpec(
+            "kmeans", backend.device_type, 2, paper_scale=False,
+            enforce_capacity=False, vector=True,
+        )
 
 
 class TestVectorDeviceValidation:

@@ -541,6 +541,17 @@ class TestDseSubcommand:
         with pytest.raises(SystemExit, match="warp"):
             main(["dse", "run", "--spec", str(path)])
 
+    def test_nan_clock_exits_with_coded_message(self, tmp_path):
+        path = tmp_path / "nan.json"
+        spec = dict(self.SPEC, axes={"pe_freq_mhz": [200.0, float("nan")]})
+        path.write_text(json.dumps(spec))  # json writes (and reads) NaN
+        with pytest.raises(SystemExit) as exc:
+            main(["dse", "run", "--spec", str(path), "--no-cache"])
+        assert exc.value.code != 0
+        assert "'pe_freq_mhz' needs a finite number, got nan" in str(
+            exc.value.code
+        )
+
     def test_missing_report_exits_with_message(self):
         with pytest.raises(SystemExit, match="cannot read sweep report"):
             main(["dse", "frontier", "/nonexistent/frontier.json"])
