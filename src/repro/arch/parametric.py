@@ -144,10 +144,12 @@ def normalize_knobs(
     to their declared numeric type, entries sorted by name.  Every value
     must be a finite number; clocks (the float processing-element knobs)
     must be positive and ``alu_op_pj`` non-negative, so no point can
-    price to a NaN, infinite, or negative cost.  Two dicts
-    that differ only in key order (or in ``250`` vs ``250.0`` for a
-    float knob) normalize to the identical tuple -- the property the
-    content-addressed identity below relies on.
+    price to a NaN, infinite, or negative cost, and the integer
+    processing-element knobs (register, walker and subarray counts, ALU
+    widths) must be at least 1.  Two dicts that differ only in key order
+    (or in ``250`` vs ``250.0`` for a float knob) normalize to the
+    identical tuple -- the property the content-addressed identity below
+    relies on.
     """
     normalized: "dict[str, object]" = {}
     for name, value in knobs.items():
@@ -191,6 +193,12 @@ def normalize_knobs(
         if kind is int and float(value) != int(value):
             raise PimConfigError(
                 f"knob {name!r} needs an integer, got {value!r}",
+                knob=str(name), value=repr(value),
+            )
+        if key in ARCH_KNOBS and kind is int and value < 1:
+            raise PimConfigError(
+                f"knob {name!r} counts or sizes hardware and must be "
+                f">= 1, got {value!r}",
                 knob=str(name), value=repr(value),
             )
         if key in normalized and normalized[key] != kind(value):

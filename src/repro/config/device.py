@@ -206,8 +206,11 @@ class PimArchParams:
             raise ValueError("Fulcrum ALU must be 32 or 64 bits wide")
         if self.bank_alu_bits not in (32, 64, 128):
             raise ValueError("bank-level ALPU must be 32, 64, or 128 bits wide")
-        if self.fulcrum_subarrays_per_core < 1:
-            raise ValueError("fulcrum_subarrays_per_core must be >= 1")
+        for name in ("bitserial_num_registers", "fulcrum_num_walkers",
+                     "fulcrum_subarrays_per_core", "bank_num_walkers"):
+            count = getattr(self, name)
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count!r}")
         for field in dataclasses.fields(self):
             if field.type != "float":
                 continue

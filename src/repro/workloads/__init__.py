@@ -1,7 +1,9 @@
 """Synthetic workload generators matching the Table I inputs."""
 
 from repro.workloads.graphs import (
+    Graph,
     adjacency_bitmap,
+    connected_components,
     count_triangles_reference,
     random_graph,
 )
@@ -15,7 +17,9 @@ from repro.workloads.tables import FilterWorkload, key_value_table
 from repro.workloads.vectors import random_int_matrix, random_int_vector
 
 __all__ = [
+    "Graph",
     "adjacency_bitmap",
+    "connected_components",
     "count_triangles_reference",
     "random_graph",
     "box_downsample_reference",

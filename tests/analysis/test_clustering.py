@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.clustering import (
     build_dendrogram,
+    maxclust,
     pca,
     render_text_dendrogram,
+    ward_linkage,
 )
 from repro.analysis.features import (
     BenchmarkFeatures,
@@ -115,3 +119,62 @@ class TestDendrogram:
     def test_needs_two(self, rng):
         with pytest.raises(ValueError):
             build_dendrogram(self._features(rng, ["only"]))
+
+    def test_non_finite_points_raise(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ward_linkage(np.array([[0.0, bad], [1.0, 2.0]]))
+
+    def test_maxclust_needs_one_cluster(self, rng):
+        linkage = ward_linkage(rng.normal(size=(4, 2)))
+        with pytest.raises(ValueError, match="num_clusters"):
+            maxclust(linkage, 0)
+
+
+@st.composite
+def _point_sets(draw):
+    """Random point sets; some rounded (distance ties), some duplicated."""
+    n = draw(st.integers(2, 29))
+    d = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(n, d)) * scale
+    if draw(st.booleans()):
+        points = np.round(points / scale * 2) * scale / 2
+    if draw(st.booleans()):
+        points[rng.integers(0, n, size=n // 2)] = points[0]
+    return points
+
+
+@pytest.fixture(scope="module")
+def hierarchy():
+    return pytest.importorskip("scipy.cluster.hierarchy")
+
+
+class TestScipyOracle:
+    """The linkage and the flat cut bit-equal scipy's (needs scipy)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_point_sets())
+    def test_ward_linkage_bit_equals_scipy(self, hierarchy, points):
+        expected = hierarchy.linkage(points, method="ward")
+        assert ward_linkage(points).tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_point_sets())
+    def test_maxclust_equals_fcluster(self, hierarchy, points):
+        linkage = ward_linkage(points)
+        for t in range(1, len(points) + 2):
+            expected = hierarchy.fcluster(linkage, t, criterion="maxclust")
+            assert maxclust(linkage, t) == expected.tolist(), t
+
+    def test_dendrogram_matches_scipy_end_to_end(self, hierarchy, rng):
+        features = [
+            BenchmarkFeatures(name, rng.normal(size=20)) for name in "abcdefgh"
+        ]
+        result = build_dendrogram(features)
+        expected = hierarchy.linkage(result.principal_components, method="ward")
+        assert result.linkage.tobytes() == expected.tobytes()
+        for t in range(1, len(features) + 2):
+            assert list(result.cluster_of(t).values()) == hierarchy.fcluster(
+                expected, t, criterion="maxclust").tolist()

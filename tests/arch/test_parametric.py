@@ -279,6 +279,29 @@ class TestKnobRanges:
         with pytest.raises(ValueError, match=field):
             PimArchParams(**{field: freq})
 
+    @pytest.mark.parametrize("name", [
+        "bitserial_num_registers", "fulcrum_num_walkers",
+        "fulcrum_subarrays_per_core", "bank_num_walkers",
+    ])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_are_rejected(self, name, value):
+        # No cost model reads the register and walker counts, so a
+        # sweep over invalid ones would price distinct point ids alike.
+        with pytest.raises(PimConfigError) as exc_info:
+            normalize_knobs(resolve_backend("bank"), {name: value})
+        assert exc_info.value.status is PimStatus.ERR_CONFIG
+        message = str(exc_info.value)
+        assert ">= 1" in message
+        assert repr(name) in message and repr(value) in message
+        with pytest.raises(PimConfigError, match=name):
+            derive_backend("bitserial", {name: value})
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+            PimArchParams(**{name: value})
+
+    def test_count_of_one_is_valid(self):
+        backend = derive_backend("bank", {"bank_num_walkers": 1})
+        assert backend.make_config(num_ranks=2).arch.bank_num_walkers == 1
+
     def test_array_clocks_are_checked_elementwise(self):
         import numpy as np
 

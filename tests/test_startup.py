@@ -1,8 +1,9 @@
-"""Start-up guard: heavy modules load only where they are used.
+"""Start-up guard: no third-party package but numpy, and lazy engines.
 
-Only the Figure 1 dendrogram (Ward linkage) needs scipy and only the
-graph kernels need networkx, so importing the CLI and the command
-layers must not pay for either.  Likewise a warm run that only reads
+The Figure 1 dendrogram (Ward linkage, ``maxclust`` cut) and the graph
+kernels (G(n, m) draws, triangle counts) are plain Python, so neither
+importing the CLI nor running those paths may load scipy or networkx,
+which stay test oracles only.  Likewise a warm run that only reads
 cached cells must not load the vector pricing engine.  Each check runs
 in a fresh interpreter because the pytest process has usually loaded
 these modules already.
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.analysis.clustering import build_dendrogram
 from repro.analysis.features import BenchmarkFeatures
-from repro.workloads.graphs import random_graph
+from repro.workloads.graphs import count_triangles_reference, random_graph
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -37,23 +38,24 @@ import repro.bench.registry
 print(json.dumps(heavy()))
 """
 
-ON_DEMAND = PRELUDE + """
+ON_USE = PRELUDE + """
 import numpy as np
 from repro.analysis.clustering import build_dendrogram
 from repro.analysis.features import BenchmarkFeatures
-from repro.workloads.graphs import random_graph
-loaded = {"start": heavy()}
+from repro.workloads.graphs import count_triangles_reference, random_graph
 result = build_dendrogram([
     BenchmarkFeatures("a", np.array([0.0, 1.0, 2.0])),
     BenchmarkFeatures("b", np.array([1.0, 0.5, 0.0])),
+    BenchmarkFeatures("c", np.array([0.5, 0.5, 2.0])),
 ])
-loaded["after_dendrogram"] = heavy()
+clusters = result.cluster_of(2)
 graph = random_graph(8, 10)
-loaded["after_graph"] = heavy()
 print(json.dumps({
-    "loaded": loaded,
+    "loaded": heavy(),
     "linkage": result.linkage.tolist(),
-    "edges": sorted(graph.edges()),
+    "clusters": clusters,
+    "edges": graph.edges(),
+    "triangles": count_triangles_reference(graph),
 }))
 """
 
@@ -75,19 +77,19 @@ def test_command_layers_import_without_scipy_or_networkx():
     assert _run(IMPORT_ONLY) == []
 
 
-def test_scipy_and_networkx_load_on_first_use():
-    out = _run(ON_DEMAND)
-    assert out["loaded"] == {
-        "start": [],
-        "after_dendrogram": ["scipy"],
-        "after_graph": ["networkx", "scipy"],
-    }
+def test_clustering_and_graphs_load_neither_package():
+    out = _run(ON_USE)
+    assert out["loaded"] == []
     expected = build_dendrogram([
         BenchmarkFeatures("a", np.array([0.0, 1.0, 2.0])),
         BenchmarkFeatures("b", np.array([1.0, 0.5, 0.0])),
+        BenchmarkFeatures("c", np.array([0.5, 0.5, 2.0])),
     ])
     assert out["linkage"] == expected.linkage.tolist()
-    assert out["edges"] == [list(e) for e in sorted(random_graph(8, 10).edges())]
+    assert out["clusters"] == expected.cluster_of(2)
+    graph = random_graph(8, 10)
+    assert out["edges"] == [list(e) for e in graph.edges()]
+    assert out["triangles"] == count_triangles_reference(graph)
 
 
 WARM_LOAD = """

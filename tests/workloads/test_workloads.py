@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads import (
+    Graph,
     adjacency_bitmap,
     box_downsample_reference,
     channel_planes,
     clustered_points,
+    connected_components,
     count_triangles_reference,
     key_value_table,
     labeled_points_2d,
@@ -69,8 +73,61 @@ class TestGraphs:
             random_graph(4, 100)
 
     def test_triangle_reference_on_known_graph(self):
-        import networkx as nx
-        assert count_triangles_reference(nx.complete_graph(4)) == 4
+        complete = random_graph(4, 6)  # all pairs: drawn without the RNG
+        assert complete.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert count_triangles_reference(complete) == 4
+
+    def test_components_on_known_graph(self):
+        graph = Graph(5)
+        graph.add_edge(0, 3)
+        graph.add_edge(3, 1)
+        assert sorted(map(sorted, connected_components(graph))) == [
+            [0, 1, 3], [2], [4],
+        ]
+
+    def test_self_loops_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(3).add_edge(1, 1)
+
+
+@st.composite
+def _gnm_cases(draw):
+    n = draw(st.integers(0, 60))
+    m = draw(st.integers(0, n * (n - 1) // 2))
+    return n, m, draw(st.integers(0, 10**6))
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+class TestNetworkxOracle:
+    """G(n, m) draws and the host references equal networkx's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_gnm_cases())
+    def test_edges_equal_gnm_random_graph(self, nx, case):
+        n, m, seed = case
+        expected = nx.gnm_random_graph(n, m, seed=seed)
+        graph = random_graph(n, m, seed=seed)
+        assert graph.number_of_nodes() == expected.number_of_nodes()
+        assert graph.edges() == sorted(
+            (min(u, v), max(u, v)) for u, v in expected.edges()
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_gnm_cases())
+    def test_triangles_and_components_equal_networkx(self, nx, case):
+        n, m, seed = case
+        expected = nx.gnm_random_graph(n, m, seed=seed)
+        graph = random_graph(n, m, seed=seed)
+        assert count_triangles_reference(graph) == (
+            sum(nx.triangles(expected).values()) // 3
+        )
+        assert sorted(map(sorted, connected_components(graph))) == sorted(
+            map(sorted, nx.connected_components(expected))
+        )
 
 
 class TestImages:
