@@ -1,4 +1,4 @@
-"""Shared helpers for the paper-claim checks.
+"""Shared fixtures for the paper-claim checks.
 
 Each ``test_fig*`` / ``test_table*`` module regenerates one table or
 figure of the paper: it calls the corresponding experiment driver once,
@@ -39,8 +39,3 @@ def paper_suite():
     from repro.experiments import run_suite
 
     return run_suite(num_ranks=32, paper_scale=True)
-
-
-def emit(title: str, body: str) -> None:
-    print(f"\n=== {title} ===")
-    print(body)

@@ -1,6 +1,6 @@
 """Ablations of the modeled design choices (DESIGN.md Section 6)."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.experiments import (
     alu_clock_sweep,

@@ -1,6 +1,6 @@
 """Physical-activity census across the suite (model-explanation table)."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import activity_table, format_activity_table

@@ -1,6 +1,6 @@
 """Channel-sharing correction: the deferred DRAMsim3 refinement."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.experiments import channel_sensitivity, format_channel_table
 

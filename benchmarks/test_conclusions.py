@@ -1,6 +1,6 @@
 """Section X: the Conclusions paragraph, computed from the model."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import compute_conclusions, format_conclusions

@@ -1,6 +1,6 @@
 """Design sweeps extending Section VIII's per-benchmark discussions."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import (

@@ -1,6 +1,6 @@
 """Data-type sensitivity sweep (extends Section V-C's dtype discussion)."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDataType, PimDeviceType
 from repro.experiments import dtype_sensitivity, format_dtype_table

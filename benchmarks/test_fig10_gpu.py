@@ -1,6 +1,6 @@
 """Figure 10: speedup (a) and energy reduction (b) over the GPU."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import (

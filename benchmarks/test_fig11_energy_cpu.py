@@ -1,6 +1,6 @@
 """Figure 11: energy efficiency of the PIM architectures vs the CPU."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import energy_table, format_energy_table

@@ -1,6 +1,6 @@
 """Figure 12: rank sensitivity (8/16/32 vs 4), capacity scaling by rank."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import format_rank_table, rank_scaling_table

@@ -1,6 +1,6 @@
 """Figure 13: 1 vs 32 ranks at the same total memory capacity."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import DEVICE_ORDER

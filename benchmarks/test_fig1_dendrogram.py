@@ -1,6 +1,6 @@
 """Figure 1: benchmark-similarity dendrogram (PCA + Ward clustering)."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.analysis import build_dendrogram, extract_features, render_text_dendrogram
 from repro.config.device import PimDeviceType

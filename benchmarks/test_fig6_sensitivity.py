@@ -1,6 +1,6 @@
 """Figure 6: #column and #bank sensitivity of the PIM variants."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import DEVICE_ORDER

@@ -1,6 +1,6 @@
 """Figure 7: runtime breakdown (data movement / host / kernel)."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import breakdown_table, format_breakdown_table

@@ -1,6 +1,6 @@
 """Figure 8: PIM operation frequency distribution."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.core.commands import OpCategory
 from repro.experiments import format_opmix_table, opmix_table

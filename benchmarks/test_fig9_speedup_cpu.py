@@ -1,6 +1,6 @@
 """Figure 9: speedup of the three PIM variants over the CPU baseline."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import DEVICE_ORDER

@@ -1,6 +1,6 @@
 """Section IX future-work explorations: HBM, problem size, batching."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import (

@@ -1,7 +1,7 @@
 """Listing 3: the per-run statistics report of the artifact."""
 
 import numpy as np
-from conftest import emit
+from paper_claims import emit
 
 from repro.analysis import format_report
 from repro.api import (

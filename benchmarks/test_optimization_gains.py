@@ -5,7 +5,7 @@ Table I benchmarks with architecture-tuned variants: the fused saturating
 add for brightness and the channel-batched convolution mapping for VGG.
 """
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.bench.optimized import optimization_gains
 

@@ -1,6 +1,6 @@
 """Overlap-potential analysis and the executable validation anchors."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.config.device import PimDeviceType
 from repro.experiments import format_overlap_table, overlap_table

@@ -1,6 +1,6 @@
 """Table I: the PIMbench suite inventory."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.experiments import format_table1
 

@@ -1,6 +1,6 @@
 """Table II: configuration of the evaluated architectures."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.experiments import format_table2
 

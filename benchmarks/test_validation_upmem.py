@@ -1,6 +1,6 @@
 """Section V-E: performance-model validation against UPMEM."""
 
-from conftest import emit
+from paper_claims import emit
 
 from repro.upmem import format_validation_table, upmem_validation_table
 

@@ -36,13 +36,23 @@ def gf_mul(a: int, b: int) -> int:
 
 @functools.lru_cache(maxsize=1)
 def gf_inverse_table() -> "tuple[int, ...]":
-    """Multiplicative inverses in GF(2^8), with inverse(0) := 0."""
+    """Multiplicative inverses in GF(2^8), with inverse(0) := 0.
+
+    Log/antilog construction: 3 generates the multiplicative group, so
+    with ``x = 3**k`` the inverse is ``3**(255 - k)``.
+    """
+    antilog = [0] * 255
+    log = [0] * 256
+    power = 1
+    for k in range(255):
+        antilog[k] = power
+        log[power] = k
+        power ^= power << 1  # power * 3 = power * x + power
+        if power & 0x100:
+            power ^= AES_POLY
     inverse = [0] * 256
     for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
+        inverse[x] = antilog[(255 - log[x]) % 255]
     return tuple(inverse)
 
 

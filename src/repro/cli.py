@@ -456,101 +456,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Benchmark a live server with the closed-loop load generator."""
-    import json
-    import os
-    import pathlib
-    import signal as signal_mod
-    import subprocess
-    import tempfile
-
-    from repro.serve.client import ServeClient
-    from repro.serve.loadgen import (
-        LoadLeg,
-        bench_payload,
-        format_reports,
-        run_leg,
-    )
-
-    tmpdir = tempfile.mkdtemp(prefix="repro-bench-serve-")
-    cache_dir = args.cache_dir or os.path.join(tmpdir, "cache")
-    src_root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    # Two legs, each against a freshly configured server: a
-    # duplicate-heavy leg sized to measure coalescing and the warm
-    # path, and an overload leg whose tiny admission queue forces
-    # shedding at the target QPS.
-    legs = [
-        (
-            {"queue_limit": str(args.queue_limit)},
-            LoadLeg(
-                name="serve-warm-dup",
-                duration_s=args.duration,
-                target_qps=args.qps,
-                concurrency=args.concurrency,
-                duplicate_ratio=args.duplicate_ratio,
-                seed=args.seed,
-            ),
-        ),
-        (
-            {"queue_limit": str(args.overload_queue_limit)},
-            LoadLeg(
-                name="serve-overload",
-                duration_s=args.duration,
-                target_qps=args.qps * 8,
-                concurrency=max(args.concurrency * 4, 8),
-                duplicate_ratio=0.0,
-                distinct_cells=64,
-                seed=args.seed + 1,
-            ),
-        ),
-    ]
-    reports = []
-    for overrides, leg in legs:
-        sock = os.path.join(tmpdir, f"{leg.name}.sock")
-        cmd = [
-            sys.executable, "-m", "repro", "serve",
-            "--socket", sock,
-            "--workers", str(args.workers),
-            "--queue-limit", overrides["queue_limit"],
-            "--cache-dir", cache_dir,
-            "--drain-grace", "5",
-        ]
-        proc = subprocess.Popen(
-            cmd, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            with ServeClient(socket_path=sock, timeout=30.0) as client:
-                client.wait_ready(attempts=300, delay_s=0.1)
-                # Pre-warm the hot cell so the duplicate-heavy leg
-                # measures the serving path, not one cold simulation.
-                client.cell(benchmark=leg.benchmark, device=leg.device,
-                            ranks=leg.ranks)
-            report = run_leg(
-                lambda: ServeClient(socket_path=sock, timeout=30.0), leg
-            )
-            reports.append(report)
-        finally:
-            proc.send_signal(signal_mod.SIGTERM)
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-    print(format_reports(reports))
-    if args.out:
-        payload = bench_payload(reports)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        print(f"\nServing benchmark payload written to {args.out}")
-    return 0
-
-
 def cmd_arch_list(args: argparse.Namespace) -> int:
     """List registered architecture backends with Table II parameters.
 
@@ -754,8 +659,16 @@ def cmd_cache_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The experiment-engine flags shared by run/profile/suite/figure."""
+def _add_engine_flags(
+    parser: argparse.ArgumentParser,
+    report_help: str = "write a JSON run report (metrics snapshot, per-cell "
+                       "telemetry table, environment stamp)",
+) -> None:
+    """The experiment-engine flags of run/profile/suite/campaign/dse run.
+
+    ``dse run`` passes its own ``report_help``: its ``--report`` is the
+    sweep report, not the run report.
+    """
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="simulate cells across N worker processes "
@@ -789,9 +702,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
              "failure; unstarted cells are reported as skipped",
     )
     parser.add_argument(
-        "--report", metavar="OUT.json", default=None,
-        help="write a JSON run report (metrics snapshot, per-cell "
-             "telemetry table, environment stamp)",
+        "--report", metavar="OUT.json", default=None, help=report_help,
     )
 
 
@@ -953,38 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a final OpenMetrics exposition on exit")
     serve.set_defaults(func=cmd_serve)
 
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="load-test repro serve and archive serving benchmarks",
-    )
-    bench_serve.add_argument("--duration", type=float, default=4.0,
-                             help="seconds per leg (default: 4)")
-    bench_serve.add_argument("--qps", type=float, default=40.0,
-                             help="target QPS of the duplicate-heavy leg; "
-                                  "the overload leg runs 8x (default: 40)")
-    bench_serve.add_argument("--concurrency", type=int, default=4,
-                             help="closed-loop workers of the warm leg "
-                                  "(default: 4)")
-    bench_serve.add_argument("--duplicate-ratio", type=float, default=0.8,
-                             help="fraction of warm-leg requests naming "
-                                  "the hot cell (default: 0.8)")
-    bench_serve.add_argument("--workers", type=int, default=2,
-                             help="server worker processes (default: 2)")
-    bench_serve.add_argument("--queue-limit", type=int, default=64,
-                             help="warm-leg admission queue (default: 64)")
-    bench_serve.add_argument("--overload-queue-limit", type=int, default=4,
-                             help="overload-leg admission queue "
-                                  "(default: 4, to force shedding)")
-    bench_serve.add_argument("--cache-dir", default=None,
-                             help="cache dir the benched servers share "
-                                  "(default: a fresh temp dir)")
-    bench_serve.add_argument("--seed", type=int, default=0,
-                             help="load-generator RNG seed")
-    bench_serve.add_argument("--out", metavar="BENCH.json", default=None,
-                             help="write the serving benchmark payload "
-                                  "(e.g. BENCH_PR8.json)")
-    bench_serve.set_defaults(func=cmd_bench_serve)
-
     arch = sub.add_parser(
         "arch", help="inspect the architecture backend registry"
     )
@@ -1010,27 +889,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse_run.add_argument("--spec", required=True, metavar="SPEC.json",
                          help="sweep spec file (schema: docs/DSE.md)")
-    dse_run.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="simulate cells across N worker processes; "
-                              "the report is byte-identical for any N")
-    dse_run.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="persistent result cache location "
-                              "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
-    dse_run.add_argument("--no-cache", action="store_true",
-                         help="ignore cached results and do not write new "
-                              "ones")
-    dse_run.add_argument("--cell-timeout", type=float, default=None,
-                         metavar="S",
-                         help="wall-clock budget per cell in seconds")
-    dse_run.add_argument("--max-retries", type=int, default=None, metavar="N",
-                         help="retries per failing cell before recording "
-                              "the failure")
-    dse_run.add_argument("--fail-fast", action="store_true",
-                         help="stop scheduling after the first ultimate "
-                              "failure")
-    dse_run.add_argument("--report", metavar="OUT.json", default=None,
-                         help="write the byte-stable sweep report (points, "
-                              "frontier, winner tables)")
+    _add_engine_flags(
+        dse_run,
+        report_help="write the byte-stable sweep report (points, "
+                    "frontier, winner tables)",
+    )
     pricer = dse_run.add_mutually_exclusive_group()
     pricer.add_argument("--no-vector", action="store_true",
                         help="price cells through the scalar path instead "

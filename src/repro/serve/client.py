@@ -1,18 +1,16 @@
 """A minimal blocking client for ``repro serve`` (stdlib only).
 
-Used by the equivalence tests, the CI smoke script, and the load
-generator's worker threads.  Speaks exactly the dialect the server
-speaks: HTTP/1.1 with ``Content-Length`` bodies over TCP or a unix
-socket, keep-alive by default (one persistent connection per client
-instance; the load generator runs one client per closed-loop worker).
-Thread-compatible, not thread-safe -- give each thread its own client.
+Used by the equivalence tests and the CI smoke script.  Speaks exactly
+the dialect the server speaks: HTTP/1.1 with ``Content-Length`` bodies
+over TCP or a unix socket, keep-alive by default (one persistent
+connection per client instance).  Thread-compatible, not thread-safe
+-- give each thread its own client.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import typing
 
 
 class ServeClientError(ConnectionError):

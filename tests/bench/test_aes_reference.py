@@ -1,5 +1,7 @@
 """Tests for the host AES-256 reference against FIPS-197 values."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,13 @@ class TestGaloisField:
             assert ref.gf_mul(x, inverse[x]) == 1
         assert inverse[0] == 0
 
+    def test_inverse_table_equals_brute_force(self):
+        """The log/antilog table against an exhaustive gf_mul search."""
+        brute = [0] * 256
+        for x in range(1, 256):
+            brute[x] = next(y for y in range(1, 256) if ref.gf_mul(x, y) == 1)
+        assert list(ref.gf_inverse_table()) == brute
+
 
 class TestSbox:
     def test_fips_known_entries(self):
@@ -29,6 +38,15 @@ class TestSbox:
         assert box[0x01] == 0x7C
         assert box[0x53] == 0xED
         assert box[0xFF] == 0x16
+
+    def test_tables_are_pinned(self):
+        """Both 256-entry tables, byte for byte (SHA-256 of each)."""
+        assert hashlib.sha256(ref.sbox().tobytes()).hexdigest() == (
+            "c2d8e5eed6cbebd8625fc18f81486a7733c04f9b0129ffbe974c68b90308b4f2"
+        )
+        assert hashlib.sha256(ref.inv_sbox().tobytes()).hexdigest() == (
+            "93631b0726f6fe6629daa743ee51b49f4477ed07391b68eeea0672a4a90018aa"
+        )
 
     def test_inverse_sbox_inverts(self):
         box, inverse = ref.sbox(), ref.inv_sbox()

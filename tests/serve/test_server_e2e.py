@@ -6,17 +6,18 @@ CI's serve smoke leg does, and pin the acceptance contract:
 
 * served bytes == direct ``run_cells`` bytes (scalar, vector, chaos);
 * concurrent duplicates coalesce (counter > 0, identical payloads);
+* a full admission queue sheds with ``ERR_OVERLOAD`` at the limit;
 * SIGTERM drains cleanly: exit code 0, no orphaned workers.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -84,6 +85,13 @@ class ServerProcess:
 
     def kill(self) -> None:
         if self.proc.poll() is None:
+            # SIGKILL skips the drain, so take the workers down first or
+            # a failing test leaves them running without a parent.
+            for pid in self.worker_pids():
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
             self.proc.kill()
             self.proc.wait()
 
@@ -213,5 +221,72 @@ class TestServeChaos:
                 assert payload["worker_respawns"] >= 1
             code, _, stderr = proc.terminate()
             assert code == 0, stderr
+        finally:
+            proc.kill()
+
+
+class TestServeShedding:
+    def test_full_queue_sheds_at_the_limit(self, tmp_path):
+        """``--queue-limit 1`` on a live server: a request held in its
+        only slot makes the next one shed with 429 ``ERR_OVERLOAD``.
+
+        The held request draws an injected worker hang that outlives the
+        test, under a watchdog and deadline that never fire, so the slot
+        stays taken until SIGTERM; the test waits for ``/statusz`` to
+        show it admitted before sending the second request, so nothing
+        depends on timing.
+        """
+        proc = ServerProcess(
+            tmp_path, "--queue-limit", "1",
+            "--chaos-hang-rate", "1.0", "--chaos-hang-s", "600",
+            "--cell-timeout", "900", "--deadline", "900",
+            "--drain-grace", "0.2",
+        )
+        held_reply: "list[object]" = []
+
+        def hold_the_slot() -> None:
+            try:
+                with proc.client(timeout=900) as client:
+                    held_reply.append(client.cell(
+                        benchmark="vecadd", device="bank", ranks=32,
+                        no_cache=True,
+                    ))
+            except (OSError, ValueError) as exc:
+                held_reply.append(exc)
+
+        try:
+            with proc.client() as client:
+                client.wait_ready(attempts=600, delay_s=0.1)
+            holder = threading.Thread(target=hold_the_slot, daemon=True)
+            holder.start()
+            with proc.client() as client:
+                for _ in range(600):
+                    status = client.get_json("/statusz")[1]
+                    if status["inflight"] == 1:
+                        break
+                    time.sleep(0.1)
+                assert status["inflight"] == 1, status
+                code, payload, _ = client.cell(
+                    benchmark="gemv", device="fulcrum", ranks=32,
+                )
+                assert code == 429, payload
+                assert payload["code"] == "ERR_OVERLOAD"
+                assert payload["queue_depth"] == 1
+                assert payload["retry_after_s"] > 0
+                status = client.get_json("/statusz")[1]
+                assert status["queue_limit"] == 1
+                assert status["max_inflight"] <= status["queue_limit"]
+                assert status["counters"]["serve.shed.overload"] == 1
+            code, stdout, stderr = proc.terminate()
+            assert code == 0, stderr
+            assert "drained cleanly" in stdout
+            holder.join(timeout=30)
+            assert not holder.is_alive()
+            # The held request is cancelled by the drain, not dropped.
+            assert len(held_reply) == 1, held_reply
+            assert isinstance(held_reply[0], tuple), held_reply
+            held_status, held_payload, _ = held_reply[0]
+            assert held_status == 503
+            assert held_payload["code"] == "ERR_DRAINING"
         finally:
             proc.kill()

@@ -52,6 +52,48 @@ class TestParser:
         assert "--vector" in capsys.readouterr().err
 
 
+class TestRemovedBenchServe:
+    """``bench-serve`` is gone; perfbench ``serve-mixed`` measures serving."""
+
+    SERVE_DEFAULTS = {
+        "host": None, "port": 0, "socket": None, "workers": 2,
+        "queue_limit": 64, "quota_rps": None, "quota_burst": None,
+        "deadline": 30.0, "cell_timeout": 60.0, "max_retries": 2,
+        "cache_dir": None, "no_cache": False, "drain_grace": 20.0,
+        "chaos_rate": 0.0, "chaos_hang_rate": 0.0, "chaos_hang_s": 120.0,
+        "chaos_seed": 0, "openmetrics": None,
+    }
+
+    def test_bench_serve_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-serve"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "bench-serve" in err
+
+    def test_top_level_help_does_not_list_it(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "serve" in out
+        assert "bench-serve" not in out
+
+    def test_serve_flags_are_unchanged(self, capsys):
+        args = vars(build_parser().parse_args(["serve"]))
+        assert args.pop("func").__name__ == "cmd_serve"
+        assert args.pop("command") == "serve"
+        assert args == self.SERVE_DEFAULTS
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for dest in self.SERVE_DEFAULTS:
+            assert f"--{dest.replace('_', '-')}" in out
+        for gone in ("--duration", "--qps", "--overload-queue-limit"):
+            assert gone not in out
+
+
 class TestFigureNormalization:
     # Regression: lstrip("fig") strips characters, so "figure 7" became
     # "ure 7" and "Figure 6a" was unrecognized.
@@ -419,6 +461,28 @@ class TestDseSubcommand:
     def test_dse_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dse"])
+
+    def test_run_takes_the_shared_engine_flags(self):
+        spec = "sweep.json"
+        args = build_parser().parse_args(["dse", "run", "--spec", spec])
+        assert (args.jobs, args.cache_dir, args.no_cache) == (None, None, False)
+        assert (args.cell_timeout, args.max_retries) == (None, None)
+        assert (args.fail_fast, args.report) == (False, None)
+        args = build_parser().parse_args([
+            "dse", "run", "--spec", spec, "--jobs", "2", "--cache-dir", "D",
+            "--no-cache", "--cell-timeout", "1.5", "--max-retries", "3",
+            "--fail-fast", "--report", "r.json",
+        ])
+        assert (args.jobs, args.cache_dir, args.no_cache) == (2, "D", True)
+        assert (args.cell_timeout, args.max_retries) == (1.5, 3)
+        assert (args.fail_fast, args.report) == (True, "r.json")
+
+    def test_run_report_help_names_the_sweep_report(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["dse", "run", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "write the byte-stable sweep report" in out
+        assert "JSON run report" not in out
 
     def test_list_enumerates_points_without_running(self, capsys, tmp_path):
         assert main(["dse", "list", "--spec", self._spec_file(tmp_path)]) == 0
