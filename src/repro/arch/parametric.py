@@ -80,14 +80,11 @@ GEOMETRY_KNOBS = (
 #: Processing-element knobs (``repro.config.device.PimArchParams``
 #: fields), name -> numeric type.
 ARCH_KNOBS = {
-    "bitserial_num_registers": int,
     "fulcrum_alu_bits": int,
     "fulcrum_alu_freq_mhz": float,
-    "fulcrum_num_walkers": int,
     "fulcrum_subarrays_per_core": int,
     "bank_alu_bits": int,
     "bank_alu_freq_mhz": float,
-    "bank_num_walkers": int,
 }
 
 #: Energy knobs: overrides applied at the backend's pricing hooks, not
@@ -115,8 +112,9 @@ def _resolve_alias(name: str, base: ArchBackend) -> str:
     if base.device_type.is_bit_serial:
         raise PimConfigError(
             f"knob {name!r} has no meaning on bit-serial base "
-            f"{base.id!r} (its PEs are 1-bit sense-amp lanes); sweep "
-            "bitserial_num_registers or a geometry knob instead",
+            f"{base.id!r} (its PEs are 1-bit sense-amp lanes, one per "
+            "subarray column); sweep cols_per_subarray or another "
+            "geometry knob instead",
             knob=name, base=base.id,
         )
     if scope == CORE_SCOPE_SUBARRAY_GROUP:
@@ -145,8 +143,8 @@ def normalize_knobs(
     must be a finite number; clocks (the float processing-element knobs)
     must be positive and ``alu_op_pj`` non-negative, so no point can
     price to a NaN, infinite, or negative cost, and the integer
-    processing-element knobs (register, walker and subarray counts, ALU
-    widths) must be at least 1.  Two dicts that differ only in key order
+    processing-element knobs (subarray counts, ALU widths) must be at
+    least 1.  Two dicts that differ only in key order
     (or in ``250`` vs ``250.0`` for a float knob) normalize to the
     identical tuple -- the property the content-addressed identity below
     relies on.

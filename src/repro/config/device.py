@@ -189,28 +189,24 @@ class PimAllocType(enum.Enum):
 class PimArchParams:
     """Architecture-specific processing-element parameters (Table II)."""
 
-    # Bit-serial: registers per sense-amp lane.
-    bitserial_num_registers: int = 4
-    # Fulcrum: ALU word width, clock, walkers, subarrays aggregated per core.
+    # Fulcrum: ALU word width, clock, subarrays aggregated per core.
     fulcrum_alu_bits: int = 32
     fulcrum_alu_freq_mhz: float = 164.0
-    fulcrum_num_walkers: int = 3
     fulcrum_subarrays_per_core: int = 2
     # Bank-level: ALPU width and clock; GDL width lives in DramGeometry.
     bank_alu_bits: int = 64
     bank_alu_freq_mhz: float = 164.0
-    bank_num_walkers: int = 3
 
     def __post_init__(self) -> None:
         if self.fulcrum_alu_bits not in (32, 64):
             raise ValueError("Fulcrum ALU must be 32 or 64 bits wide")
         if self.bank_alu_bits not in (32, 64, 128):
             raise ValueError("bank-level ALPU must be 32, 64, or 128 bits wide")
-        for name in ("bitserial_num_registers", "fulcrum_num_walkers",
-                     "fulcrum_subarrays_per_core", "bank_num_walkers"):
-            count = getattr(self, name)
-            if count < 1:
-                raise ValueError(f"{name} must be >= 1, got {count!r}")
+        count = self.fulcrum_subarrays_per_core
+        if count < 1:
+            raise ValueError(
+                f"fulcrum_subarrays_per_core must be >= 1, got {count!r}"
+            )
         for field in dataclasses.fields(self):
             if field.type != "float":
                 continue

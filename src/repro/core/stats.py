@@ -367,36 +367,24 @@ class StatsTracker(TraceRecording):
     @property
     def kernel_time_ns(self) -> float:
         """Total modeled PIM-kernel latency."""
-        return sum(stats.latency_ns for stats in self.commands.values())
+        return self.snapshot().kernel_time_ns
 
     @property
     def kernel_energy_nj(self) -> float:
         """Total modeled PIM-kernel energy, excluding background."""
-        return sum(stats.energy_nj for stats in self.commands.values())
+        return self.snapshot().kernel_energy_nj
 
     @property
     def copy_time_ns(self) -> float:
-        return (
-            self.host_to_device.latency_ns
-            + self.device_to_host.latency_ns
-            + self.device_to_device.latency_ns
-        )
+        return self.snapshot().copy_time_ns
 
     @property
     def copy_energy_nj(self) -> float:
-        return (
-            self.host_to_device.energy_nj
-            + self.device_to_host.energy_nj
-            + self.device_to_device.energy_nj
-        )
+        return self.snapshot().copy_energy_nj
 
     @property
     def copy_bytes(self) -> int:
-        return (
-            self.host_to_device.num_bytes
-            + self.device_to_host.num_bytes
-            + self.device_to_device.num_bytes
-        )
+        return self.snapshot().copy_bytes
 
     @property
     def total_command_count(self) -> int:
@@ -404,16 +392,15 @@ class StatsTracker(TraceRecording):
 
     def snapshot(self) -> "StatsSnapshot":
         """Freeze the current totals (used by benchmark phase accounting)."""
-        return StatsSnapshot(
-            kernel_time_ns=self.kernel_time_ns,
-            kernel_energy_nj=self.kernel_energy_nj,
-            copy_time_ns=self.copy_time_ns,
-            copy_energy_nj=self.copy_energy_nj,
-            copy_bytes=self.copy_bytes,
-            background_energy_nj=self.background_energy_nj,
-            host_time_ns=self.host_time_ns,
-            host_energy_nj=self.host_energy_nj,
-            events=self.events,
+        commands = self.commands.values()
+        return StatsSnapshot.of(
+            [stats.latency_ns for stats in commands],
+            [stats.energy_nj for stats in commands],
+            (self.host_to_device, self.device_to_host, self.device_to_device),
+            self.background_energy_nj,
+            self.host_time_ns,
+            self.host_energy_nj,
+            self.events,
         )
 
 
@@ -430,6 +417,36 @@ class StatsSnapshot:
     host_time_ns: float = 0.0
     host_energy_nj: float = 0.0
     events: EventCounts = dataclasses.field(default_factory=EventCounts)
+
+    @classmethod
+    def of(
+        cls,
+        latencies: "typing.Iterable[float]",
+        energies: "typing.Iterable[float]",
+        copies: "typing.Sequence[CopyStats]",
+        background_energy_nj: float,
+        host_time_ns: float,
+        host_energy_nj: float,
+        events: EventCounts,
+    ) -> "StatsSnapshot":
+        """Fold accumulator totals into a snapshot: the one summation.
+
+        ``latencies``/``energies`` are the per-signature command totals
+        in table order, ``copies`` the h2d, d2h and d2d buckets.  Both a
+        tracker and a priced plan row freeze through here.
+        """
+        h2d, d2h, d2d = copies
+        return cls(
+            kernel_time_ns=sum(latencies),
+            kernel_energy_nj=sum(energies),
+            copy_time_ns=h2d.latency_ns + d2h.latency_ns + d2d.latency_ns,
+            copy_energy_nj=h2d.energy_nj + d2h.energy_nj + d2d.energy_nj,
+            copy_bytes=h2d.num_bytes + d2h.num_bytes + d2d.num_bytes,
+            background_energy_nj=background_energy_nj,
+            host_time_ns=host_time_ns,
+            host_energy_nj=host_energy_nj,
+            events=events,
+        )
 
     def __sub__(self, other: "StatsSnapshot") -> "StatsSnapshot":
         return StatsSnapshot(

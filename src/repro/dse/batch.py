@@ -7,57 +7,53 @@ a geometry signature (:mod:`repro.perf.plans`) issue byte-identical
 command traces and differ only in their cost tables.  This module
 prices a whole geometry group at once:
 
-1. group the sweep's cells by :func:`~repro.perf.plans.plan_cache_key`;
+1. group the sweep's (point, benchmark) cells by
+   :func:`~repro.perf.plans.plan_cache_key`;
 2. compile (or load from the plan cache) **one**
    :class:`~repro.perf.plans.PricingPlan` per group;
-3. synthesize every point of the group with one
-   :func:`~repro.perf.plans.synthesize` call -- the function a single
-   vectorized cell runs with one point, so every synthesized total is
-   bit-identical to the per-cell result, which is itself bit-identical
-   to the scalar path -- and wrap the rows in per-cell
-   :class:`~repro.engine.cells.CellOutcome`\\ s that report exactly
-   like per-cell outcomes.
+3. price every point of the group with one
+   :func:`~repro.perf.plans.price_plan` call -- the function a single
+   vectorized cell runs with one point, so every row is bit-identical
+   to the scalar path -- and read each row into its
+   :class:`~repro.bench.common.BenchmarkResult`.
 
-The plan store is the only cache tier: a synthesized outcome is a pure
-function of its plan and its point's cost table, so it is never
-written to the per-cell store; a warm sweep re-synthesizes it from the
-stored plan.
+The product is a table with one result per (point, benchmark) cell: no
+engine outcome, stats tracker or telemetry record.  Only plans are
+cached; a warm sweep re-prices every cell from its stored plan.
 
 ``REPRO_VECTOR_CHECK=1`` (CLI: ``--vector-check``) bypasses the plan
-store and checks the first, middle and last synthesized cells with
-:func:`~repro.engine.cells.check_against_oracle`; a diverging cell
-becomes a failed outcome naming every mismatch.
+store and checks the first, middle and last priced cells, each with its
+row's tracker, by :func:`~repro.engine.cells.check_against_oracle`; a
+diverging cell's entry becomes a failure naming every mismatch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import time
 import typing
 import warnings
-from collections import OrderedDict
 
-from repro.engine.cells import (
-    CellOutcome,
-    check_against_oracle,
-    vector_check_enabled,
-)
-from repro.obs.telemetry import CellTelemetry
+from repro.engine.cells import check_against_oracle, vector_check_enabled
 from repro.perf.plans import (
     COST_ONLY_ARCH_FIELDS,
+    PlanTotals,
     PricingPlan,
     compile_plan,
     plan_cache_key,
-    synthesize,
+    plan_results,
+    price_plan,
+    unit_costs,
 )
 from repro.perf.vector import VectorEquivalenceError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.arch.base import ArchBackend
+    from repro.arch.parametric import ParametricBackend
+    from repro.bench.common import BenchmarkResult
     from repro.config.device import DeviceConfig
     from repro.engine.cache import DiskCache
     from repro.engine.cells import CellSpec
+    from repro.resilience.failures import CellFailure
 
 
 def batch_eligible(spec: "CellSpec") -> bool:
@@ -67,170 +63,83 @@ def batch_eligible(spec: "CellSpec") -> bool:
     (:func:`repro.engine.cells.run_cell`): analytic, unobserved,
     fault-free.  Functional cells move real data, observed cells need
     per-issue events, and fault cells hook the functional engine -- all
-    take the per-cell path with ``telemetry.batched=False``.
+    take the per-cell path.
     """
     return bool(spec.vector) and not spec.functional and spec.fault_plan is None
 
 
 @dataclasses.dataclass
 class BatchReport:
-    """What one :func:`price_cells_batched` call did.
-
-    Every cell it returns was synthesized from a plan (``synthesized``);
-    the per-cell cache is never read or written.
-    """
+    """What one :func:`price_cells_batched` call did."""
 
     synthesized: int = 0
     plan_hits: int = 0
     plan_misses: int = 0
     checked: int = 0
-    #: Cells the batched path declined (a group whose compile failed);
-    #: the sweep routes them through the per-cell engine instead.
-    deferred: int = 0
 
 
 def _trace_group_key(
-    spec: "CellSpec", backend: "ArchBackend"
-) -> "typing.Hashable | None":
+    backend: "ParametricBackend", benchmark: str
+) -> "typing.Hashable":
     """Cheap pre-grouping key: same key => same plan cache key.
 
-    :func:`~repro.perf.plans.plan_cache_key` canonicalizes the whole
-    derived config, which costs real time per point; but for a
-    :class:`~repro.arch.parametric.ParametricBackend` the plan key is
-    fully determined by the base backend, the cell's trace-affecting
-    fields, and the knobs that are not cost-only (the normalized knob
-    names *are* config field names).  Grouping on that tuple lets the
-    sweep hash the full key once per group instead of once per point.
-    Finer-than-necessary grouping would merely compile twice; coarser
-    is impossible because every plan-key ingredient appears here.
-    Returns ``None`` for non-parametric backends (full key per cell).
+    Within one sweep (whose cells share rank count, scale and capacity
+    policy) a parametric point's plan key is fully determined by its
+    base, the benchmark, and the knobs that are not cost-only, so the
+    full key (:func:`~repro.perf.plans.plan_cache_key`, which
+    canonicalizes the whole config) is hashed once per group.  Finer
+    grouping would merely compile twice; coarser is impossible.
     """
-    knobs = getattr(backend, "knobs", None)
-    base = getattr(backend, "base", None)
-    if knobs is None or base is None:
-        return None
     from repro.arch.parametric import ENERGY_KNOBS
 
     trace_knobs = tuple(
         (name, value)
-        for name, value in knobs
+        for name, value in backend.knobs
         if name not in COST_ONLY_ARCH_FIELDS and name not in ENERGY_KNOBS
     )
-    return (
-        base.id,
-        spec.benchmark_key,
-        spec.num_ranks,
-        spec.paper_scale,
-        spec.enforce_capacity,
-        spec.geometry_overrides,
-        trace_knobs,
-    )
+    return (backend.base.id, benchmark, trace_knobs)
 
 
 def price_group(
     plan: PricingPlan,
-    group: "list[tuple[CellSpec, ArchBackend, DeviceConfig]]",
-) -> "list[CellOutcome]":
+    points: "list[tuple[ParametricBackend, DeviceConfig]]",
+) -> "tuple[PlanTotals, list[BenchmarkResult]]":
     """Price every point of one geometry group from its shared plan.
 
-    Returns one synthesized :class:`~repro.engine.cells.CellOutcome`
-    per group entry, in order: :func:`~repro.perf.plans.synthesize`
-    with N points -- the function a vectorized cell calls with one --
-    plus the group's wall/CPU time apportioned evenly across its
-    points.  Downstream consumers (reports, the frontier)
-    cannot tell a synthesized outcome from a simulated one.
+    Returns the group's rows -- one :func:`~repro.perf.plans.price_plan`
+    call over the points' :func:`~repro.perf.plans.unit_costs` -- and
+    each row read into the result a scalar run of that point returns,
+    in ``points`` order.
     """
-    from repro.obs.telemetry import peak_rss_kb
-
-    group_wall0 = time.perf_counter()
-    group_cpu0 = time.process_time()
-    rows = synthesize(
-        plan, [(backend, config) for _spec, backend, config in group]
+    totals = price_plan(plan, unit_costs(plan.shape_args, points))
+    results = plan_results(
+        plan, totals, [config.device_type for _backend, config in points]
     )
-    points = len(group)
-    group_wall = time.perf_counter() - group_wall0
-    group_cpu = time.process_time() - group_cpu0
-    # One RSS sample serves the whole group: within one pricing pass
-    # the value cannot meaningfully change between points.
-    rss_kb = peak_rss_kb()
-    outcomes: "list[CellOutcome]" = []
-    for (spec, _backend, _config), (result, tracker) in zip(group, rows):
-        telemetry = CellTelemetry(
-            benchmark=spec.benchmark_key,
-            device=str(getattr(spec.device_type, "value", spec.device_type)),
-            num_ranks=spec.num_ranks,
-            attempt=1,
-            wall_s=group_wall / points,
-            cpu_s=group_cpu / points,
-            peak_rss_kb=rss_kb,
-            commands_simulated=int(sum(result.op_counts.values())),
-            # No memo lookup happens: each shape is priced once.
-            memo_hits=0,
-            memo_misses=0,
-            memo_shapes=len(plan.shape_args),
-            faults_injected=(),
-            vector=True,
-            batched=True,
-        )
-        outcomes.append(CellOutcome(
-            result=result,
-            tracker=tracker,
-            sim_dur_ns=result.stats.total_time_ns,
-            telemetry=telemetry,
-        ))
-    return outcomes
-
-
-def _check_against_oracle(
-    fresh: "list[CellSpec]", outcomes: "dict[CellSpec, CellOutcome]"
-) -> int:
-    """Bit-compare sampled synthesized cells with the scalar oracle.
-
-    Sample: the first, middle, and last of ``fresh`` (stable for a
-    given sweep enumeration), each checked by
-    :func:`~repro.engine.cells.check_against_oracle`.  A diverging
-    cell's outcome is replaced by a failure carrying every mismatch, so
-    the sweep reports it.  Returns the number of cells checked.
-    """
-    from repro.resilience.failures import failure_from_exception
-
-    picks = sorted({0, len(fresh) // 2, len(fresh) - 1}) if fresh else []
-    for position in picks:
-        spec = fresh[position]
-        try:
-            check_against_oracle(
-                spec, outcomes[spec].result, outcomes[spec].tracker
-            )
-        except VectorEquivalenceError as exc:
-            outcomes[spec] = CellOutcome.failure(
-                failure_from_exception(exc, 1, with_traceback=False)
-            )
-    return len(picks)
+    return totals, results
 
 
 def price_cells_batched(
-    entries: "list[tuple[CellSpec, ArchBackend]]",
+    backends: "typing.Sequence[ParametricBackend]",
+    benchmarks: "typing.Sequence[str]",
+    num_ranks: int,
+    cell: "typing.Callable[[int], CellSpec]",
     use_cache: bool = True,
     cache_dir: "str | os.PathLike | None" = None,
-) -> "tuple[dict[CellSpec, CellOutcome], BatchReport]":
-    """Synthesize every eligible cell from its geometry group's plan.
+) -> "tuple[list[BenchmarkResult | CellFailure | None], BatchReport]":
+    """Price every (point, benchmark) cell of a sweep from its group's plan.
 
-    ``entries`` pairs each cell spec with its (derived) backend; the
-    backends must be registry-resolvable while this runs (the sweep
-    calls inside its registration window).  Cells are grouped by plan
-    key; each group's plan is loaded from the plan store (or compiled
-    and written back) and every point of the group is synthesized from
-    it.  Outcomes are never disk-cached, so every cell is synthesized
-    on every run.  Their telemetry is merged into the global registry
-    in entry order -- the same accounting contract as ``run_cells``.
+    Cell ``i`` is ``benchmarks[i % B]`` on ``backends[i // B]`` at
+    ``num_ranks``; ``cell(i)`` builds its engine spec, needed only to
+    key and compile each group's plan and for the oracle samples.  The
+    backends must be registry-resolvable while this runs.
 
-    A group whose compile or pricing fails is *deferred*, not failed:
-    its cells are left out of the returned mapping and the sweep routes
-    them through the per-cell engine, which owns failure semantics.
+    Returns the table: entry ``i`` is cell ``i``'s result, the failure
+    an oracle check made of it, or ``None`` for a deferred cell -- one
+    whose plan cannot be keyed, compiled or priced, which the sweep
+    routes through the per-cell engine (it owns failure semantics).
     """
     from repro.engine.cache import DiskCache
     from repro.obs.metrics import global_registry
-    from repro.obs.telemetry import merge_cell_telemetry
 
     # The armed check keeps the sweep off the plan store, so no stored
     # plan escapes it.
@@ -239,31 +148,41 @@ def price_cells_batched(
         if use_cache and not vector_check_enabled() else None
     )
     report = BatchReport()
-    outcomes: "dict[CellSpec, CellOutcome]" = {}
+    width = len(benchmarks)
+    table: "list[BenchmarkResult | CellFailure | None]" = (
+        [None] * (len(backends) * width)
+    )
 
-    groups: "OrderedDict[str, list[tuple[CellSpec, ArchBackend, DeviceConfig]]]" = OrderedDict()
-    known_keys: "dict[typing.Hashable, str]" = {}
+    # plan key -> (the cell that keyed it, [(cell index, backend,
+    # config)] of every member).
+    groups: "dict[str, tuple[CellSpec, list[tuple]]]" = {}
+    known_keys: "dict[typing.Hashable, tuple[str, CellSpec]]" = {}
     unkeyed = 0
-    for spec, backend in entries:
-        # A cell whose config or plan key cannot even be computed (an
-        # unknown benchmark, an invalid geometry) is deferred like a
-        # failed compile: the per-cell engine owns failure semantics
-        # and will produce the coded error outcome.
+    for position, backend in enumerate(backends):
         try:
-            config = backend.make_config(
-                spec.num_ranks, **dict(spec.geometry_overrides)
-            )
-            cheap = _trace_group_key(spec, backend)
-            plan_key = known_keys.get(cheap) if cheap is not None else None
-            if plan_key is None:
-                plan_key = plan_cache_key(backend, spec, config)
-                if cheap is not None:
-                    known_keys[cheap] = plan_key
+            config = backend.make_config(num_ranks)
         except Exception:  # noqa: BLE001 - defer to the engine path
-            report.deferred += 1
-            unkeyed += 1
+            unkeyed += width
             continue
-        groups.setdefault(plan_key, []).append((spec, backend, config))
+        for offset, benchmark in enumerate(benchmarks):
+            index = position * width + offset
+            cheap = _trace_group_key(backend, benchmark)
+            keyed = known_keys.get(cheap)
+            if keyed is None:
+                # A cell whose plan key cannot even be computed (an
+                # unknown benchmark) is deferred like a failed compile:
+                # the per-cell engine produces the coded error outcome.
+                spec = cell(index)
+                try:
+                    keyed = (plan_cache_key(backend, spec, config), spec)
+                except Exception:  # noqa: BLE001 - defer to the engine path
+                    unkeyed += 1
+                    continue
+                known_keys[cheap] = keyed
+            plan_key, spec = keyed
+            groups.setdefault(plan_key, (spec, []))[1].append(
+                (index, backend, config)
+            )
     if unkeyed:
         warnings.warn(
             f"batched pricing deferred {unkeyed} cell(s) whose "
@@ -273,12 +192,13 @@ def price_cells_batched(
         )
 
     registry = global_registry()
-    for plan_key, group in groups.items():
+    priced: "list[tuple[list[int], PlanTotals]]" = []
+    for plan_key, (spec, members) in groups.items():
         try:
             plan = cache.get_plan(plan_key) if cache is not None else None
             if plan is None:
-                spec0, backend0, config0 = group[0]
-                plan = compile_plan(spec0, backend0, config0)
+                _index, backend, config = members[0]
+                plan = compile_plan(spec, backend, config)
                 report.plan_misses += 1
                 registry.counter("plan_cache.misses").inc()
                 if cache is not None:
@@ -286,32 +206,41 @@ def price_cells_batched(
             else:
                 report.plan_hits += 1
                 registry.counter("plan_cache.hits").inc()
-            priced = price_group(plan, group)
+            totals, results = price_group(
+                plan, [(backend, config) for _i, backend, config in members]
+            )
         except Exception as exc:  # noqa: BLE001 - defer to the engine path
-            report.deferred += len(group)
             warnings.warn(
-                f"batched pricing deferred {len(group)} cell(s) to the "
+                f"batched pricing deferred {len(members)} cell(s) to the "
                 f"per-cell engine: {type(exc).__name__}: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )
             continue
-        for (spec, _backend, _config), outcome in zip(group, priced):
-            outcomes[spec] = outcome
-    report.synthesized = len(outcomes)
+        cells = [index for index, _backend, _config in members]
+        for index, result in zip(cells, results):
+            table[index] = result
+        priced.append((cells, totals))
+        report.synthesized += len(cells)
 
-    if vector_check_enabled():
-        # Sample in sweep order, not group order.
-        report.checked = _check_against_oracle(
-            [spec for spec, _backend in entries if spec in outcomes],
-            outcomes,
-        )
+    if vector_check_enabled() and priced:
+        from repro.resilience.failures import failure_from_exception
 
-    merge_cell_telemetry(
-        registry,
-        (telemetry for spec, _backend in entries
-         if spec in outcomes
-         and (telemetry := getattr(outcomes[spec], "telemetry", None))
-         is not None),
-    )
-    return outcomes, report
+        # Sample the first, middle and last priced cells in sweep order,
+        # not group order; only they get a tracker row.
+        fresh = [i for i, entry in enumerate(table) if entry is not None]
+        picks = {fresh[0], fresh[len(fresh) // 2], fresh[-1]}
+        for cells, totals in priced:
+            for row, index in enumerate(cells):
+                if index not in picks:
+                    continue
+                try:
+                    check_against_oracle(
+                        cell(index), table[index], totals.tracker(row)
+                    )
+                except VectorEquivalenceError as exc:
+                    table[index] = failure_from_exception(
+                        exc, 1, with_traceback=False
+                    )
+        report.checked = len(picks)
+    return table, report

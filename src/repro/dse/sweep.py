@@ -6,14 +6,13 @@ For every compiled point it derives a
 :class:`~repro.arch.parametric.ParametricBackend`, registers it (noting
 which registrations are new so the registry is restored afterwards --
 a sweep must leave the process exactly as it found it, including under
-``repro serve``), builds one :class:`~repro.engine.cells.CellSpec` per
-(point, benchmark) with the vectorized pricer on by default, prices
-the batch-eligible cells from cached per-geometry plans
-(:mod:`repro.dse.batch`), and hands the rest to
-:func:`repro.engine.run_cells` -- which supplies per-cell caching
-(parametric cache keys are sound by construction: the knob digest rides
-in both the device-config material and the model-version stamp),
-process fan-out, retries, and deterministic merge order.
+``repro serve``), prices its (point, benchmark) cells from cached
+per-geometry plans into a table of results (:mod:`repro.dse.batch`),
+and hands the rest to :func:`repro.engine.run_cells` -- which supplies
+per-cell caching (parametric cache keys are sound by construction: the
+knob digest rides in both the device-config material and the
+model-version stamp), process fan-out, retries, and deterministic
+merge order.
 
 Metrics per point: kernel+host latency (ns) and energy (nJ), geometric
 mean over the sweep's benchmarks, plus the ``banks x pe-width`` area
@@ -39,13 +38,14 @@ from repro.config.device import (
     CORE_SCOPE_SUBARRAY,
     CORE_SCOPE_SUBARRAY_GROUP,
 )
-from repro.dse.batch import batch_eligible, price_cells_batched
+from repro.dse.batch import BatchReport, batch_eligible, price_cells_batched
 from repro.dse.pareto import ParetoPoint, pareto_frontier
 from repro.dse.spec import SweepPoint, SweepSpec
 from repro.engine import run_cells
 from repro.engine.cells import CellSpec
 from repro.engine.engine import resolve_jobs
 from repro.experiments.runner import geometric_mean
+from repro.resilience.failures import CellFailure
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.common import BenchmarkResult
@@ -150,14 +150,12 @@ class SweepResult:
 
 def _derive_all(
     points: "typing.Sequence[SweepPoint]",
-) -> "tuple[dict[str, ParametricBackend], list[str]]":
-    """Derive + register every point's backend; return (by id, new ids)."""
-    derived: "dict[str, ParametricBackend]" = {}
+) -> "tuple[list[ParametricBackend], list[str]]":
+    """Derive + register each point's backend; return (them, new ids)."""
+    backends: "list[ParametricBackend]" = []
     added: "list[str]" = []
     bases: "dict[str, typing.Any]" = {}
     for point in points:
-        if point.point_id in derived:
-            continue
         base = bases.get(point.base)
         if base is None:
             base = bases[point.base] = resolve_backend(point.base)
@@ -165,11 +163,11 @@ def _derive_all(
         # base (SweepSpec.compile_points), so the backend can take them
         # verbatim instead of re-validating each point.
         backend = ParametricBackend(base, point.knobs, canonical=True)
-        derived[backend.id] = backend
+        backends.append(backend)
         if not is_registered(backend.id):
             register_backend(backend)
             added.append(backend.id)
-    return derived, added
+    return backends, added
 
 
 def run_sweep(
@@ -188,103 +186,85 @@ def run_sweep(
     sweeps.  Points whose id was already registered (an overlapping
     concurrent sweep) are left alone, first owner wins.
 
-    Batched pricing (docs/DSE.md "Batched pricing"): by default,
-    analytic vector cells are grouped by geometry signature and priced
-    through the matrix pricer (:mod:`repro.dse.batch`) -- one benchmark
-    compile per group instead of one per point, with bit-identical
-    totals by the summation contract.  With ``use_cache`` the group's
-    plan is persisted in the plan store; the synthesized cells are not,
-    so a warm sweep re-prices them from stored plans.  The per-cell
-    engine path, with its per-cell cache, still runs for anything the
-    matrix pricer rejects (``vector=False``, functional, fault plans)
-    or defers.  Under the strict equivalence gate
-    (``REPRO_VECTOR_CHECK``) the sweep still batch-prices, and the
-    first, middle and last synthesized cells are bit-compared against
-    the scalar oracle.
+    Batched pricing (docs/DSE.md "Batched pricing"): by default every
+    cell is priced from its geometry group's plan (:mod:`repro.dse.batch`,
+    one compile per group, bit-identical totals); with ``use_cache``
+    only the plans persist.  The per-cell engine, with its per-cell
+    cache, runs what the batch defers, or every cell with
+    ``vector=False``.  Under ``REPRO_VECTOR_CHECK`` the sweep still
+    batch-prices and bit-compares three sampled cells with the oracle.
     """
     wall0 = time.perf_counter()
     points = spec.compile_points()
-    derived, added = _derive_all(points)
+    backends, added = _derive_all(points)
+    benchmarks = spec.benchmarks
+    width = len(benchmarks)
+
+    def cell(index: int) -> CellSpec:
+        """The engine spec of sweep cell ``index`` (point-major order)."""
+        return CellSpec(
+            benchmark_key=benchmarks[index % width],
+            device_type=backends[index // width].device_type,
+            num_ranks=spec.num_ranks,
+            paper_scale=True,
+            functional=False,
+            # Hypothetical geometries may shrink below a paper
+            # working set; the analytic model stays meaningful.
+            enforce_capacity=False,
+            vector=vector,
+        )
+
+    # One entry per (point, benchmark) cell: its result, or the failure
+    # that replaced it.
+    table: "list[BenchmarkResult | CellFailure | None]" = (
+        [None] * (len(points) * width)
+    )
+    batch = BatchReport()
     try:
-        cell_specs: "list[CellSpec]" = []
-        index: "dict[CellSpec, tuple[SweepPoint, str]]" = {}
-        for point in points:
-            backend = derived[point.point_id]
-            for benchmark in spec.benchmarks:
-                cell = CellSpec(
-                    benchmark_key=benchmark,
-                    device_type=backend.device_type,
-                    num_ranks=spec.num_ranks,
-                    paper_scale=True,
-                    functional=False,
-                    # Hypothetical geometries may shrink below a paper
-                    # working set; the analytic model stays meaningful.
-                    enforce_capacity=False,
-                    vector=vector,
-                )
-                cell_specs.append(cell)
-                index[cell] = (point, benchmark)
-        batch_outcomes: "dict[CellSpec, typing.Any]" = {}
-        plan_hits = plan_misses = synthesized = checked = 0
-        if vector:
-            eligible = [
-                (cell, derived[index[cell][0].point_id])
-                for cell in cell_specs
-                if batch_eligible(cell)
-            ]
-            if eligible:
-                batch_outcomes, batch_report = price_cells_batched(
-                    eligible, use_cache=use_cache, cache_dir=cache_dir,
-                )
-                plan_hits = batch_report.plan_hits
-                plan_misses = batch_report.plan_misses
-                synthesized = batch_report.synthesized
-                checked = batch_report.checked
-        remaining = [c for c in cell_specs if c not in batch_outcomes]
+        if table and batch_eligible(cell(0)):
+            table, batch = price_cells_batched(
+                backends, benchmarks, spec.num_ranks, cell,
+                use_cache=use_cache, cache_dir=cache_dir,
+            )
+        remaining = [i for i, entry in enumerate(table) if entry is None]
+        cells = [cell(index) for index in remaining]
         execution = (
             run_cells(
-                remaining, jobs=jobs, use_cache=use_cache,
+                cells, jobs=jobs, use_cache=use_cache,
                 cache_dir=cache_dir, policy=policy,
             )
-            if remaining
+            if cells
             else None
         )
     finally:
         for backend_id in added:
             unregister_backend(backend_id)
+    if execution is not None:
+        for index, cell_spec in zip(remaining, cells):
+            outcome = execution.outcomes[cell_spec]
+            table[index] = outcome.result if outcome.ok else outcome.error
 
-    by_point: "dict[str, PointOutcome]" = {}
+    outcomes: "list[PointOutcome]" = []
     sample_results: "dict[str, BenchmarkResult]" = {}
-    for cell in cell_specs:
-        point, benchmark = index[cell]
-        outcome = batch_outcomes.get(cell)
-        if outcome is None:
-            outcome = execution.outcomes[cell]  # type: ignore[union-attr]
-        entry = by_point.get(point.point_id)
-        if entry is None:
-            entry = by_point[point.point_id] = PointOutcome(
-                point=point, backend_id=point.point_id,
-                metrics=None, per_benchmark={}, errors={},
-            )
-        if outcome.ok:
-            result = outcome.result
+    for position, point in enumerate(points):
+        entry = PointOutcome(
+            point=point, backend_id=point.point_id,
+            metrics=None, per_benchmark={}, errors={},
+        )
+        for offset, benchmark in enumerate(benchmarks):
+            result = table[position * width + offset]
+            if isinstance(result, CellFailure):
+                entry.errors[benchmark] = result.brief()
+                continue
             assert result is not None
             entry.per_benchmark[benchmark] = {
                 "latency_ns": result.pim_kernel_host_time_ns,
                 "energy_nj": result.pim_kernel_host_energy_nj,
                 "commands": float(sum(result.op_counts.values())),
             }
-            if benchmark not in sample_results:
-                sample_results[benchmark] = result
-        else:
-            assert outcome.error is not None
-            entry.errors[benchmark] = outcome.error.brief()
-
-    outcomes: "list[PointOutcome]" = []
-    for point in points:
-        entry = by_point[point.point_id]
+            sample_results.setdefault(benchmark, result)
         if not entry.errors and entry.per_benchmark:
-            config = derived[point.point_id].make_config(spec.num_ranks)
+            config = backends[position].make_config(spec.num_ranks)
             entry.metrics = PointMetrics(
                 latency_ns=geometric_mean(
                     row["latency_ns"] for row in entry.per_benchmark.values()
@@ -311,13 +291,15 @@ def run_sweep(
         outcomes=outcomes,
         frontier_ids=tuple(p.key for p in frontier),
         cache_hits=execution.hits if execution else 0,
-        cache_misses=synthesized + (execution.misses if execution else 0),
+        cache_misses=(
+            batch.synthesized + (execution.misses if execution else 0)
+        ),
         jobs=execution.jobs if execution else resolve_jobs(jobs),
         sample_results=sample_results,
         wall_s=time.perf_counter() - wall0,
-        plan_hits=plan_hits,
-        plan_misses=plan_misses,
-        batched_cells=synthesized,
-        checked_cells=checked,
+        plan_hits=batch.plan_hits,
+        plan_misses=batch.plan_misses,
+        batched_cells=batch.synthesized,
+        checked_cells=batch.checked,
     )
 

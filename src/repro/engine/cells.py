@@ -99,10 +99,10 @@ class CellSpec:
     def __hash__(self) -> int:
         """Field-tuple hash (what ``@dataclass`` generates), cached.
 
-        A sweep hashes every cell spec dozens of times -- the outcome
-        index, the batch grouping maps, the cache-key memo -- and the
-        generated hash re-walks all nine fields (including the derived
-        device type's own dataclass hash) on each call.  The cache
+        The engine hashes every cell spec many times -- its outcome
+        and attempt maps, the cache-key memo -- and the generated hash
+        re-walks all nine fields (including the derived device type's
+        own dataclass hash) on each call.  The cache
         lives in ``__dict__`` so ``==``/``hash`` semantics and the
         frozen contract are untouched; ``__getstate__`` drops it so a
         pickled spec never carries one process's string-hash salt into
@@ -337,7 +337,7 @@ def run_cell(
             memo_hits=memo_hits,
             memo_misses=memo_misses,
             memo_shapes=memo_shapes,
-            faults_injected=faults_injected,
+            faults_injected=tuple(faults_injected or ()),
             vector=vector_active,
         ),
     )
@@ -352,7 +352,7 @@ def check_against_oracle(
     accumulator and the serialized result (the suite-JSON payload);
     raises :class:`~repro.perf.vector.VectorEquivalenceError` naming
     every mismatch.  ``run_cell`` lets it fail the cell; a sweep turns
-    it into a failed outcome for the sampled point.
+    it into the sampled cell's failure entry.
     """
     from repro.perf.vector import verify_equivalence
 

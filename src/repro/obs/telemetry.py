@@ -88,13 +88,6 @@ class CellTelemetry:
     #: the op census exactly like scalar ones.  Defaulted so telemetry
     #: pickled by older cache entries reads back as scalar.
     vector: bool = False
-    #: Whether the cell's totals were synthesized by the sweep-level
-    #: matrix pricer (:mod:`repro.dse.batch`) from a shared pricing plan
-    #: rather than by running the benchmark.  Batched cells are always
-    #: ``vector=True``; per-cell fallbacks (functional, observed, fault
-    #: cells) report ``batched=False``.  Defaulted so older pickled
-    #: telemetry reads back as per-cell.
-    batched: bool = False
 
     def to_dict(self) -> "dict[str, object]":
         """JSON-friendly record (the run report's ``cells`` rows)."""
@@ -113,7 +106,6 @@ class CellTelemetry:
             "faults_injected": {name: n for name, n in self.faults_injected},
             "from_cache": self.from_cache,
             "vector": self.vector,
-            "batched": self.batched,
         }
 
     @property
@@ -194,35 +186,13 @@ class TelemetryCapture:
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
 
-    def finish(
-        self,
-        benchmark: str,
-        device: str,
-        num_ranks: int,
-        attempt: int = 1,
-        commands_simulated: int = 0,
-        memo_hits: int = 0,
-        memo_misses: int = 0,
-        memo_shapes: int = 0,
-        faults_injected: "tuple[tuple[str, int], ...] | None" = None,
-        vector: bool = False,
-        batched: bool = False,
-    ) -> CellTelemetry:
+    def finish(self, **fields: typing.Any) -> CellTelemetry:
+        """The cell's record: ``fields`` plus the measured wall, CPU, RSS."""
         return CellTelemetry(
-            benchmark=benchmark,
-            device=device,
-            num_ranks=num_ranks,
-            attempt=attempt,
             wall_s=time.perf_counter() - self._wall0,
             cpu_s=time.process_time() - self._cpu0,
             peak_rss_kb=peak_rss_kb(),
-            commands_simulated=commands_simulated,
-            memo_hits=memo_hits,
-            memo_misses=memo_misses,
-            memo_shapes=memo_shapes,
-            faults_injected=tuple(faults_injected or ()),
-            vector=vector,
-            batched=batched,
+            **fields,
         )
 
 

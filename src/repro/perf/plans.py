@@ -13,16 +13,17 @@ The compile product is a :class:`PricingPlan`: the command, copy and
 host logs of a :class:`~repro.perf.vector.VectorStatsTracker`
 plus its interned shape/bucket/kind tables.  :func:`price_plan` is the
 one analytic pricer: it prices a plan under P cost tables and returns P
-rows of accumulator totals.  :func:`synthesize` is the one outcome
-builder on top of it: a vectorized cell is the one-point case
-(:func:`repro.engine.cells.run_cell`), and a design-space sweep
-(:mod:`repro.dse.batch`) compiles one plan per geometry group and
-synthesizes every point of the group at once.
+rows of accumulator totals; :func:`plan_results` reads each row into
+the :class:`~repro.bench.common.BenchmarkResult` a scalar run returns.
+A design-space sweep (:mod:`repro.dse.batch`) compiles one plan per
+geometry group and prices every point of the group in one pass, a table
+of rows; a vectorized cell (:func:`repro.engine.cells.run_cell`) is the
+one-point case, and :func:`synthesize` also gives it its row's tracker.
 
 The command trace -- which shapes are issued, how many times, in what
 order -- depends only on the benchmark parameters and the *geometry* of
 the device (bank/subarray/row/column counts, core scope), never on the
-cost-model knobs (ALU width and clock, walker count, per-op energy)
+cost-model knobs (ALU width and clock, per-op energy)
 that most sweep axes vary.  Plans are therefore content-addressed by
 benchmark + geometry signature, so one compile serves every point in a
 geometry group.
@@ -56,6 +57,7 @@ from repro.core.stats import (
     CmdStats,
     CopyStats,
     EventCounts,
+    StatsSnapshot,
     StatsTracker,
 )
 
@@ -76,13 +78,10 @@ PLAN_SCHEMA = 3
 #: ``fulcrum_subarrays_per_core`` is deliberately absent: it determines
 #: the device's core count, which shapes the trace.
 COST_ONLY_ARCH_FIELDS = (
-    "bitserial_num_registers",
     "fulcrum_alu_bits",
     "fulcrum_alu_freq_mhz",
-    "fulcrum_num_walkers",
     "bank_alu_bits",
     "bank_alu_freq_mhz",
-    "bank_num_walkers",
 )
 
 #: The float-typed cost-only fields (the clocks).  A sweep's points
@@ -119,7 +118,7 @@ class PricingPlan:
     data movement prices off the DRAM spec and host energy off the host
     TDP, both part of the geometry signature.  :func:`compile_plan` adds
     the benchmark identity and the device-independent CPU/GPU baselines
-    that :func:`synthesize` needs.
+    that :func:`plan_results` needs.
     """
 
     #: Representative CommandArgs per distinct shape, in shape order.
@@ -172,8 +171,30 @@ class PlanTotals:
     host_time_ns: float
     host_energy_nj: float
 
+    def snapshot(self, row: int) -> StatsSnapshot:
+        """Row ``row``'s totals, bit-equal to ``self.tracker(row).snapshot()``.
+
+        Folded by :meth:`~repro.core.stats.StatsSnapshot.of`, the
+        tracker's own formula, without building the tracker.
+        """
+        return StatsSnapshot.of(
+            self.latency_ns[row].tolist(),
+            self.energy_nj[row].tolist(),
+            [self.copies.get(direction, CopyStats())
+             for direction in DIRECTIONS],
+            float(self.background_nj[row]),
+            self.host_time_ns,
+            self.host_energy_nj,
+            EventCounts(*self.events[row].tolist()),
+        )
+
     def tracker(self, row: int) -> StatsTracker:
-        """Row ``row`` as a plain :class:`~repro.core.stats.StatsTracker`."""
+        """Row ``row`` as a plain :class:`~repro.core.stats.StatsTracker`.
+
+        Only a single vectorized cell (whose tracker is cached and
+        renders Listing 3) and an oracle-checked sweep cell need one; a
+        sweep reads :meth:`snapshot` rows.
+        """
         fields: "dict[str, typing.Any]" = {
             "commands": OrderedDict(
                 (name, CmdStats(count, latency, energy))
@@ -291,7 +312,7 @@ def price_plan(plan: PricingPlan, unit: np.ndarray) -> PlanTotals:
 
     ``unit`` holds the unit costs, ``(len(VALUE_FIELDS), P, shapes)``
     float64: ``unit[f, p, i]`` is field ``VALUE_FIELDS[f]`` of issuing
-    shape ``i`` once at point ``p`` (what :func:`synthesize` gathers
+    shape ``i`` once at point ``p`` (what :func:`unit_costs` gathers
     from ``cost_table``).  Row ``p`` of the result is bit-identical to
     the scalar :class:`~repro.core.stats.StatsTracker` that issued the
     plan's commands priced by ``unit[:, p]``: every float accumulator is
@@ -470,50 +491,62 @@ def unit_costs(
     return unit
 
 
-def synthesize(
+def plan_results(
     plan: PricingPlan,
-    points: "typing.Sequence[tuple[ArchBackend, DeviceConfig]]",
-) -> "list[tuple[BenchmarkResult, StatsTracker]]":
-    """Price ``plan`` at each ``(backend, config)`` point.
+    totals: PlanTotals,
+    device_types: "typing.Sequence[typing.Any]",
+) -> "list[BenchmarkResult]":
+    """Each row of ``totals`` as the result a scalar run would return.
 
-    The one vector outcome builder.  The plan's shapes are priced
-    through ``cost_table`` once per integer-knob sub-group of the points
-    (:func:`unit_costs`; one call for a single cell), one
-    :func:`price_plan` call prices every row, and each row becomes the
-    ``(BenchmarkResult, StatsTracker)`` pair a scalar
-    :meth:`repro.bench.common.PimBenchmark.run` on that point would
-    leave behind: the snapshot delta against a fresh tracker, the op
-    census aggregated by category in first-occurrence order, and the
-    plan's CPU/GPU baselines.  The trackers are plain
-    :class:`~repro.core.stats.StatsTracker`\\ s, so they pickle and
-    disk-cache like scalar ones.
+    Row ``row`` becomes what :meth:`repro.bench.common.PimBenchmark.run`
+    on a device of ``device_types[row]`` returns: the row's snapshot
+    (the delta against a fresh tracker, every float bit), the op census
+    by category in first-occurrence order, and the CPU/GPU baselines.
     """
     from repro.bench.common import BenchmarkResult
 
-    totals = price_plan(plan, unit_costs(plan.shape_args, points))
     # The category census is point-independent -- every point issues
     # the same integer command counts.
     op_counts: "dict" = {}
     for kind, count in totals.op_counts.items():
         if count:
             op_counts[kind.category] = op_counts.get(kind.category, 0) + count
-    rows = []
-    for row, (_backend, config) in enumerate(points):
-        tracker = totals.tracker(row)
-        # A fresh tracker's baseline is the empty snapshot, and the
-        # ``after - before`` delta against it is byte-identical (type,
-        # structure, and every float bit) to the snapshot itself.
-        rows.append((BenchmarkResult(
+    return [
+        BenchmarkResult(
             benchmark=plan.benchmark_name,
-            device_type=config.device_type,
-            stats=tracker.snapshot(),
+            device_type=device_type,
+            stats=totals.snapshot(row),
             op_counts=dict(op_counts),
             cpu_time_ns=plan.cpu_time_ns,
             cpu_energy_nj=plan.cpu_energy_nj,
             gpu_time_ns=plan.gpu_time_ns,
             gpu_energy_nj=plan.gpu_energy_nj,
             verified=None,
-        ), tracker))
+        )
+        for row, device_type in enumerate(device_types)
+    ]
+
+
+def synthesize(
+    plan: PricingPlan,
+    points: "typing.Sequence[tuple[ArchBackend, DeviceConfig]]",
+) -> "list[tuple[BenchmarkResult, StatsTracker]]":
+    """Price ``plan`` at each point: each row's result and tracker.
+
+    A single vectorized cell's outcome (:func:`repro.engine.cells.
+    run_cell`); the plain tracker pickles and caches like a scalar one.
+    """
+    totals = price_plan(plan, unit_costs(plan.shape_args, points))
+    results = plan_results(
+        plan, totals, [config.device_type for _backend, config in points]
+    )
+    rows = []
+    for row, result in enumerate(results):
+        tracker = totals.tracker(row)
+        # Share the immutable census, as a scalar run's result and
+        # tracker do, so the cached outcome pickles as compactly.
+        tracker.events = result.stats.events
+        rows.append((result, tracker))
     return rows
 
 
@@ -590,7 +623,7 @@ def compile_plan(
     Runs the benchmark's PIM phase against a vector-mode device (the
     Python issue loop runs; nothing is priced), takes the
     device-independent CPU/GPU baselines, and exports the logs once.
-    :func:`synthesize` prices the result, for one point or for every
+    :func:`price_plan` prices the result, for one point or for every
     point of a sweep's geometry group.  The backend must be resolvable
     through the registry while this runs (the energy model resolves
     ``arch_for`` lazily); :func:`repro.dse.sweep.run_sweep` calls it

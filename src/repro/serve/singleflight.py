@@ -35,10 +35,6 @@ class SingleFlight:
         self.flights = 0
 
     @property
-    def inflight_keys(self) -> "tuple[str, ...]":
-        return tuple(self._inflight)
-
-    @property
     def inflight_count(self) -> int:
         return len(self._inflight)
 

@@ -8,11 +8,15 @@ simulation target -- giving an apples-to-apples cost comparison of one
 program across architectures without re-running the program logic.
 
 Replay is analytic (costs only): traces capture shapes and scalars, not
-payload data.
+payload data.  The trace is what the program billed: a host kernel is a
+``host`` event, and a region a benchmark records once on
+``device.stats`` and bills again by replay (k-means iterations,
+histogram channels, AES mix-columns) is exported once per billing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import typing
@@ -27,8 +31,11 @@ from repro.core.errors import PimError
 class TraceEvent:
     """One recorded API action.
 
-    ``action`` is "alloc", "free", "execute", "h2d", "d2h", or "d2d";
-    object references use the recorded object ids.
+    ``action`` is "alloc", "alloc_assoc", "free", "execute", "h2d",
+    "d2h", "d2d", or "host"; object references use the recorded object
+    ids.  A gather (a one-object "d2d") carries its byte count in
+    ``scalar``; a host kernel carries its label in ``kind`` and its
+    modeled time in ``time_ns``.
     """
 
     action: str
@@ -39,6 +46,7 @@ class TraceEvent:
     num_elements: "int | None" = None
     dtype: "str | None" = None
     layout: "str | None" = None
+    time_ns: "float | None" = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in dataclasses.asdict(self).items()
@@ -52,6 +60,47 @@ class TraceEvent:
         return cls(**data)
 
 
+class _TracedStats:
+    """``device.stats`` as a program under trace sees it.
+
+    Forwards to the wrapped device's tracker, but records the two ways
+    a benchmark bills work without an API call: a host kernel, and a
+    stats region it replays, whose events are appended again as often
+    as the region is billed again.
+    """
+
+    def __init__(self, recorder: "TraceRecorder") -> None:
+        self._device = recorder.device
+        self._events = recorder.events
+        self._regions: "list[tuple[typing.Any, list[TraceEvent]]]" = []
+
+    def __getattr__(self, name: str) -> typing.Any:
+        return getattr(self._device.stats, name)
+
+    def record_host(
+        self, time_ns: float, energy_nj: float, label: str = "kernel"
+    ) -> None:
+        self._events.append(
+            TraceEvent(action="host", kind=label, time_ns=time_ns)
+        )
+        self._device.stats.record_host(time_ns, energy_nj, label)
+
+    @contextlib.contextmanager
+    def recorded_trace(self) -> typing.Iterator[typing.Any]:
+        start = len(self._events)
+        with self._device.stats.recorded_trace() as trace:
+            yield trace
+        self._regions.append((trace, self._events[start:]))
+
+    def replay_trace(self, trace: typing.Any, times: int = 1) -> None:
+        regions = [events for recorded, events in self._regions
+                   if recorded is trace]
+        if not regions:
+            raise PimError("stats region was not recorded under trace")
+        self._device.stats.replay_trace(trace, times)
+        self._events.extend(regions[0] * times)
+
+
 class TraceRecorder:
     """Wraps a device, recording every API action it performs.
 
@@ -62,6 +111,7 @@ class TraceRecorder:
     def __init__(self, device: PimDevice) -> None:
         self.device = device
         self.events: "list[TraceEvent]" = []
+        self._stats = _TracedStats(self)
 
     def _publish(self, action: str, **args) -> None:
         # Allocation-lifecycle markers on the simulated timeline; the
@@ -82,7 +132,11 @@ class TraceRecorder:
 
     @property
     def stats(self):
-        return self.device.stats
+        return self._stats
+
+    @property
+    def energy(self):
+        return self.device.energy
 
     def alloc(self, num_elements, dtype=PimDataType.INT32,
               layout=PimAllocType.AUTO):
@@ -136,6 +190,7 @@ class TraceRecorder:
     def model_gather(self, dst, values=None, num_bytes=None):
         self.events.append(TraceEvent(
             action="d2d", obj_ids=(dst.obj_id,), kind="gather",
+            scalar=num_bytes,
         ))
         self.device.model_gather(dst, values, num_bytes)
 
@@ -194,12 +249,19 @@ def replay_trace(
             device.copy_device_to_host(objects[event.obj_ids[0]], event.repeat)
         elif event.action == "d2d":
             if len(event.obj_ids) == 1:
-                device.model_gather(objects[event.obj_ids[0]])
+                device.model_gather(
+                    objects[event.obj_ids[0]], num_bytes=event.scalar
+                )
             else:
                 device.copy_device_to_device(
                     objects[event.obj_ids[0]], objects[event.obj_ids[1]],
                     event.scalar or 0, event.kind or "local",
                 )
+        elif event.action == "host":
+            device.stats.record_host(
+                event.time_ns, device.energy.host_energy_nj(event.time_ns),
+                event.kind,
+            )
         elif event.action == "execute":
             kind = PimCmdKind[event.kind]
             obj_ids = event.obj_ids

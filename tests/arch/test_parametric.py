@@ -62,7 +62,9 @@ _WORD_POOL = {
     "alu_op_pj": (0.05, 0.1, 0.2),
 }
 _BITSERIAL_POOL = {
-    "bitserial_num_registers": (2, 4, 8),
+    # Bit-serial bases have no processing-element knob; a chip-count
+    # split is the geometry knob the word-ALU pool leaves out.
+    "chips_per_rank": (4, 8, 16),
     "alu_op_pj": (0.05, 0.1, 0.2),
 }
 
@@ -279,14 +281,9 @@ class TestKnobRanges:
         with pytest.raises(ValueError, match=field):
             PimArchParams(**{field: freq})
 
-    @pytest.mark.parametrize("name", [
-        "bitserial_num_registers", "fulcrum_num_walkers",
-        "fulcrum_subarrays_per_core", "bank_num_walkers",
-    ])
+    @pytest.mark.parametrize("name", ["fulcrum_subarrays_per_core"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_counts_below_one_are_rejected(self, name, value):
-        # No cost model reads the register and walker counts, so a
-        # sweep over invalid ones would price distinct point ids alike.
         with pytest.raises(PimConfigError) as exc_info:
             normalize_knobs(resolve_backend("bank"), {name: value})
         assert exc_info.value.status is PimStatus.ERR_CONFIG
@@ -299,8 +296,9 @@ class TestKnobRanges:
             PimArchParams(**{name: value})
 
     def test_count_of_one_is_valid(self):
-        backend = derive_backend("bank", {"bank_num_walkers": 1})
-        assert backend.make_config(num_ranks=2).arch.bank_num_walkers == 1
+        backend = derive_backend("fulcrum", {"fulcrum_subarrays_per_core": 1})
+        config = backend.make_config(num_ranks=2)
+        assert config.arch.fulcrum_subarrays_per_core == 1
 
     def test_array_clocks_are_checked_elementwise(self):
         import numpy as np

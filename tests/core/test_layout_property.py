@@ -1,7 +1,5 @@
 """Property-based tests on layout planning invariants."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

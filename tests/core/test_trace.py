@@ -133,3 +133,44 @@ class TestReplay:
                                        functional=False)
         )
         assert replayed.stats.device_to_device.num_bytes > 0
+
+
+class TestBenchmarkTraces:
+    """The exported trace is what the run billed, replays included."""
+
+    @pytest.mark.parametrize("key", ["kmeans", "histogram", "aes-enc"])
+    def test_replay_equals_the_direct_run(self, key):
+        from repro.bench.registry import make_benchmark
+        from repro.perf.vector import tracker_mismatches
+
+        direct = make_device(PimDeviceType.FULCRUM, functional=False)
+        make_benchmark(key).run(direct)
+        recorder = TraceRecorder(
+            make_device(PimDeviceType.FULCRUM, functional=False)
+        )
+        make_benchmark(key).run(recorder)
+        replayed = replay_trace(
+            load_trace(recorder.to_json()),
+            make_device(PimDeviceType.FULCRUM, functional=False),
+        )
+        assert tracker_mismatches(replayed.stats, direct.stats) == []
+        assert tracker_mismatches(recorder.device.stats, direct.stats) == []
+
+    def test_gather_replays_its_byte_count(self):
+        source = TraceRecorder(
+            make_device(PimDeviceType.FULCRUM, functional=False)
+        )
+        obj = source.alloc(65536)
+        source.model_gather(obj, num_bytes=64)
+        replayed = replay_trace(
+            load_trace(source.to_json()),
+            make_device(PimDeviceType.FULCRUM, functional=False),
+        )
+        assert replayed.stats.device_to_device.num_bytes == 64
+
+    def test_unrecorded_region_cannot_be_replayed(self):
+        device = make_device(PimDeviceType.FULCRUM, functional=False)
+        with device.stats.recorded_trace() as trace:
+            pass
+        with pytest.raises(PimError, match="not recorded under trace"):
+            TraceRecorder(device).stats.replay_trace(trace)

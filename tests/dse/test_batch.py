@@ -182,23 +182,56 @@ class TestIdentity:
         # The compile itself prices nothing.
         assert calls == [3] * expected
 
-    def test_synthesized_telemetry_flags(self):
+    @pytest.mark.parametrize("armed", [False, True],
+                             ids=["unchecked", "vector-check"])
+    def test_tracker_rows_only_for_oracle_samples(self, monkeypatch, armed):
+        """A sweep reads snapshot rows; only the sampled cells get a
+        tracker, and no batch-priced cell leaves a telemetry record."""
         from repro.obs.telemetry import telemetry_log
+        from repro.perf.plans import PlanTotals
 
+        rows = []
+        tracker = PlanTotals.tracker
+
+        def counted(self, row):
+            rows.append(row)
+            return tracker(self, row)
+
+        monkeypatch.setattr(PlanTotals, "tracker", counted)
+        if armed:
+            monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
+        spec = _spec(benchmarks=["vecadd", "gemv"],
+                     axes={"pe_freq_mhz": [200, 300, 400, 500]})
         log_before = len(telemetry_log())
-        result = _run()
-        fresh = telemetry_log()[log_before:]
-        assert len(fresh) == result.batched_cells
-        for telemetry in fresh:
-            assert telemetry.batched
-            assert telemetry.vector
-            assert not telemetry.from_cache
-            assert telemetry.commands_simulated > 0
-            # A batched pipeline prices each distinct shape exactly
-            # once -- zero memo traffic is the truthful report; the
-            # shape census is the plan's.
-            assert telemetry.memo_hits == telemetry.memo_misses == 0
-            assert telemetry.memo_shapes == fresh[0].memo_shapes > 0
+        result = _run(spec)
+        assert result.batched_cells == 8
+        assert result.checked_cells == (3 if armed else 0)
+        assert len(rows) == result.checked_cells
+        assert all(not o.failed for o in result.outcomes)
+        assert telemetry_log()[log_before:] == ()
+
+    def test_check_fails_a_corrupted_sampled_row(self, monkeypatch):
+        """The oracle checks the row the report reads: corrupting the
+        middle point's priced row fails that cell and no other."""
+        from repro.dse import batch
+
+        price_plan = batch.price_plan
+
+        def corrupted(plan, unit):
+            totals = price_plan(plan, unit)
+            totals.latency_ns[unit.shape[1] // 2] *= 1.0 + 1e-9
+            return totals
+
+        monkeypatch.setattr(batch, "price_plan", corrupted)
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
+        spec = _spec(axes={"pe_freq_mhz": [200, 300, 400, 500, 600]})
+        result = _run(spec)
+        assert result.checked_cells == 3
+        failed = [o.point.knobs for o in result.outcomes if o.failed]
+        assert failed == [result.outcomes[2].point.knobs]
+        (message,) = result.outcomes[2].errors.values()
+        assert "diverged from the scalar path" in message
+        assert "latency_ns" in message
 
 
 class TestFallback:

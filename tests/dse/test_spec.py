@@ -47,6 +47,17 @@ class TestValidation:
         assert exc_info.value.status is PimStatus.ERR_CONFIG
         assert needle in str(exc_info.value)
 
+    @pytest.mark.parametrize("knob", [
+        "bitserial_num_registers", "fulcrum_num_walkers", "bank_num_walkers",
+    ])
+    def test_retired_knobs_are_unknown_axes(self, knob):
+        """No cost model read these, so they are not sweepable."""
+        raw = _spec(base="bitserial", axes={knob: [2, 4, 8]})
+        with pytest.raises(PimConfigError) as exc_info:
+            SweepSpec.from_dict(raw)
+        assert exc_info.value.status is PimStatus.ERR_CONFIG
+        assert f"unknown sweep axis {knob!r}" in str(exc_info.value)
+
     def test_base_and_bases_are_exclusive(self):
         raw = _spec()
         raw["bases"] = ["bank"]

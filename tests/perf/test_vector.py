@@ -272,6 +272,52 @@ class TestSharedPricerProperties:
                 assert tracker_mismatches(batched, alone) == []
 
 
+def _snapshot_bits(snapshot):
+    """Every field of a snapshot, floats as their exact bit patterns."""
+    *totals, events = dataclasses.astuple(snapshot)
+    return [
+        value.hex() if isinstance(value, float) else value
+        for value in (*totals, *events)
+    ]
+
+
+class TestTableSnapshot:
+    """A sweep reads ``PlanTotals.snapshot`` rows; a cell reads its
+    tracker's snapshot.  Both fold through ``StatsSnapshot.of``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_batched_log(), _pooled_tables())
+    def test_every_row_bit_equals_its_tracker_snapshot(self, log, tables):
+        totals = _price(_vector_tracker(log, tables[0]).export_plan(), tables)
+        for row in range(len(tables)):
+            assert _snapshot_bits(totals.snapshot(row)) == _snapshot_bits(
+                totals.tracker(row).snapshot()
+            )
+
+    @pytest.mark.parametrize("key", ["kmeans", "histogram", "aes-enc"])
+    def test_real_plan_rows_bit_equal_tracker_snapshots(self, key):
+        from repro.arch import derive_backend, temporary_backend
+
+        backends = [derive_backend("fulcrum", {"pe_freq_mhz": freq})
+                    for freq in (100.0, 164.0, 333.3)]
+        points = [(backend, backend.make_config(2)) for backend in backends]
+        with contextlib.ExitStack() as stack:
+            for backend in backends:
+                stack.enter_context(temporary_backend(backend))
+            spec = CellSpec(key, backends[0].device_type, 2,
+                            paper_scale=False, vector=True)
+            plan = compile_plan(spec, *points[0])
+            totals = price_plan(plan, plans.unit_costs(plan.shape_args,
+                                                       points))
+            results = plans.plan_results(
+                plan, totals, [config.device_type for _, config in points]
+            )
+        for row, result in enumerate(results):
+            expected = _snapshot_bits(totals.tracker(row).snapshot())
+            assert _snapshot_bits(totals.snapshot(row)) == expected
+            assert _snapshot_bits(result.stats) == expected
+
+
 class TestDistinctRows:
     """Each bytewise-distinct cost row is summed once per segment."""
 
@@ -632,9 +678,13 @@ def _real_shapes(base_id):
 
 
 def _knob_axes(base):
-    """The float knobs that apply to ``base``, and one integer knob."""
+    """The float knobs that apply to ``base``, and its integer knob.
+
+    A bit-serial base has no processing-element knob: its points differ
+    only in ``alu_op_pj``, so they form one sub-group.
+    """
     if base.device_type.is_bit_serial:
-        return (), ("bitserial_num_registers", (4, 8))
+        return (), None
     return ("pe_freq_mhz",), ("pe_width_bits", (32, 64))
 
 
@@ -645,14 +695,17 @@ _positive = st.floats(0.5, 5000.0, allow_nan=False, allow_infinity=False)
 def _knob_points(draw):
     """A base backend and P derived knob dicts over 1-2 integer values."""
     base = draw(st.sampled_from([b for b in BACKENDS if not b.transient]))
-    floats, (int_knob, int_pool) = _knob_axes(base)
-    ints = draw(st.lists(st.sampled_from(int_pool), min_size=1,
-                         max_size=2, unique=True))
+    floats, int_axis = _knob_axes(base)
+    if int_axis is not None:
+        int_knob, int_pool = int_axis
+        ints = draw(st.lists(st.sampled_from(int_pool), min_size=1,
+                             max_size=2, unique=True))
     dicts = []
     for _ in range(draw(st.integers(1, 6))):
         knobs = {name: draw(_positive) for name in floats}
         knobs["alu_op_pj"] = draw(st.floats(0.0, 10.0, allow_nan=False))
-        knobs[int_knob] = draw(st.sampled_from(ints))
+        if int_axis is not None:
+            knobs[int_knob] = draw(st.sampled_from(ints))
         dicts.append(knobs)
     return base, dicts
 
