@@ -36,13 +36,11 @@ from repro.arch.registry import (
     backend_names,
     default_backend,
     device_type_for,
-    is_registered,
     iter_backends,
     paper_backends,
     register_backend,
     resolve_backend,
     suite_device_order,
-    temporary_backend,
     unregister_backend,
 )
 
@@ -77,13 +75,11 @@ __all__ = [
     "default_backend",
     "derive_backend",
     "device_type_for",
-    "is_registered",
     "iter_backends",
     "paper_backends",
     "register_backend",
     "register_builtin_backends",
     "resolve_backend",
     "suite_device_order",
-    "temporary_backend",
     "unregister_backend",
 ]

@@ -81,10 +81,10 @@ class ArchBackend(abc.ABC):
     uses_microcode: bool = False
     #: Whether the functional simulator can verify results on it.
     supports_functional: bool = True
-    #: Whether this backend is a generated, registration-scoped point
-    #: (a :class:`repro.arch.parametric.ParametricBackend`) rather than
-    #: a hand-written module.  ``repro arch list`` marks transient
-    #: backends and sweeps unregister them when done.
+    #: Whether this backend is a generated point (a
+    #: :class:`repro.arch.parametric.ParametricBackend`) rather than a
+    #: hand-written module.  Such a point resolves without registration;
+    #: ``repro arch list`` marks one a caller registered by hand.
     transient: bool = False
     #: For transient backends, the id of the hand-written base backend
     #: the point was derived from; ``None`` for hand-written backends.

@@ -6,8 +6,9 @@ right shape for an architecture someone modeled by hand -- and the wrong
 shape for design-space exploration, where :mod:`repro.dse` wants to
 evaluate *thousands* of hypothetical Table II variants.  This module
 makes a backend **derivable**: :func:`derive_backend` takes a base
-backend plus a dict of knob overrides and stamps out a transient,
-fully registry-conformant :class:`ParametricBackend`.
+backend plus a dict of knob overrides and stamps out a transient
+:class:`ParametricBackend` that honours the full backend contract
+without being registered.
 
 Three design points keep the generated points sound:
 
@@ -30,13 +31,16 @@ Three design points keep the generated points sound:
   tuples and canonical material are untouched
   (``tests/engine/test_cache_key_fixture.py``).
 
-* **Workers self-heal.**  A :class:`ParametricDeviceType` pickles inside
-  a :class:`~repro.engine.cells.CellSpec` and travels to engine worker
-  processes, where no sweep ever registered anything.
-  :func:`repro.arch.registry.arch_for` detects the type on a registry
-  miss and re-derives the backend from ``base_id`` + ``knobs`` via
-  :func:`backend_for_device_type`, so a parametric cell runs anywhere a
-  builtin cell runs.
+* **A derived backend is a value.**  Nothing registers it.
+  :func:`repro.arch.registry.arch_for` resolves a
+  :class:`ParametricDeviceType` through :func:`backend_for_device_type`:
+  the live backend with an equal device type if one exists (the
+  sweep's own object, on its hot path), else one re-derived from
+  ``base_id`` + ``knobs``.  A type that pickled inside a
+  :class:`~repro.engine.cells.CellSpec` into an engine worker therefore
+  derives once there while its backend lives, and a parametric cell
+  runs anywhere a builtin cell runs.  Nothing is kept once the last
+  reference to a backend drops.
 
 See ``docs/DSE.md`` for the knob schema and the sweep layer built on
 top.
@@ -219,6 +223,15 @@ _BASE_CONFIG_MEMO: "weakref.WeakKeyDictionary[ArchBackend, dict]" = (
 )
 
 
+#: Live derived backends by device type, filled by
+#: :meth:`ParametricBackend.__init__` (the latest derivation wins) and
+#: read by :func:`backend_for_device_type`.  Weak values: an entry lives
+#: exactly as long as its backend.
+_LIVE_BACKENDS: "weakref.WeakValueDictionary[object, ArchBackend]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 @functools.lru_cache(maxsize=4096)
 def knob_digest(knobs: "tuple[tuple[str, object], ...]") -> str:
     """SHA-256 over the canonical knob tuple (full hex digest).
@@ -336,6 +349,7 @@ class ParametricBackend(ArchBackend):
                 f"invalid knobs for base {base.id!r}: {exc}",
                 base=base.id, knobs=dict(self._knobs),
             ) from exc
+        _LIVE_BACKENDS[self.device_type] = self
 
     @property
     def description(self) -> str:  # type: ignore[override]
@@ -441,14 +455,17 @@ def derive_backend(
 def backend_for_device_type(
     device_type: ParametricDeviceType,
 ) -> ParametricBackend:
-    """Re-derive the backend a :class:`ParametricDeviceType` describes.
+    """The backend a :class:`ParametricDeviceType` describes.
 
-    This is the worker-side half of the self-healing contract: a cell
-    spec carrying a parametric device type lands in a process where the
-    sweep never registered anything, ``arch_for`` misses, and this
-    function rebuilds the identical backend from the type's own
-    ``base_id`` + ``knobs`` content.
+    The live backend with an equal device type when one exists, so the
+    process that derived a backend resolves to that very object;
+    otherwise (a type unpickled in an engine worker, or one whose
+    backend was dropped) the identical backend is re-derived from the
+    type's own ``base_id`` + ``knobs`` content.
     """
+    backend = _LIVE_BACKENDS.get(device_type)
+    if backend is not None:
+        return backend
     backend = derive_backend(device_type.base_id, dict(device_type.knobs))
     if backend.device_type != device_type:  # pragma: no cover - defensive
         raise PimConfigError(

@@ -10,27 +10,25 @@ carrying the offending name and the valid choices in their context.
 
 Two orderings coexist on purpose.  :func:`iter_backends` and
 :func:`backend_names` return backends sorted by id, so ``repro arch
-list`` and sweep reports are byte-stable no matter what order modules
-(or DSE sweeps) registered in.  :func:`paper_backends`,
-:func:`suite_device_order`, and :func:`default_backend` keep
+list`` is byte-stable no matter what order modules registered in.
+:func:`paper_backends`, :func:`suite_device_order`, and
+:func:`default_backend` keep
 *registration* order, which :mod:`repro.arch.builtin` arranges to be the
 paper's figure order (bit-serial, Fulcrum, bank-level) -- suite tables
-and figures must not reorder when a sweep registers ``analog``-sorting
-transient points.
+and figures must not reorder when a plug-in registers an
+``analog``-sorting backend.
 
-Transient backends (:mod:`repro.arch.parametric`) get two extra
-services: :func:`arch_for` re-derives an unregistered
-:class:`~repro.arch.parametric.ParametricDeviceType` on the fly (the
-engine's worker processes start with only the import-time registry), and
-:func:`temporary_backend` scopes a registration so sweeps and tests
-cannot leak thousands of generated points into a long-lived ``repro
-serve`` process.
+Derived backends (:mod:`repro.arch.parametric`) are values, not
+registrations: :func:`arch_for` resolves a
+:class:`~repro.arch.parametric.ParametricDeviceType` that misses the
+registry through :func:`~repro.arch.parametric.backend_for_device_type`
+(the live backend of an equal type, else a fresh derivation) and leaves
+the registry untouched, so sweeps, engine workers and a long-lived
+``repro serve`` process never grow it.  A caller may still register a
+derived backend by hand; ``repro arch list`` marks it transient.
 """
 
 from __future__ import annotations
-
-import contextlib
-import typing
 
 from repro.arch.base import ArchBackend, DeviceTypeLike
 from repro.config.device import DeviceConfig
@@ -81,36 +79,6 @@ def unregister_backend(backend_id: str) -> None:
     _BY_DEVICE_TYPE.pop(backend.device_type, None)
 
 
-def is_registered(name: str) -> bool:
-    """Whether a backend answers to this id or alias right now."""
-    return str(name).lower() in _BY_NAME
-
-
-@contextlib.contextmanager
-def temporary_backend(
-    backend: ArchBackend, replace: bool = False
-) -> "typing.Iterator[ArchBackend]":
-    """Register a backend for the duration of a ``with`` block.
-
-    The registration is removed on exit even when the body raises, so a
-    sweep (or a test) that stamps out transient backends leaves the
-    registry at its pre-entry size.  If the same id was already
-    registered when entering (two overlapping sweeps sharing a point),
-    the existing registration is kept and left in place on exit --
-    ownership stays with whoever registered first.
-    """
-    if is_registered(backend.id):
-        if not replace:
-            yield resolve_backend(backend.id)
-            return
-        unregister_backend(resolve_backend(backend.id).id)
-    register_backend(backend)
-    try:
-        yield backend
-    finally:
-        unregister_backend(backend.id)
-
-
 def iter_backends() -> "tuple[ArchBackend, ...]":
     """All registered backends, sorted by id (byte-stable listings)."""
     return tuple(sorted(_BACKENDS.values(), key=lambda b: b.id))
@@ -144,8 +112,10 @@ def arch_for(target: "DeviceConfig | DeviceTypeLike | str") -> ArchBackend:
     """The backend behind a device config, device type, or name.
 
     This is the single dispatch point the perf/energy/engine layers
-    resolve through; an unregistered device type is a configuration
-    error, never a silent default.
+    resolve through.  A parametric device type carries its own
+    derivation recipe, so it resolves without being registered; any
+    other unregistered device type is a configuration error, never a
+    silent default.
     """
     if isinstance(target, str):
         return resolve_backend(target)
@@ -157,20 +127,13 @@ def arch_for(target: "DeviceConfig | DeviceTypeLike | str") -> ArchBackend:
     except TypeError:  # unhashable stand-in
         backend = None
     if backend is None:
-        # A parametric device type carries its own derivation recipe
-        # (base backend id + canonical knobs), so a registry miss is
-        # self-healing: engine worker processes start with only the
-        # import-time registry, re-derive the backend here on first
-        # touch, and cache it for the rest of the process.
         from repro.arch.parametric import (
             ParametricDeviceType,
             backend_for_device_type,
         )
 
         if isinstance(device_type, ParametricDeviceType):
-            return register_backend(
-                backend_for_device_type(device_type), replace=True
-            )
+            return backend_for_device_type(device_type)
         raise PimConfigError(
             f"no architecture backend registered for device type "
             f"{getattr(device_type, 'value', device_type)!r}; "
@@ -191,7 +154,7 @@ def default_backend() -> ArchBackend:
 
     Deliberately registration order, not the sorted listing order: the
     builtins register bit-serial first, and the default target must not
-    drift when a sweep registers an alphabetically-earlier point.
+    drift when a caller registers an alphabetically-earlier backend.
     """
     if not _BACKENDS:
         raise PimConfigError("no architecture backends are registered")

@@ -459,11 +459,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_arch_list(args: argparse.Namespace) -> int:
     """List registered architecture backends with Table II parameters.
 
-    Transient parametric backends (alive only while a sweep or a caller
-    holds them registered) render with a ``*`` marker and the base
-    backend they were derived from in the ``origin`` column.  Iteration
-    is sorted by id, so the listing is byte-stable for a given registry
-    population.
+    Parametric backends resolve without registration, so one is listed
+    only when a caller registered it by hand; it renders with a ``*``
+    marker and the base backend it was derived from in the ``origin``
+    column.  Iteration is sorted by id, so the listing is byte-stable
+    for a given registry population.
     """
     print(f"{'name':<18s} {'T':<2s}{'display':<18s} {'cores':>9s} "
           f"{'freq':>9s} {'layout':<11s} {'AP':<3s} {'origin':<10s} "

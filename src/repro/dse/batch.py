@@ -130,8 +130,7 @@ def price_cells_batched(
 
     Cell ``i`` is ``benchmarks[i % B]`` on ``backends[i // B]`` at
     ``num_ranks``; ``cell(i)`` builds its engine spec, needed only to
-    key and compile each group's plan and for the oracle samples.  The
-    backends must be registry-resolvable while this runs.
+    key and compile each group's plan and for the oracle samples.
 
     Returns the table: entry ``i`` is cell ``i``'s result, the failure
     an oracle check made of it, or ``None`` for a deferred cell -- one

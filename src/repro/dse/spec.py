@@ -11,9 +11,10 @@ turns the spec into a deterministic, de-duplicated tuple of
 through the engine.
 
 Everything is validated up front with ``ERR_CONFIG``-coded
-:class:`~repro.core.errors.PimConfigError`\\ s (unknown keys, unknown
-knobs, empty axes, point-count blowups), so a bad spec fails before any
-simulation starts, with the offending field in the error context.
+:class:`~repro.core.errors.PimConfigError`\\ s (unknown keys, knobs and
+benchmarks, empty axes, point-count blowups), so a bad spec fails
+before any simulation starts, with the offending field in the error
+context.
 
 JSON schema (see ``docs/DSE.md``)::
 
@@ -167,6 +168,16 @@ class SweepSpec:
                 f"'benchmarks' must be a list of benchmark keys, "
                 f"got {benchmarks!r}", field="benchmarks",
             )
+        from repro.engine.cells import benchmark_keys
+
+        known = benchmark_keys()
+        for key in benchmarks:
+            if key not in known:
+                raise PimConfigError(
+                    f"unknown benchmark {key!r}; "
+                    f"known benchmarks: {', '.join(known)}",
+                    benchmark=str(key), known=known,
+                )
         num_ranks = raw.get("num_ranks", 4)
         if not isinstance(num_ranks, int) or isinstance(num_ranks, bool):
             raise PimConfigError(

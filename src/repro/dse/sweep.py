@@ -3,16 +3,15 @@
 :func:`run_sweep` is the bridge between a declarative
 :class:`~repro.dse.spec.SweepSpec` and the existing execution stack.
 For every compiled point it derives a
-:class:`~repro.arch.parametric.ParametricBackend`, registers it (noting
-which registrations are new so the registry is restored afterwards --
-a sweep must leave the process exactly as it found it, including under
-``repro serve``), prices its (point, benchmark) cells from cached
-per-geometry plans into a table of results (:mod:`repro.dse.batch`),
-and hands the rest to :func:`repro.engine.run_cells` -- which supplies
-per-cell caching (parametric cache keys are sound by construction: the
-knob digest rides in both the device-config material and the
-model-version stamp), process fan-out, retries, and deterministic
-merge order.
+:class:`~repro.arch.parametric.ParametricBackend` (a value: nothing is
+registered, so a sweep leaves the architecture registry as it found
+it, including under ``repro serve``), prices its (point, benchmark)
+cells from cached per-geometry plans into a table of results
+(:mod:`repro.dse.batch`), and hands the rest to
+:func:`repro.engine.run_cells` -- which supplies per-cell caching
+(parametric cache keys are sound by construction: the knob digest rides
+in both the device-config material and the model-version stamp),
+process fan-out, retries, and deterministic merge order.
 
 Metrics per point: kernel+host latency (ns) and energy (nJ), geometric
 mean over the sweep's benchmarks, plus the ``banks x pe-width`` area
@@ -28,12 +27,7 @@ import time
 import typing
 
 from repro.arch.parametric import ParametricBackend
-from repro.arch.registry import (
-    is_registered,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.arch.registry import resolve_backend
 from repro.config.device import (
     CORE_SCOPE_SUBARRAY,
     CORE_SCOPE_SUBARRAY_GROUP,
@@ -150,10 +144,9 @@ class SweepResult:
 
 def _derive_all(
     points: "typing.Sequence[SweepPoint]",
-) -> "tuple[list[ParametricBackend], list[str]]":
-    """Derive + register each point's backend; return (them, new ids)."""
+) -> "list[ParametricBackend]":
+    """Derive each point's backend, in point order."""
     backends: "list[ParametricBackend]" = []
-    added: "list[str]" = []
     bases: "dict[str, typing.Any]" = {}
     for point in points:
         base = bases.get(point.base)
@@ -164,10 +157,7 @@ def _derive_all(
         # verbatim instead of re-validating each point.
         backend = ParametricBackend(base, point.knobs, canonical=True)
         backends.append(backend)
-        if not is_registered(backend.id):
-            register_backend(backend)
-            added.append(backend.id)
-    return backends, added
+    return backends
 
 
 def run_sweep(
@@ -180,12 +170,6 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every compiled point of ``spec`` and extract the frontier.
 
-    Registry hygiene: backends this call registered are unregistered on
-    the way out (even on failure), so a long-lived process -- the test
-    suite, ``repro serve`` -- sees no registry growth from completed
-    sweeps.  Points whose id was already registered (an overlapping
-    concurrent sweep) are left alone, first owner wins.
-
     Batched pricing (docs/DSE.md "Batched pricing"): by default every
     cell is priced from its geometry group's plan (:mod:`repro.dse.batch`,
     one compile per group, bit-identical totals); with ``use_cache``
@@ -196,7 +180,7 @@ def run_sweep(
     """
     wall0 = time.perf_counter()
     points = spec.compile_points()
-    backends, added = _derive_all(points)
+    backends = _derive_all(points)
     benchmarks = spec.benchmarks
     width = len(benchmarks)
 
@@ -220,25 +204,21 @@ def run_sweep(
         [None] * (len(points) * width)
     )
     batch = BatchReport()
-    try:
-        if table and batch_eligible(cell(0)):
-            table, batch = price_cells_batched(
-                backends, benchmarks, spec.num_ranks, cell,
-                use_cache=use_cache, cache_dir=cache_dir,
-            )
-        remaining = [i for i, entry in enumerate(table) if entry is None]
-        cells = [cell(index) for index in remaining]
-        execution = (
-            run_cells(
-                cells, jobs=jobs, use_cache=use_cache,
-                cache_dir=cache_dir, policy=policy,
-            )
-            if cells
-            else None
+    if table and batch_eligible(cell(0)):
+        table, batch = price_cells_batched(
+            backends, benchmarks, spec.num_ranks, cell,
+            use_cache=use_cache, cache_dir=cache_dir,
         )
-    finally:
-        for backend_id in added:
-            unregister_backend(backend_id)
+    remaining = [i for i, entry in enumerate(table) if entry is None]
+    cells = [cell(index) for index in remaining]
+    execution = (
+        run_cells(
+            cells, jobs=jobs, use_cache=use_cache,
+            cache_dir=cache_dir, policy=policy,
+        )
+        if cells
+        else None
+    )
     if execution is not None:
         for index, cell_spec in zip(remaining, cells):
             outcome = execution.outcomes[cell_spec]

@@ -53,6 +53,16 @@ def vector_check_enabled() -> bool:
     return bool(os.environ.get(VECTOR_CHECK_ENV))
 
 
+def benchmark_keys() -> "list[str]":
+    """Every key :func:`resolve_benchmark_class` accepts: Table I, then
+    the extensions, each sorted."""
+    from repro.bench.extensions import EXTENSION_BENCHMARKS
+
+    return sorted(BENCHMARKS_BY_KEY) + sorted(
+        e.key for e in EXTENSION_BENCHMARKS
+    )
+
+
 def resolve_benchmark_class(key: str) -> "type[PimBenchmark]":
     """Benchmark class for a key, searching Table I then the extensions."""
     cls = BENCHMARKS_BY_KEY.get(key)
@@ -63,8 +73,7 @@ def resolve_benchmark_class(key: str) -> "type[PimBenchmark]":
     for ext in EXTENSION_BENCHMARKS:
         if ext.key == key:
             return ext
-    known = sorted(BENCHMARKS_BY_KEY) + sorted(e.key for e in EXTENSION_BENCHMARKS)
-    raise KeyError(f"unknown benchmark {key!r}; known: {known}")
+    raise KeyError(f"unknown benchmark {key!r}; known: {benchmark_keys()}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,11 +20,11 @@ overriding the hook.
 The memo changes *when* numbers are computed, never *what* they are:
 for any shape the memoized pair is the exact object the models return
 on the first derivation, so every downstream float operation is
-bit-identical to an unmemoized run; ``CostPipeline(..., enabled=False)``
-derives every command afresh, which is how the tests A/B that claim.
-The memo serves the scalar tracker -- the reference oracle, functional,
-observed and fault cells; vectorized and batched pricing build their
-cost tables per distinct shape and never consult it.
+bit-identical to an unmemoized run (the tests A/B that claim against a
+pipeline that calls ``cost_of`` + ``command_energy`` afresh).  The memo
+serves the scalar tracker -- the reference oracle, functional, observed
+and fault cells.  Vectorized and batched pricing hand a pipeline only
+shapes that are already distinct, so every lookup there is a miss.
 """
 
 from __future__ import annotations
@@ -46,21 +46,19 @@ class CostPipeline:
     benchmark's traced runs.
     """
 
-    __slots__ = ("perf", "energy", "backend", "enabled", "points", "hits",
-                 "misses", "_memo")
+    __slots__ = ("perf", "energy", "backend", "points", "hits", "misses",
+                 "_memo")
 
     def __init__(
         self,
         perf: "PerfModel",
         energy: "EnergyModel",
         backend: "ArchBackend",
-        enabled: bool = True,
         points: int = 1,
     ) -> None:
         self.perf = perf
         self.energy = energy
         self.backend = backend
-        self.enabled = enabled
         #: Design points the models price at once: above one, their
         #: float cost knobs are float64 arrays of that length and every
         #: cost field is a float or such an array (repro.perf.plans).
@@ -87,9 +85,6 @@ class CostPipeline:
         self, args: "CommandArgs"
     ) -> "tuple[CmdCost, CommandEnergy]":
         """The modeled cost and energy of issuing ``args`` once."""
-        if not self.enabled:
-            cost = self.perf.cost_of(args)
-            return cost, self.energy.command_energy(cost)
         key = (
             args.kind,
             args.bits,

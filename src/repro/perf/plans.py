@@ -414,12 +414,12 @@ def _knob_pipelines(
     cell runs exactly the scalar device's code.
 
     Yields ``(point indices, backend, pipeline)``.  The pipeline is the
-    stack a :class:`~repro.core.device.PimDevice` would build, with
-    memoization off (each distinct shape is priced once).  Dispatch
-    shortcuts only, never value shortcuts: each backend is exactly what
-    ``arch_for(config)`` resolves (a sweep calls inside its
-    registration window), so its factory and its ``alu_op_pj`` give
-    the objects and values the device would use.
+    stack a :class:`~repro.core.device.PimDevice` would build; the
+    shapes are distinct, so its memo never hits.  Dispatch shortcuts
+    only, never value shortcuts: each backend is exactly what
+    ``arch_for(config)`` resolves (a derived backend resolves to itself
+    while it lives), so its factory and its ``alu_op_pj`` give the
+    objects and values the device would use.
     """
     from repro.config.power import PowerConfig
     from repro.energy.model import EnergyModel
@@ -460,7 +460,6 @@ def _knob_pipelines(
             backend.make_perf_model(config),
             EnergyModel(config, power, alu_op_pj=alu_op_pj),
             backend,
-            enabled=False,
             points=len(rows),
         )
 
@@ -624,10 +623,7 @@ def compile_plan(
     Python issue loop runs; nothing is priced), takes the
     device-independent CPU/GPU baselines, and exports the logs once.
     :func:`price_plan` prices the result, for one point or for every
-    point of a sweep's geometry group.  The backend must be resolvable
-    through the registry while this runs (the energy model resolves
-    ``arch_for`` lazily); :func:`repro.dse.sweep.run_sweep` calls it
-    inside its registration window.
+    point of a sweep's geometry group.
     """
     from repro.baselines.cpu import CpuModel
     from repro.baselines.gpu import GpuModel

@@ -9,12 +9,16 @@ prices to finite non-negative cost fields, no undeclared counter is
 ever emitted, the energy model prices every point, and every stamp
 entry resolves (file on disk, or a literal pseudo-entry).  Alongside:
 cache-key uniqueness across distinct knob dicts, key equality across
-dict key orderings, and the registry-hygiene helpers.
+dict key orderings, and resolution without the registry: a derived
+backend is a value that no lookup ever registers.
 """
 
+import gc
 import math
 import pathlib
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -22,11 +26,8 @@ from repro.arch import (
     ParametricBackend,
     arch_for,
     derive_backend,
-    is_registered,
     iter_backends,
     resolve_backend,
-    temporary_backend,
-    unregister_backend,
 )
 from repro.arch.base import COST_COUNTERS
 from repro.arch.parametric import (
@@ -38,9 +39,12 @@ from repro.arch.parametric import (
 from repro.config.device import PimAllocType, PimArchParams
 from repro.config.power import PowerConfig
 from repro.core.commands import PimCmdKind
+from repro.core.device import PimDevice
 from repro.core.errors import PimConfigError, PimStatus
 from repro.core.layout import plan_layout
 from repro.energy.model import EnergyModel
+from repro.engine.cache import cell_cache_key
+from repro.engine.cells import CellSpec
 from repro.perf.base import CommandArgs
 
 NUM_ELEMENTS = 50_000
@@ -94,23 +98,6 @@ def _random_cases(count: int = 20):
 
 
 CASES = _random_cases()
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _registry_restored():
-    """Unwind arch_for self-heal registrations this module provokes.
-
-    Pricing a derived config resolves its ParametricDeviceType through
-    ``arch_for``, whose self-heal path registers the backend (so worker
-    processes can resolve pickled types).  That is by design inside a
-    sweep -- run_sweep unwinds its own registrations -- but here the
-    contract tests price 20 derived configs directly, so restore the
-    registry for the rest of the session."""
-    before = {backend.id for backend in iter_backends()}
-    yield
-    for backend in list(iter_backends()):
-        if backend.id not in before:
-            unregister_backend(backend.id)
 
 
 def _args_for(kind: PimCmdKind, config) -> CommandArgs:
@@ -338,37 +325,57 @@ class TestDerivedConfig:
             ParametricBackend(first, {"banks_per_rank": 128})
 
 
-class TestRegistryHygiene:
-    def test_temporary_backend_restores_size(self):
-        backend = derive_backend("bank", {"banks_per_rank": 64})
-        before = len(iter_backends())
-        with temporary_backend(backend):
-            assert is_registered(backend.id)
-            assert resolve_backend(backend.id) is backend
-            assert len(iter_backends()) == before + 1
-        assert not is_registered(backend.id)
-        assert len(iter_backends()) == before
+def _registry_ids() -> "tuple[str, ...]":
+    return tuple(backend.id for backend in iter_backends())
 
-    def test_temporary_backend_first_owner_wins(self):
-        backend = derive_backend("bank", {"banks_per_rank": 64})
-        twin = derive_backend("bank", {"banks_per_rank": 64})
-        with temporary_backend(backend):
-            with temporary_backend(twin) as active:
-                # Same id already registered: the outer owner stays.
-                assert active is backend
-            assert is_registered(backend.id)
-        assert not is_registered(backend.id)
+
+class TestRegistryHygiene:
+    """A derived backend resolves by value: no lookup registers it."""
 
     def test_arch_for_self_heals_unregistered_parametric_type(self):
         backend = derive_backend("bank", {"banks_per_rank": 64})
-        assert not is_registered(backend.id)
-        try:
-            healed = arch_for(backend.device_type)
-            assert healed.id == backend.id
-            assert healed.device_type == backend.device_type
-            assert is_registered(backend.id)
-        finally:
-            unregister_backend(backend.id)
+        before = _registry_ids()
+        assert backend.id not in before
+        healed = arch_for(backend.device_type)
+        assert healed is backend
+        assert _registry_ids() == before
+        with pytest.raises(PimConfigError):
+            resolve_backend(backend.id)
+
+    def test_device_cell_and_key_leave_the_registry_unchanged(self):
+        backend = derive_backend("bank", {"banks_per_rank": 64})
+        other = derive_backend("bank", {"banks_per_rank": 128})
+        before = _registry_ids()
+        PimDevice(backend.make_config(2), functional=False)
+        spec = CellSpec("vecadd", other.device_type, 2)
+        assert spec.device_config().device_type == other.device_type
+        cell_cache_key(spec)
+        assert _registry_ids() == before
+        assert arch_for(backend.device_type) is backend
+        assert arch_for(other.device_type) is other
+
+    def test_unpickled_type_resolves_without_registering(self):
+        backend = derive_backend("fulcrum", {"pe_width_bits": 64})
+        before = _registry_ids()
+        clone = pickle.loads(pickle.dumps(backend.device_type))
+        resolved = arch_for(clone)
+        assert resolved.id == backend.id
+        assert resolved.stamp_entries() == backend.stamp_entries()
+        assert _registry_ids() == before
+
+    def test_dropped_backend_is_released_and_rederived(self):
+        backend = derive_backend("bank", {"banks_per_rank": 32})
+        device_type = backend.device_type
+        alive = weakref.ref(backend)
+        del backend
+        gc.collect()
+        assert alive() is None
+        before = _registry_ids()
+        rederived = arch_for(device_type)
+        assert rederived.device_type == device_type
+        # Derived at most once while it lives.
+        assert arch_for(device_type) is rederived
+        assert _registry_ids() == before
 
     def test_backend_for_device_type_round_trips(self):
         backend = derive_backend("fulcrum", {

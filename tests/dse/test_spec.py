@@ -38,6 +38,7 @@ class TestValidation:
         ({"benchmarks": "vecadd"}, "benchmarks"),
         ({"axes": {"banks_per_rank": 32}}, "banks_per_rank"),
         ({"points": [42]}, "points[0]"),
+        ({"benchmarks": ["vecadd", "vecad"]}, "unknown benchmark 'vecad'"),
     ])
     def test_bad_specs_raise_coded_errors(self, mutation, needle):
         raw = _spec()
@@ -46,6 +47,16 @@ class TestValidation:
             SweepSpec.from_dict(raw)
         assert exc_info.value.status is PimStatus.ERR_CONFIG
         assert needle in str(exc_info.value)
+
+    def test_every_engine_benchmark_is_accepted(self):
+        """The known set is what the engine resolves: Table I and the
+        extensions."""
+        from repro.engine.cells import benchmark_keys
+
+        keys = benchmark_keys()
+        assert {"vecadd", "pca"} <= set(keys)
+        spec = SweepSpec.from_dict(_spec(benchmarks=keys))
+        assert spec.benchmarks == tuple(keys)
 
     @pytest.mark.parametrize("knob", [
         "bitserial_num_registers", "fulcrum_num_walkers", "bank_num_walkers",

@@ -93,6 +93,35 @@ class TestExecution:
             sweep_payload(two)
         )
 
+    def test_worker_cells_match_one_job_and_register_nothing(
+        self, monkeypatch
+    ):
+        """Unbatched cells ride to workers as pickled parametric types,
+        which resolve there without the registry; the registry is the
+        same while the cells run as before and after."""
+        import repro.dse.sweep as sweep_module
+
+        def ids():
+            return tuple(backend.id for backend in iter_backends())
+
+        before = ids()
+        during = []
+        run_cells = sweep_module.run_cells
+
+        def spy(*args, **kwargs):
+            during.append(ids())
+            return run_cells(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "run_cells", spy)
+        one = run_sweep(_spec(), jobs=1, use_cache=False, vector=False)
+        two = run_sweep(_spec(), jobs=2, use_cache=False, vector=False)
+        assert two.jobs == 2
+        assert render_json(sweep_payload(one)) == render_json(
+            sweep_payload(two)
+        )
+        assert during == [before, before]
+        assert ids() == before
+
 
 class TestAreaProxy:
     def test_bank_scope_uses_alu_width(self):

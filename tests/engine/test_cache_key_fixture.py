@@ -144,23 +144,17 @@ class TestParametricKeys:
         return cell_cache_key(spec)
 
     def test_distinct_knob_dicts_get_distinct_keys(self, schema_digests):
-        from repro.arch import derive_backend, unregister_backend
+        from repro.arch import derive_backend
 
         variants = [
             derive_backend("bank", {"banks_per_rank": banks})
             for banks in (16, 32, 64, 128)
         ]
-        try:
-            keys = {self._key_for(backend) for backend in variants}
-            assert len(keys) == len(variants)
-        finally:
-            # cell_cache_key resolves the backend via arch_for, whose
-            # self-heal path registers the derived type; clean up.
-            for backend in variants:
-                unregister_backend(backend.id)
+        keys = {self._key_for(backend) for backend in variants}
+        assert len(keys) == len(variants)
 
     def test_dict_order_variants_share_one_key(self, schema_digests):
-        from repro.arch import derive_backend, unregister_backend
+        from repro.arch import derive_backend
 
         a = derive_backend(
             "bank", {"pe_width_bits": 128, "pe_freq_mhz": 250}
@@ -168,22 +162,16 @@ class TestParametricKeys:
         b = derive_backend(
             "bank", {"pe_freq_mhz": 250.0, "bank_alu_bits": 128}
         )
-        try:
-            assert self._key_for(a) == self._key_for(b)
-        finally:
-            unregister_backend(a.id)
+        assert self._key_for(a) == self._key_for(b)
 
     def test_parametric_stamp_differs_from_base(self, schema_digests):
-        from repro.arch import derive_backend, unregister_backend
+        from repro.arch import derive_backend
 
         backend = derive_backend("bank", {"banks_per_rank": 64})
-        try:
-            derived = model_version(backend.device_type, "vecadd")
-            base = model_version(PimDeviceType.BANK_LEVEL, "vecadd")
-            # Same schema and common/bench digests; the device digest
-            # (position 2) must differ -- the knob pseudo-entry moved it.
-            assert derived.split("-")[2] != base.split("-")[2]
-            assert derived.split("-")[1] == base.split("-")[1]
-            assert derived.split("-")[3] == base.split("-")[3]
-        finally:
-            unregister_backend(backend.id)
+        derived = model_version(backend.device_type, "vecadd")
+        base = model_version(PimDeviceType.BANK_LEVEL, "vecadd")
+        # Same schema and common/bench digests; the device digest
+        # (position 2) must differ -- the knob pseudo-entry moved it.
+        assert derived.split("-")[2] != base.split("-")[2]
+        assert derived.split("-")[1] == base.split("-")[1]
+        assert derived.split("-")[3] == base.split("-")[3]

@@ -1,4 +1,4 @@
-"""The memoized cost pipeline: transparent, keyed right, switchable.
+"""The memoized cost pipeline: transparent and keyed right.
 
 Three claims (docs/PERFORMANCE.md §5):
 
@@ -6,13 +6,13 @@ Three claims (docs/PERFORMANCE.md §5):
   results (same suite JSON, same bus event stream),
 * key correctness -- commands in the same shape class share an entry,
   commands whose cost genuinely differs do not, and
-* ``CostPipeline(..., enabled=False)`` disables memoization.
+* the unmemoized reference -- a test-local pipeline that derives every
+  command afresh through ``perf.cost_of`` + ``energy.command_energy`` --
+  substitutes cleanly for the memo.
 
 The unmemoized runs substitute that pipeline where
 :class:`~repro.core.device.PimDevice` builds its own.
 """
-
-import functools
 
 import pytest
 
@@ -23,17 +23,23 @@ from repro.obs import EventBus, RingBufferSink
 from repro.perf.memo import CostPipeline
 
 
+class FreshPipeline(CostPipeline):
+    """The unmemoized reference: every command derived afresh."""
+
+    __slots__ = ()
+
+    def cost_and_energy(self, args):
+        cost = self.perf.cost_of(args)
+        return cost, self.energy.command_energy(cost)
+
+
 @pytest.fixture
 def memo_switch(monkeypatch):
     """``switch(disable)``: devices built afterwards memoize unless
     ``disable`` is true."""
 
     def switch(disable: bool) -> None:
-        pipeline = (
-            functools.partial(CostPipeline, enabled=False)
-            if disable
-            else CostPipeline
-        )
+        pipeline = FreshPipeline if disable else CostPipeline
         monkeypatch.setattr("repro.core.device.CostPipeline", pipeline)
 
     return switch
@@ -120,7 +126,7 @@ class TestEscapeHatch:
     def test_disabled_pipeline_skips_memoization(self, memo_switch):
         memo_switch(disable=True)
         device = _analytic(bitserial_config(4))
-        assert not device.pipeline.enabled
+        assert type(device.pipeline) is FreshPipeline
         obj_a, obj_b, dest = _vectors(device)
         for _ in range(3):
             device.execute(PimCmdKind.ADD, (obj_a, obj_b), dest)
@@ -129,11 +135,12 @@ class TestEscapeHatch:
 
     def test_memoizes_by_default(self):
         device = _analytic(bitserial_config(4))
-        assert device.pipeline.enabled
-        pipeline = CostPipeline(
-            device.perf, device.energy, device.pipeline.backend
-        )
-        assert pipeline.enabled
+        assert type(device.pipeline) is CostPipeline
+        obj_a, obj_b, dest = _vectors(device)
+        for _ in range(3):
+            device.execute(PimCmdKind.ADD, (obj_a, obj_b), dest)
+        assert len(device.pipeline) == 1
+        assert device.pipeline.hits == 2
 
     def test_disabled_run_is_byte_identical(self, memo_switch):
         def run(disable: bool):

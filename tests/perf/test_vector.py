@@ -9,7 +9,6 @@ contract -- and, just as importantly, pin that the equivalence checker
 different doubles, and must be reported, not absorbed).
 """
 
-import contextlib
 import copy
 import dataclasses
 import functools
@@ -296,22 +295,18 @@ class TestTableSnapshot:
 
     @pytest.mark.parametrize("key", ["kmeans", "histogram", "aes-enc"])
     def test_real_plan_rows_bit_equal_tracker_snapshots(self, key):
-        from repro.arch import derive_backend, temporary_backend
+        from repro.arch import derive_backend
 
         backends = [derive_backend("fulcrum", {"pe_freq_mhz": freq})
                     for freq in (100.0, 164.0, 333.3)]
         points = [(backend, backend.make_config(2)) for backend in backends]
-        with contextlib.ExitStack() as stack:
-            for backend in backends:
-                stack.enter_context(temporary_backend(backend))
-            spec = CellSpec(key, backends[0].device_type, 2,
-                            paper_scale=False, vector=True)
-            plan = compile_plan(spec, *points[0])
-            totals = price_plan(plan, plans.unit_costs(plan.shape_args,
-                                                       points))
-            results = plans.plan_results(
-                plan, totals, [config.device_type for _, config in points]
-            )
+        spec = CellSpec(key, backends[0].device_type, 2,
+                        paper_scale=False, vector=True)
+        plan = compile_plan(spec, *points[0])
+        totals = price_plan(plan, plans.unit_costs(plan.shape_args, points))
+        results = plans.plan_results(
+            plan, totals, [config.device_type for _, config in points]
+        )
         for row, result in enumerate(results):
             expected = _snapshot_bits(totals.tracker(row).snapshot())
             assert _snapshot_bits(totals.snapshot(row)) == expected
@@ -726,32 +721,28 @@ class TestKnobVector:
     @settings(max_examples=60, deadline=None)
     @given(_knob_points())
     def test_group_table_bit_equals_per_point_pipelines(self, case):
-        from repro.arch import derive_backend, temporary_backend
+        from repro.arch import derive_backend
         from repro.energy.model import EnergyModel
-        from repro.perf.memo import CostPipeline
 
         base, dicts = case
         shapes = _real_shapes(base.id)
         backends = [derive_backend(base, knobs) for knobs in dicts]
         points = [(backend, backend.make_config(2)) for backend in backends]
-        with contextlib.ExitStack() as stack:
-            for backend in backends:
-                stack.enter_context(temporary_backend(backend))
-            unit = plans.unit_costs(shapes, points)
-            for row, (backend, config) in enumerate(points):
-                pipeline = CostPipeline(
-                    backend.make_perf_model(config), EnergyModel(config),
-                    backend, enabled=False,
+        unit = plans.unit_costs(shapes, points)
+        for row, (backend, config) in enumerate(points):
+            # The unmemoized reference: each shape derived afresh.
+            perf = backend.make_perf_model(config)
+            energy_model = EnergyModel(config)
+            for column, args in enumerate(shapes):
+                cost = perf.cost_of(args)
+                energy = energy_model.command_energy(cost)
+                expected = (
+                    cost.latency_ns, energy.execution_nj,
+                    energy.background_nj,
+                ) + tuple(getattr(cost, name) for name in EVENT_FIELDS)
+                assert _bits(unit[:, row, column]) == _bits(expected), (
+                    f"{backend.id} point {row} shape {column}"
                 )
-                for column, args in enumerate(shapes):
-                    cost, energy = pipeline.cost_and_energy(args)
-                    expected = (
-                        cost.latency_ns, energy.execution_nj,
-                        energy.background_nj,
-                    ) + tuple(getattr(cost, name) for name in EVENT_FIELDS)
-                    assert _bits(unit[:, row, column]) == _bits(expected), (
-                        f"{backend.id} point {row} shape {column}"
-                    )
 
     def test_negative_latency_raises_on_the_array_path(self):
         from repro.perf.base import CmdCost
@@ -762,7 +753,7 @@ class TestKnobVector:
                 CmdCost(latency_ns=latency)
 
     def test_one_point_hands_cost_of_python_floats(self, monkeypatch):
-        from repro.arch import derive_backend, temporary_backend
+        from repro.arch import derive_backend
         from repro.energy.model import EnergyModel
         from repro.perf.banklevel import BankLevelPerfModel
 
@@ -784,9 +775,8 @@ class TestKnobVector:
         backend = derive_backend("bank", {"pe_freq_mhz": 250.0,
                                           "alu_op_pj": 0.3})
         config = backend.make_config(2)
-        with temporary_backend(backend):
-            plan = compile_plan(self._cell(backend), backend, config)
-            synthesize(plan, [(backend, config)])
+        plan = compile_plan(self._cell(backend), backend, config)
+        synthesize(plan, [(backend, config)])
         assert seen and set(seen) == {float}
 
     def _cell(self, backend):

@@ -1,13 +1,14 @@
 """Sweeps inside a long-lived serving process leave no registry residue.
 
-``run_sweep`` registers one transient parametric backend per design
-point for the duration of the evaluation.  Under ``repro serve`` the
-process lives for days and may run many sweeps, so any leaked
-registration is a slow leak of registry entries *and* a correctness
-hazard (a later sweep could silently resolve a stale backend id).  The
-contract: a completed sweep -- successful or not -- restores the
-registry to its pre-sweep size, and the service keeps answering with
-byte-identical payloads afterwards.
+``run_sweep`` derives one parametric backend per design point, and a
+derived backend is a value: it resolves without being registered.
+Under ``repro serve`` the process lives for days and may run many
+sweeps, so a registration left behind would be a slow leak of registry
+entries *and* a correctness hazard (a later sweep could silently
+resolve a stale backend id).  The contract: a sweep -- successful or
+not -- leaves the registry exactly as it found it, a point registered
+by hand survives, and the service keeps answering with byte-identical
+payloads afterwards.
 """
 
 import asyncio
@@ -15,7 +16,12 @@ import json
 
 import pytest
 
-from repro.arch import derive_backend, iter_backends, temporary_backend
+from repro.arch import (
+    derive_backend,
+    iter_backends,
+    register_backend,
+    unregister_backend,
+)
 from repro.core.errors import PimConfigError
 from repro.dse import SweepSpec, run_sweep
 from repro.obs.metrics import MetricsRegistry
@@ -46,7 +52,7 @@ def _registry_ids() -> "tuple[str, ...]":
 
 
 def test_completed_sweep_restores_registry_size(tmp_path):
-    """The satellite contract, inside a live service process."""
+    """The contract, inside a live service process."""
     async def main():
         service = EvaluationService(
             _config(tmp_path), registry=MetricsRegistry()
@@ -76,20 +82,10 @@ def test_completed_sweep_restores_registry_size(tmp_path):
     asyncio.run(main())
 
 
-def test_failed_sweep_still_unwinds_registrations():
-    """The finally-path: an exception mid-sweep unregisters everything."""
+def test_failed_sweep_leaves_registry_unchanged(monkeypatch):
+    """Sweeps that raise -- on a bad base or mid-evaluation -- leave no
+    registration behind."""
     before = _registry_ids()
-    spec = SweepSpec.from_dict({
-        "name": "doomed",
-        "base": "bank",
-        "benchmarks": ["no-such-benchmark"],
-        "num_ranks": 2,
-        "axes": {"banks_per_rank": [32, 64]},
-    })
-    result = run_sweep(spec, jobs=1, use_cache=False)
-    assert all(o.failed for o in result.outcomes)
-    assert _registry_ids() == before
-
     with pytest.raises(PimConfigError):
         run_sweep(
             SweepSpec.from_dict({
@@ -103,13 +99,25 @@ def test_failed_sweep_still_unwinds_registrations():
         )
     assert _registry_ids() == before
 
+    def explode(*args, **kwargs):
+        raise RuntimeError("pricing failed mid-sweep")
+
+    # Every point is derived before pricing starts.
+    monkeypatch.setattr("repro.dse.sweep.price_cells_batched", explode)
+    with pytest.raises(RuntimeError, match="mid-sweep"):
+        run_sweep(_SPEC, jobs=1, use_cache=False)
+    assert _registry_ids() == before
+
 
 def test_sweep_leaves_foreign_registrations_alone():
-    """First owner wins: a pre-registered point id survives the sweep."""
+    """A point registered by hand survives a sweep that evaluates it."""
     point = _SPEC.compile_points()[0]
-    owned = derive_backend(point.base, point.knobs_dict())
-    with temporary_backend(owned):
+    owned = register_backend(derive_backend(point.base, point.knobs_dict()))
+    try:
         before = _registry_ids()
         assert owned.id in before
-        run_sweep(_SPEC, jobs=1, use_cache=False)
+        result = run_sweep(_SPEC, jobs=1, use_cache=False)
+        assert not any(o.failed for o in result.outcomes)
         assert _registry_ids() == before
+    finally:
+        unregister_backend(owned.id)

@@ -621,11 +621,21 @@ class TestDseSubcommand:
             main(["dse", "frontier", "/nonexistent/frontier.json"])
 
     def test_arch_list_marks_transient_backends(self, capsys):
-        from repro.arch import derive_backend, temporary_backend
+        from repro.arch import (
+            derive_backend,
+            register_backend,
+            unregister_backend,
+        )
 
-        backend = derive_backend("bank", {"banks_per_rank": 64})
-        with temporary_backend(backend):
+        # Derived backends resolve unregistered; only one registered by
+        # hand is listed.
+        backend = register_backend(
+            derive_backend("bank", {"banks_per_rank": 64})
+        )
+        try:
             assert main(["arch", "list"]) == 0
+        finally:
+            unregister_backend(backend.id)
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith(backend.id))
         assert " * " in f" {line} " or line.split()[1] == "*"
