@@ -16,7 +16,6 @@ from repro.config.device import (
     PimDataType,
     PimDeviceType,
 )
-from repro.core.device import PimDevice
 
 __version__ = "1.0.0"
 
@@ -28,3 +27,16 @@ __all__ = [
     "PimDevice",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Load the device simulator (and numpy) on first use (PEP 562).
+
+    A warm ``figure``/``suite``/``tables`` renders cached cells without
+    ever building a device, so ``import repro`` must not pay for it.
+    """
+    if name == "PimDevice":
+        from repro.core.device import PimDevice
+
+        return PimDevice
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

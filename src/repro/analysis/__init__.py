@@ -1,16 +1,15 @@
-"""Benchmark characterization, clustering, and report formatting."""
+"""Benchmark characterization, clustering, and report formatting.
+
+Figure 1's clustering runs on numpy, so its names load on first use
+(PEP 562 ``__getattr__``); the text renderers and Figure 8's op mix do
+not need it.
+"""
 
 from repro.analysis.charts import render_log_bars, render_stacked_bars
 from repro.analysis.energy_breakdown import (
     EnergyBreakdown,
     energy_breakdown,
     format_energy_breakdown,
-)
-from repro.analysis.clustering import (
-    DendrogramResult,
-    build_dendrogram,
-    pca,
-    render_text_dendrogram,
 )
 from repro.analysis.features import (
     BenchmarkFeatures,
@@ -46,3 +45,15 @@ __all__ = [
     "format_params",
     "format_report",
 ]
+
+_CLUSTERING_NAMES = (
+    "DendrogramResult", "build_dendrogram", "pca", "render_text_dendrogram",
+)
+
+
+def __getattr__(name: str):
+    if name in _CLUSTERING_NAMES:
+        from repro.analysis import clustering
+
+        return getattr(clustering, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

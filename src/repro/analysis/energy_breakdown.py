@@ -10,8 +10,10 @@ bars.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
-from repro.core.device import PimDevice
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
-import numpy as np
-
-from repro.bench.common import BenchmarkResult, PimBenchmark
 from repro.core.commands import OpCategory
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.bench.common import BenchmarkResult, PimBenchmark
 
 #: Fixed feature order for the op-mix block.
 CATEGORY_ORDER = tuple(OpCategory)
@@ -32,15 +35,17 @@ class BenchmarkFeatures:
         return len(self.vector)
 
 
-def op_mix_fractions(result: BenchmarkResult) -> np.ndarray:
-    """Per-category fraction of PIM operations issued (Figure 8 rows)."""
-    counts = np.array(
-        [result.op_counts.get(cat, 0) for cat in CATEGORY_ORDER], dtype=float
-    )
-    total = counts.sum()
+def op_mix_fractions(result: BenchmarkResult) -> "tuple[float, ...]":
+    """Per-category fraction of PIM operations issued (Figure 8 rows).
+
+    Integer counts over their exact integer sum: each quotient is the
+    correctly rounded double, so no numpy is needed to render Figure 8.
+    """
+    counts = [result.op_counts.get(cat, 0) for cat in CATEGORY_ORDER]
+    total = sum(counts)
     if total == 0:
-        return counts
-    return counts / total
+        return tuple(0.0 for _ in counts)
+    return tuple(count / total for count in counts)
 
 
 def extract_features(
@@ -52,6 +57,8 @@ def extract_features(
     PIM+Host execution flag, log arithmetic intensity (baseline ops per
     byte), and the host-time fraction of the run.
     """
+    import numpy as np
+
     mix = op_mix_fractions(result)
     profile = benchmark.cpu_profile()
     intensity = profile.compute_ops / max(1.0, profile.bytes_accessed)
@@ -71,6 +78,8 @@ def extract_features(
 
 def feature_matrix(features: "list[BenchmarkFeatures]") -> np.ndarray:
     """Stack feature vectors into a standardized (n, d) matrix."""
+    import numpy as np
+
     if not features:
         raise ValueError("no features supplied")
     matrix = np.stack([f.vector for f in features])

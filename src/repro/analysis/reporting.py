@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.device import PimDevice
-
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
     from repro.obs.metrics import MetricsRegistry
 
 _RULE = "-" * 40

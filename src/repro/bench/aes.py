@@ -25,16 +25,20 @@ the GPU ahead -- the Section VIII "AES" finding.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench import aes_reference as ref
 from repro.bench.common import PimBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
-from repro.core.object import PimObject
 from repro.host.model import HostModel
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.core.device import PimDevice
+    from repro.core.object import PimObject
 
 #: Boyar-Peralta bit-sliced AES S-box circuit size (gates per byte).
 SBOX_AND_GATES = 32
@@ -45,6 +49,8 @@ class _PlaneState:
     """The 16 byte planes plus scratch objects of one AES computation."""
 
     def __init__(self, device: PimDevice, num_blocks: int) -> None:
+        import numpy as np
+
         self.device = device
         base = device.alloc(num_blocks, PimDataType.UINT8)
         self.planes = [base] + [
@@ -198,11 +204,15 @@ class AesEncryptBenchmark(PimBenchmark):
         return {"num_bytes": 1_035_544_320, "seed": 17}
 
     def _round_keys(self) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.default_rng(self.params["seed"])
         key = rng.integers(0, 256, size=32, dtype=np.uint8).tobytes()
         return ref.expand_key(key)
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
         num_bytes = self.params["num_bytes"]
         num_blocks = num_bytes // ref.BLOCK_BYTES
         if num_blocks == 0:
@@ -261,6 +271,8 @@ class AesEncryptBenchmark(PimBenchmark):
         _add_round_key(state, round_keys[0])
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         transform = ref.decrypt_blocks if self.decrypt else ref.encrypt_blocks
         expected = transform(outputs["blocks"], outputs["round_keys"])
         return np.array_equal(outputs["result"], expected)

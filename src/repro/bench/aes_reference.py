@@ -10,8 +10,10 @@ against the FIPS-197 known values (S-box[0x00] = 0x63, etc.).
 from __future__ import annotations
 
 import functools
+import typing
 
-import numpy as np
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 AES_POLY = 0x11B
 NUM_ROUNDS = 14  # AES-256
@@ -68,6 +70,8 @@ def _affine(x: int) -> int:
 @functools.lru_cache(maxsize=1)
 def sbox() -> np.ndarray:
     """The AES S-box as a 256-entry uint8 lookup table."""
+    import numpy as np
+
     inverse = gf_inverse_table()
     return np.array([_affine(inverse[x]) for x in range(256)], dtype=np.uint8)
 
@@ -75,6 +79,8 @@ def sbox() -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def inv_sbox() -> np.ndarray:
     """The inverse S-box."""
+    import numpy as np
+
     forward = sbox()
     table = np.zeros(256, dtype=np.uint8)
     table[forward] = np.arange(256, dtype=np.uint8)
@@ -83,6 +89,8 @@ def inv_sbox() -> np.ndarray:
 
 def expand_key(key: "bytes | np.ndarray") -> np.ndarray:
     """AES-256 key schedule; returns (NUM_ROUNDS + 1, 16) round keys."""
+    import numpy as np
+
     key = np.frombuffer(bytes(key), dtype=np.uint8)
     if key.size != 4 * KEY_WORDS:
         raise ValueError(f"AES-256 needs a 32-byte key, got {key.size} bytes")
@@ -114,6 +122,8 @@ def _from_state(state: np.ndarray) -> np.ndarray:
 
 
 def _shift_rows(state: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = state.copy()
     for r in range(1, 4):
         out[:, r, :] = np.roll(state[:, r, :], -r, axis=1)
@@ -121,6 +131,8 @@ def _shift_rows(state: np.ndarray) -> np.ndarray:
 
 
 def _inv_shift_rows(state: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = state.copy()
     for r in range(1, 4):
         out[:, r, :] = np.roll(state[:, r, :], r, axis=1)
@@ -128,11 +140,15 @@ def _inv_shift_rows(state: np.ndarray) -> np.ndarray:
 
 
 def _xtime(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return (np.left_shift(x, 1) ^ np.where(x & 0x80, 0x1B, 0)).astype(np.uint8)
 
 
 def _gf_mul_vec(x: np.ndarray, factor: int) -> np.ndarray:
     """Multiply a byte array by a small constant in GF(2^8)."""
+    import numpy as np
+
     result = np.zeros_like(x)
     power = x.copy()
     while factor:
@@ -144,6 +160,8 @@ def _gf_mul_vec(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _mix_columns(state: np.ndarray, matrix: "list[list[int]]") -> np.ndarray:
+    import numpy as np
+
     out = np.zeros_like(state)
     for r in range(4):
         for k in range(4):
@@ -157,6 +175,8 @@ INV_MIX = [[14, 11, 13, 9], [9, 14, 11, 13], [13, 9, 14, 11], [11, 13, 9, 14]]
 
 def encrypt_blocks(blocks: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
     """ECB-encrypt (n, 16) uint8 blocks with expanded round keys."""
+    import numpy as np
+
     box = sbox()
     state = _to_state(blocks.astype(np.uint8) ^ round_keys[0])
     for rnd in range(1, NUM_ROUNDS):
@@ -171,6 +191,8 @@ def encrypt_blocks(blocks: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
 
 def decrypt_blocks(blocks: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
     """ECB-decrypt (n, 16) uint8 blocks with expanded round keys."""
+    import numpy as np
+
     box = inv_sbox()
     state = _to_state(blocks.astype(np.uint8) ^ round_keys[NUM_ROUNDS])
     for rnd in range(NUM_ROUNDS - 1, 0, -1):

@@ -8,14 +8,15 @@ bank-level pays the narrow GDL (Section VIII "AXPY").
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.vectors import random_int_vector
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class AxpyBenchmark(PimBenchmark):
@@ -34,6 +35,8 @@ class AxpyBenchmark(PimBenchmark):
         return {"num_elements": 16_777_216, "scale": 5, "seed": 11}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        from repro.workloads.vectors import random_int_vector
+
         n = self.params["num_elements"]
         scale = self.params["scale"]
         x = y = None
@@ -53,6 +56,8 @@ class AxpyBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         expected = outputs["x"] * outputs["scale"] + outputs["y"]
         return np.array_equal(outputs["result"], expected)
 

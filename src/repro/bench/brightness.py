@@ -9,15 +9,16 @@ in time and in energy (Section VIII "Brightness").
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.images import synthetic_image
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class BrightnessBenchmark(PimBenchmark):
@@ -36,6 +37,8 @@ class BrightnessBenchmark(PimBenchmark):
         return {"width": 24_320, "height": 19_200, "delta": 40, "seed": 31}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        from repro.workloads.images import synthetic_image
+
         width, height = self.params["width"], self.params["height"]
         delta = self.params["delta"]
         if not 0 <= delta <= 255:
@@ -57,6 +60,8 @@ class BrightnessBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         expected = np.clip(
             outputs["image"].reshape(-1).astype(np.int32) + outputs["delta"],
             0, 255,

@@ -25,10 +25,12 @@ from repro.baselines.gpu import GpuModel
 from repro.baselines.roofline import KernelProfile
 from repro.config.device import PimDeviceType
 from repro.core.commands import OpCategory
-from repro.core.device import PimDevice
 from repro.core.stats import StatsSnapshot
 from repro.host.model import HostModel
 from repro.obs.spans import device_bus, span
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,15 +10,16 @@ cannot overflow.  All three PIM variants beat both baselines.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.images import box_downsample_reference, synthetic_image
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class DownsampleBenchmark(PimBenchmark):
@@ -37,6 +38,10 @@ class DownsampleBenchmark(PimBenchmark):
         return {"width": 24_320, "height": 19_200, "seed": 37}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
+        from repro.workloads.images import synthetic_image
+
         width, height = self.params["width"], self.params["height"]
         if width % 2 or height % 2:
             raise ValueError("box downsampling requires even dimensions")
@@ -81,6 +86,10 @@ class DownsampleBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
+        from repro.workloads.images import box_downsample_reference
+
         expected = box_downsample_reference(outputs["image"])
         return np.array_equal(outputs["result"], expected)
 

@@ -17,14 +17,16 @@ suite so the figure regenerations stay faithful to the paper).
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class PrefixSumBenchmark(PimBenchmark):
@@ -43,6 +45,8 @@ class PrefixSumBenchmark(PimBenchmark):
         return {"num_elements": 67_108_864, "seed": 61}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
         n = self.params["num_elements"]
         values = None
         if device.functional:
@@ -76,6 +80,8 @@ class PrefixSumBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         with np.errstate(over="ignore"):
             expected = np.cumsum(outputs["values"], dtype=np.int32)
         return np.array_equal(outputs["result"], expected)
@@ -118,6 +124,8 @@ class StringMatchBenchmark(PimBenchmark):
 
     def _make_text(self, n: int, m: int):
         """Random text over a small alphabet, seeded with real matches."""
+        import numpy as np
+
         rng = np.random.default_rng(self.params["seed"])
         text = rng.integers(97, 101, n).astype(np.uint8)  # 'a'..'d'
         pattern = rng.integers(97, 101, m).astype(np.uint8)
@@ -126,6 +134,8 @@ class StringMatchBenchmark(PimBenchmark):
         return text, pattern
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
         n = self.params["text_length"]
         m = self.params["pattern_length"]
         text = pattern = None
@@ -169,6 +179,8 @@ class StringMatchBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         text = outputs["text"].tobytes()
         pattern = outputs["pattern"].tobytes()
         expected = []

@@ -17,17 +17,18 @@ being extended with; both are implemented here against the portable API.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.graphs import connected_components, random_graph
-from repro.workloads.points import clustered_points
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.core.device import PimDevice
 
 WORD_BITS = 32
 
@@ -49,6 +50,10 @@ class TransitiveClosureBenchmark(PimBenchmark):
         return {"num_nodes": 8_192, "num_edges": 131_072, "seed": 71}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
+        from repro.workloads.graphs import random_graph
+
         n = self.params["num_nodes"]
         words = math.ceil(n / WORD_BITS)
         graph = None
@@ -117,6 +122,8 @@ class TransitiveClosureBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        from repro.workloads.graphs import connected_components
+
         graph = outputs["graph"]
         closure = outputs["closure"]
         n = outputs["num_nodes"]
@@ -175,6 +182,8 @@ class PcaBenchmark(PimBenchmark):
         return {"num_points": 268_435_456, "seed": 73}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        from repro.workloads.points import clustered_points
+
         n = self.params["num_points"]
         points = None
         if device.functional:
@@ -209,6 +218,8 @@ class PcaBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         points = outputs["points"].astype(np.float64)
         centered = points - points.mean(axis=0)
         cov = centered.T @ centered / len(points)
@@ -238,6 +249,8 @@ class PcaBenchmark(PimBenchmark):
 
 
 def _covariance(n, sum_x, sum_y, sum_xx, sum_yy, sum_xy) -> np.ndarray:
+    import numpy as np
+
     mean_x, mean_y = sum_x / n, sum_y / n
     return np.array([
         [sum_xx / n - mean_x**2, sum_xy / n - mean_x * mean_y],
@@ -246,5 +259,7 @@ def _covariance(n, sum_x, sum_y, sum_xx, sum_yy, sum_xy) -> np.ndarray:
 
 
 def _principal_axis(cov: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     values, vectors = np.linalg.eigh(cov)
     return vectors[:, int(np.argmax(values))]

@@ -10,15 +10,16 @@ over the CPU and none over the GPU.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.tables import key_value_table
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class FilterByKeyBenchmark(PimBenchmark):
@@ -37,6 +38,8 @@ class FilterByKeyBenchmark(PimBenchmark):
         return {"num_records": 1_073_741_824, "selectivity": 0.01, "seed": 23}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        from repro.workloads.tables import key_value_table
+
         n = self.params["num_records"]
         selectivity = self.params["selectivity"]
         workload = None
@@ -89,6 +92,8 @@ class FilterByKeyBenchmark(PimBenchmark):
         return scan + gather
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         workload = outputs["workload"]
         expected = workload.keys[workload.keys < workload.threshold]
         return (

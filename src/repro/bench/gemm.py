@@ -11,14 +11,15 @@ matching the paper's finding.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.vectors import random_int_matrix
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class GemmBenchmark(PimBenchmark):
@@ -37,6 +38,10 @@ class GemmBenchmark(PimBenchmark):
         return {"m": 23_521, "k": 4_096, "n": 512, "seed": 5}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
+        from repro.workloads.vectors import random_int_matrix
+
         m, k, n = self.params["m"], self.params["k"], self.params["n"]
         a = b = None
         if device.functional:
@@ -67,6 +72,8 @@ class GemmBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         a, b = outputs["a"], outputs["b"]
         expected = (a.astype(np.int64) @ b.astype(np.int64)).astype(np.int32)
         produced = outputs["result"].reshape(b.shape[1], a.shape[0]).T

@@ -10,14 +10,15 @@ under-utilized (Section IX), which the row-granular models reproduce.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.vectors import random_int_matrix, random_int_vector
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 #: Scalar stand-in for microprogram costing in analytic mode: 16 of 32
 #: bits set, the expected popcount of a random multiplier.
@@ -40,6 +41,8 @@ class GemvBenchmark(PimBenchmark):
         return {"num_rows": 2_352_160, "num_cols": 8_192, "seed": 3}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        from repro.workloads.vectors import random_int_matrix, random_int_vector
+
         rows, cols = self.params["num_rows"], self.params["num_cols"]
         matrix = x = None
         if device.functional:
@@ -69,6 +72,8 @@ class GemvBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         expected = outputs["matrix"].astype(np.int64) @ outputs["x"].astype(np.int64)
         return np.array_equal(outputs["result"], expected.astype(np.int32))
 

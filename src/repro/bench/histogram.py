@@ -10,15 +10,16 @@ lose to the GPU.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.images import channel_planes, synthetic_image
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 NUM_LEVELS = 256
 NUM_CHANNELS = 3
@@ -41,6 +42,10 @@ class HistogramBenchmark(PimBenchmark):
         return {"width": 24_320, "height": 19_200, "seed": 29}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
+        from repro.workloads.images import channel_planes, synthetic_image
+
         width, height = self.params["width"], self.params["height"]
         num_pixels = width * height
         image = planes = None
@@ -86,6 +91,8 @@ class HistogramBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         image = outputs["image"]
         for channel in range(NUM_CHANNELS):
             expected = np.bincount(

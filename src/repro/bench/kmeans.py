@@ -12,15 +12,16 @@ variants achieve large gains over CPU and GPU.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.points import clustered_points
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class KMeansBenchmark(PimBenchmark):
@@ -40,6 +41,10 @@ class KMeansBenchmark(PimBenchmark):
         return {"num_points": 67_108_864, "k": 20, "iterations": 10, "seed": 47}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
+        from repro.workloads.points import clustered_points
+
         n = self.params["num_points"]
         k = self.params["k"]
         iterations = self.params["iterations"]
@@ -115,6 +120,8 @@ class KMeansBenchmark(PimBenchmark):
 
     def verify(self, outputs) -> bool:
         """Re-run the same masked-update semantics on the host and compare."""
+        import numpy as np
+
         points = outputs["points"].astype(np.int64)
         k = self.params["k"]
         centroids = points[:k].copy()

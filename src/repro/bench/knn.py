@@ -9,14 +9,15 @@ dominates, leaving modest overall speedups.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.points import labeled_points_2d
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class KnnBenchmark(PimBenchmark):
@@ -38,6 +39,10 @@ class KnnBenchmark(PimBenchmark):
                 "num_classes": 4, "seed": 41}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
+        from repro.workloads.points import labeled_points_2d
+
         n = self.params["num_points"]
         num_queries = self.params["num_queries"]
         k = self.params["k"]
@@ -102,6 +107,8 @@ class KnnBenchmark(PimBenchmark):
         )
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         points = outputs["points"].astype(np.int64)
         labels = outputs["labels"]
         k = outputs["k"]

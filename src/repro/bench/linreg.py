@@ -10,14 +10,15 @@ Regression").
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.points import linear_points
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class LinearRegressionBenchmark(PimBenchmark):
@@ -36,6 +37,8 @@ class LinearRegressionBenchmark(PimBenchmark):
         return {"num_points": 1_500_000_000, "seed": 43}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        from repro.workloads.points import linear_points
+
         n = self.params["num_points"]
         x = y = None
         if device.functional:
@@ -61,6 +64,8 @@ class LinearRegressionBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         x = outputs["x"].astype(np.float64)
         y = outputs["y"].astype(np.float64)
         n = len(x)

@@ -10,14 +10,17 @@ bit-identical results.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.bench.brightness import BrightnessBenchmark
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.images import synthetic_image
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.core.device import PimDevice
 
 
 class BrightnessFusedBenchmark(BrightnessBenchmark):
@@ -32,6 +35,8 @@ class BrightnessFusedBenchmark(BrightnessBenchmark):
     name = "Brightness (fused)"
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        from repro.workloads.images import synthetic_image
+
         width, height = self.params["width"], self.params["height"]
         delta = self.params["delta"]
         if not 0 <= delta <= 255:
@@ -82,6 +87,8 @@ class VggChannelBatchedBenchmark:
 
     def run_conv_stack(self, device: PimDevice):
         """Run the convolution stack; returns activations (functional)."""
+        import numpy as np
+
         from repro.bench.vgg import KERNEL_OFFSETS, _shifted_plane
 
         rng = np.random.default_rng(self.seed)
@@ -140,6 +147,8 @@ class VggChannelBatchedBenchmark:
 
     def reference_conv_stack(self) -> np.ndarray:
         """Numpy reference of the same stack (same weight stream)."""
+        import numpy as np
+
         from repro.bench.vgg import KERNEL_OFFSETS, _shifted_plane
 
         rng = np.random.default_rng(self.seed)
@@ -183,6 +192,7 @@ def optimization_gains(
     Returns ``{variant_key: {device_value: gain}}``.
     """
     from repro.config.presets import PAPER_DEVICE_TYPES, make_device_config
+    from repro.core.device import PimDevice
 
     gains: "dict[str, dict[str, float]]" = {}
     pairs = [(BrightnessFusedBenchmark, BrightnessBenchmark)]

@@ -11,15 +11,16 @@ badly to the GPU's CUB radix sort.
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.core.commands import PimCmdKind
 from repro.config.device import PimDataType
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.vectors import random_int_vector
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 DIGIT_BITS = 8
 NUM_BUCKETS = 1 << DIGIT_BITS
@@ -53,6 +54,10 @@ class RadixSortBenchmark(PimBenchmark):
         )
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
+        from repro.workloads.vectors import random_int_vector
+
         n = self.params["num_elements"]
         num_passes = 32 // DIGIT_BITS
         keys = None
@@ -110,6 +115,8 @@ class RadixSortBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         return np.array_equal(outputs["result"], np.sort(outputs["keys"]))
 
     def cpu_profile(self) -> KernelProfile:

@@ -13,16 +13,18 @@ win, exactly the Section VIII "Triangle Count" finding.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark, ceil_div
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.graphs import adjacency_bitmap, count_triangles_reference, random_graph
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.core.device import PimDevice
 
 WORD_BITS = 32
 
@@ -49,6 +51,10 @@ class TriangleCountBenchmark(PimBenchmark):
         }
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
+        from repro.workloads.graphs import adjacency_bitmap, random_graph
+
         nodes = self.params["num_nodes"]
         edges = self.params["num_edges"]
         chunks = self.params["num_chunks"]
@@ -102,6 +108,8 @@ class TriangleCountBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        from repro.workloads.graphs import count_triangles_reference
+
         return outputs["triangles"] == count_triangles_reference(outputs["graph"])
 
     def cpu_profile(self) -> KernelProfile:
@@ -134,6 +142,8 @@ class TriangleCountBenchmark(PimBenchmark):
 
 
 def _pad(values: np.ndarray, size: int) -> np.ndarray:
+    import numpy as np
+
     if len(values) == size:
         return values
     padded = np.zeros(size, dtype=values.dtype)

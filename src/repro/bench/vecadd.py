@@ -8,14 +8,15 @@ Addition").
 
 from __future__ import annotations
 
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
-from repro.workloads.vectors import random_int_vector
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class VectorAddBenchmark(PimBenchmark):
@@ -34,6 +35,8 @@ class VectorAddBenchmark(PimBenchmark):
         return {"num_elements": 2_035_544_320, "seed": 7}
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        from repro.workloads.vectors import random_int_vector
+
         n = self.params["num_elements"]
         x = y = None
         if device.functional:
@@ -56,6 +59,8 @@ class VectorAddBenchmark(PimBenchmark):
         return None
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         expected = outputs["x"] + outputs["y"]
         return np.array_equal(outputs["result"], expected)
 

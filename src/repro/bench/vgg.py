@@ -24,14 +24,17 @@ command trace collapsed through ``repeat``.
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
+import typing
 
 from repro.baselines.roofline import KernelProfile
 from repro.bench.common import PimBenchmark
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.core.device import PimDevice
 
 #: Convolution plans (output channels per 3x3 layer; 'M' = 2x2 max-pool).
 VGG_CONFIGS: "dict[int, list]" = {
@@ -64,6 +67,8 @@ class _Shape:
 
 def _shifted_plane(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
     """Zero-padded shift of a (batch, s, s) activation plane."""
+    import numpy as np
+
     out = np.zeros_like(plane)
     s = plane.shape[1]
     ys = slice(max(0, -dy), min(s, s - dy))
@@ -105,6 +110,8 @@ class VggBenchmark(PimBenchmark):
     # -- host-side weight/input generation -------------------------------------
 
     def _make_weights(self, conv_plan, dense_plan, in_channels, features):
+        import numpy as np
+
         rng = np.random.default_rng(self.params["seed"])
         conv_weights = []
         cin = in_channels
@@ -128,6 +135,8 @@ class VggBenchmark(PimBenchmark):
     # -- PIM execution ----------------------------------------------------
 
     def run_pim(self, device: PimDevice, host: HostModel):
+        import numpy as np
+
         batch = self.params["batch"]
         size = self.params["image_size"]
         conv_plan = list(self.params["conv_plan"])
@@ -198,6 +207,8 @@ class VggBenchmark(PimBenchmark):
         )
 
     def _conv_layer(self, device, host, shape, activations, weights, cout):
+        import numpy as np
+
         cin = shape.channels
         elems = shape.plane_elems
         # Host im2col: build the 9 shifted patch vectors per input channel.
@@ -247,6 +258,8 @@ class VggBenchmark(PimBenchmark):
         return None
 
     def _max_pool(self, device, host, shape, activations):
+        import numpy as np
+
         out_elems = shape.batch * (shape.size // 2) ** 2
         host.run(self._relayout_profile(float(out_elems) * 4 * shape.channels))
         if device.functional:
@@ -290,6 +303,8 @@ class VggBenchmark(PimBenchmark):
         once; each image accumulates it scaled by its activation, so the
         vector width is fout (thousands) rather than the small batch.
         """
+        import numpy as np
+
         if device.functional:
             obj_wcol = device.alloc(fout)
             acc_objs = [device.alloc_associated(obj_wcol) for _ in range(batch)]
@@ -324,6 +339,8 @@ class VggBenchmark(PimBenchmark):
     # -- verification --------------------------------------------------------
 
     def verify(self, outputs) -> bool:
+        import numpy as np
+
         batch = self.params["batch"]
         size = self.params["image_size"]
         rng = np.random.default_rng(self.params["seed"] + 1)

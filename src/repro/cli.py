@@ -38,17 +38,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 
-from repro.analysis import format_report
-from repro.arch import ArchBackend, backend_names, iter_backends, resolve_backend
-from repro.bench.extensions import EXTENSION_BENCHMARKS
-from repro.bench.registry import BENCHMARK_CLASSES, BENCHMARKS_BY_KEY, make_benchmark
-from repro.core.device import PimDevice
-from repro.engine import CellSpec, run_cells
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.arch import ArchBackend
+
+# Each command imports what it runs inside its ``cmd_*`` function: a
+# warm ``figure``/``suite``/``tables`` renders cached cells and must not
+# pay for the simulator or numpy (docs/PERFORMANCE.md, "Start-up").
 
 
-def _parse_target(name: str) -> ArchBackend:
+def _parse_target(name: str) -> "ArchBackend":
     """Resolve a --device/--target name through the architecture registry."""
+    from repro.arch import backend_names, resolve_backend
     from repro.core.errors import PimConfigError
 
     try:
@@ -63,6 +65,9 @@ def _parse_target(name: str) -> ArchBackend:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from repro.bench.extensions import EXTENSION_BENCHMARKS
+    from repro.bench.registry import BENCHMARK_CLASSES
+
     print(f"{'key':<12s} {'name':<22s} {'domain':<22s} {'execution':<10s}")
     for cls in BENCHMARK_CLASSES:
         print(f"{cls.key:<12s} {cls.name:<22s} {cls.domain:<22s} "
@@ -76,6 +81,9 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def _make_bench(key: str, paper_scale: bool):
     """Resolve a benchmark key (suite or extension kernel) to an instance."""
+    from repro.bench.extensions import EXTENSION_BENCHMARKS
+    from repro.bench.registry import BENCHMARKS_BY_KEY, make_benchmark
+
     extension_keys = {cls.key: cls for cls in EXTENSION_BENCHMARKS}
     if key in BENCHMARKS_BY_KEY:
         return make_benchmark(key, paper_scale=paper_scale)
@@ -157,6 +165,10 @@ def _make_bus(trace_path: "str | None", with_metrics: bool = False):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis import format_report
+    from repro.core.device import PimDevice
+    from repro.engine import CellSpec, run_cells
+
     backend = _parse_target(args.target)
     bench = _make_bench(args.benchmark, args.paper_scale)
     _apply_vector_check(args)
@@ -217,6 +229,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one benchmark: trace + metrics + hottest-command table."""
     from repro.analysis import format_hottest_commands
+    from repro.engine import CellSpec, run_cells
 
     backend = _parse_target(args.target)
     bench = _make_bench(args.benchmark, args.paper_scale)
@@ -321,10 +334,29 @@ def _normalize_figure(text: str) -> str:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    from repro import experiments as exp
+    from repro.engine.cells import CellExecutionError
 
     _apply_vector_check(args)
-    figure = _normalize_figure(args.figure)
+    try:
+        failures = _render_figure(args, _normalize_figure(args.figure))
+    except CellExecutionError as exc:
+        failures = exc.failures
+    _maybe_write_report(args)
+    if failures:
+        _report_failures(failures)
+        return 1
+    return 0
+
+
+def _render_figure(args: argparse.Namespace, figure: str) -> dict:
+    """Print one figure; return the failed cells it rendered as gaps.
+
+    Figures 7-11 render a failed cell as a gap, as ``suite`` does.
+    Figures 1, 12 and 13 combine cells (a dendrogram, ratios of two
+    suites), so a failed cell raises ``CellExecutionError`` instead.
+    """
+    from repro import experiments as exp
+
     if figure in ("1",):
         from repro.analysis import (
             build_dendrogram,
@@ -347,20 +379,24 @@ def cmd_figure(args: argparse.Namespace) -> int:
         print(exp.format_sensitivity_table(exp.bank_sensitivity()))
     elif figure == "7":
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs)
+                              jobs=args.jobs, strict=False)
         print(exp.format_breakdown_table(exp.breakdown_table(suite)))
+        return suite.failures
     elif figure == "8":
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs)
+                              jobs=args.jobs, strict=False)
         print(exp.format_opmix_table(exp.opmix_table(suite)))
+        return suite.failures
     elif figure in ("9", "10", "10a"):
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs)
+                              jobs=args.jobs, strict=False)
         print(exp.format_speedup_table(exp.speedup_table(suite)))
+        return suite.failures
     elif figure in ("10b", "11"):
         suite = exp.run_suite(num_ranks=args.ranks, paper_scale=True,
-                              jobs=args.jobs)
+                              jobs=args.jobs, strict=False)
         print(exp.format_energy_table(exp.energy_table(suite)))
+        return suite.failures
     elif figure == "12":
         print(exp.format_rank_table(
             exp.rank_scaling_table(jobs=args.jobs)
@@ -372,8 +408,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     else:
         raise SystemExit(f"unknown figure {args.figure!r}; know 1, 6a, 6b, "
                          "7, 8, 9, 10a, 10b, 11, 12, 13")
-    _maybe_write_report(args)
-    return 0
+    return {}
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -465,6 +500,8 @@ def cmd_arch_list(args: argparse.Namespace) -> int:
     column.  Iteration is sorted by id, so the listing is byte-stable
     for a given registry population.
     """
+    from repro.arch import iter_backends
+
     print(f"{'name':<18s} {'T':<2s}{'display':<18s} {'cores':>9s} "
           f"{'freq':>9s} {'layout':<11s} {'AP':<3s} {'origin':<10s} "
           f"{'aliases'}")

@@ -1,7 +1,11 @@
-"""Core simulator: device, objects, resources, commands, and stats."""
+"""Core simulator: device, objects, resources, commands, and stats.
+
+The device, its objects and its resource manager hold numpy arrays, so
+they load on first use (PEP 562 ``__getattr__``): a warm command reads
+cached stats and command records without importing numpy.
+"""
 
 from repro.core.commands import CmdSpec, OpCategory, PimCmdKind
-from repro.core.device import PimDevice
 from repro.core.errors import (
     PimAllocationError,
     PimConfigError,
@@ -10,8 +14,6 @@ from repro.core.errors import (
     PimTypeError,
 )
 from repro.core.layout import ObjectLayout, RowAllocator, plan_layout
-from repro.core.object import PimObject
-from repro.core.resource import ResourceManager
 from repro.core.stats import (
     CmdStats,
     CopyStats,
@@ -41,3 +43,19 @@ __all__ = [
     "StatsSnapshot",
     "StatsTracker",
 ]
+
+#: Lazily loaded names -> defining module (see the module docstring).
+_LAZY = {
+    "PimDevice": "repro.core.device",
+    "PimObject": "repro.core.object",
+    "ResourceManager": "repro.core.resource",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

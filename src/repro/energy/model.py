@@ -11,11 +11,14 @@ on PIM.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from repro.config.device import DeviceConfig
 from repro.config.power import PowerConfig
 from repro.energy.micron import MicronEnergyModel
-from repro.perf.base import CmdCost
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.perf.base import CmdCost
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,23 +19,15 @@ import os
 import time
 import typing
 
-from repro.baselines.cpu import CpuModel
-from repro.baselines.gpu import GpuModel
 from repro.bench.common import BenchmarkResult, PimBenchmark
 from repro.bench.registry import BENCHMARKS_BY_KEY
 from repro.config.device import DeviceConfig
-from repro.core.device import PimDevice
 from repro.core.errors import PimFaultInjectionError
 from repro.core.stats import StatsTracker
-from repro.faults.models import (
-    FaultPlan,
-    WorkerCrashFault,
-    WorkerExceptionFault,
-    WorkerHangFault,
-)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arch.base import DeviceTypeLike
+    from repro.faults.models import FaultPlan
     from repro.obs.events import EventBus, ObsEvent
     from repro.obs.telemetry import CellTelemetry
     from repro.resilience.failures import CellFailure
@@ -190,13 +182,6 @@ class CellOutcome:
     def ok(self) -> bool:
         return self.error is None
 
-    def require_result(self) -> BenchmarkResult:
-        """The result, or a re-raise of the failure for strict callers."""
-        if self.error is not None:
-            raise CellExecutionError(self.error)
-        assert self.result is not None
-        return self.result
-
     def without_events(self) -> "CellOutcome":
         if self.events is None:
             return self
@@ -204,12 +189,18 @@ class CellOutcome:
 
 
 class CellExecutionError(RuntimeError):
-    """Raised by strict callers when a cell's structured failure must
-    surface as an exception (e.g. library use of ``run_suite``)."""
+    """Raised by strict callers when a run's structured failures must
+    surface as an exception (e.g. library use of ``run_suite``).
 
-    def __init__(self, error: "CellFailure") -> None:
-        super().__init__(error.brief())
-        self.error = error
+    ``error`` is the first failed cell's record; ``failures`` holds
+    every failed cell of the run, so a caller can still print the
+    failure table.
+    """
+
+    def __init__(self, failures: "dict[CellSpec, CellFailure]") -> None:
+        self.error = next(iter(failures.values()))
+        super().__init__(self.error.brief())
+        self.failures = failures
 
 
 def _apply_engine_faults(spec: CellSpec, attempt: int, isolated: bool) -> None:
@@ -221,6 +212,12 @@ def _apply_engine_faults(spec: CellSpec, attempt: int, isolated: bool) -> None:
     """
     if spec.fault_plan is None:
         return
+    from repro.faults.models import (
+        WorkerCrashFault,
+        WorkerExceptionFault,
+        WorkerHangFault,
+    )
+
     for fault in spec.fault_plan.engine_faults:
         if isinstance(fault, WorkerHangFault):
             if fault.fail_attempts is None or attempt <= fault.fail_attempts:
@@ -260,6 +257,9 @@ def run_cell(
     process, which hard-crash faults require.
     """
     _apply_engine_faults(spec, attempt, isolated)
+    from repro.baselines.cpu import CpuModel
+    from repro.baselines.gpu import GpuModel
+    from repro.core.device import PimDevice
     from repro.obs.telemetry import TelemetryCapture
 
     capture = TelemetryCapture()

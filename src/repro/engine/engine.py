@@ -43,8 +43,6 @@ oracle (docs/VECTORIZATION.md §3).
 
 from __future__ import annotations
 
-import concurrent.futures
-import concurrent.futures.process
 import dataclasses
 import os
 import time
@@ -53,6 +51,7 @@ import typing
 from repro.core.errors import PimTimeoutError, PimWorkerCrashError
 from repro.engine.cache import DiskCache, cell_cache_key
 from repro.engine.cells import (
+    CellExecutionError,
     CellOutcome,
     CellSpec,
     run_cell,
@@ -65,6 +64,8 @@ from repro.resilience.failures import (
 from repro.resilience.policy import RetryPolicy
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import concurrent.futures
+
     from repro.obs.events import EventBus
     from repro.resilience.failures import CellFailure
 
@@ -129,10 +130,11 @@ class ExecutionResult:
         return not self.failures
 
     def raise_first_failure(self) -> None:
-        """Strict mode: surface the first failure as an exception."""
-        for outcome in self.outcomes.values():
-            if outcome.error is not None:
-                outcome.require_result()
+        """Strict mode: surface the first failure as an exception that
+        carries every failure of the run."""
+        failures = self.failures
+        if failures:
+            raise CellExecutionError(failures)
 
     def summary(self) -> str:
         where = f" ({self.cache_dir})" if self.cache_dir else ""
@@ -290,6 +292,11 @@ def _run_isolated(
     cell's runtime.  Retries re-queue the cell behind a monotonic
     backoff gate; the per-cell timeout is wall-clock from launch.
     """
+    # Process pools load multiprocessing; a serial or fully cached run
+    # never needs it.
+    import concurrent.futures
+    import concurrent.futures.process
+
     outcomes: "dict[CellSpec, CellOutcome]" = {}
     attempts: "dict[CellSpec, int]" = dict.fromkeys(misses, 0)
     queue = list(misses)

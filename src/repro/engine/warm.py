@@ -31,6 +31,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.cells import CellOutcome, CellSpec
 
 
+def _import_simulator() -> None:
+    """Load what a cell runs: numpy, the device simulator and the perf
+    layer, which the engine's modules import only where they run."""
+    import repro.core.device  # noqa: F401
+
+
 class WarmSlot:
     """One persistent single-worker pool, killable and respawnable."""
 
@@ -52,9 +58,10 @@ class WarmSlot:
         return self._pool.submit(_worker, spec, record_events, attempt, True)
 
     def warm_up(self) -> None:
-        """Force the worker process to exist (pools spawn lazily)."""
+        """Force the worker process to exist (pools spawn lazily) with
+        the simulator imported."""
         if self._pool is not None:
-            self._pool.submit(int).result()
+            self._pool.submit(_import_simulator).result()
 
     def respawn(self) -> None:
         """Kill the (possibly hung) worker and stand up a fresh pool.
@@ -103,7 +110,12 @@ class WarmExecutor:
 
     def warm_up(self) -> None:
         """Spawn every worker process up front (service start, not first
-        request, should pay the import cost)."""
+        request, should pay the import cost).
+
+        The simulator is imported here first, so a forked worker -- and
+        a respawned one -- inherits it instead of importing it again.
+        """
+        _import_simulator()
         for slot in self.slots:
             slot.warm_up()
 

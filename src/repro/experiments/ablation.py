@@ -18,7 +18,6 @@ import dataclasses
 from repro.arch import resolve_backend
 from repro.config.device import PimArchParams
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.experiments.sensitivity import NUM_ELEMENTS, single_op_latency_ms
 
 
@@ -36,6 +35,8 @@ def gdl_width_sweep(
     kind: PimCmdKind = PimCmdKind.ADD,
 ) -> "list[AblationPoint]":
     """Bank-level latency vs GDL width: the bank-level bottleneck."""
+    from repro.core.device import PimDevice
+
     points = []
     for width in widths:
         config = resolve_backend("bank").make_config(32, gdl_width_bits=width)
@@ -53,6 +54,8 @@ def alu_clock_sweep(
     kind: PimCmdKind = PimCmdKind.MUL,
 ) -> "list[AblationPoint]":
     """Fulcrum latency vs ALU clock (row access eventually dominates)."""
+    from repro.core.device import PimDevice
+
     points = []
     for freq in freqs_mhz:
         config = resolve_backend("fulcrum").make_config(32)
@@ -72,6 +75,8 @@ def fulcrum_simd_width_sweep(
     widths: "tuple[int, ...]" = (32, 64),
 ) -> "list[AblationPoint]":
     """Fulcrum 32- vs 64-bit ALU on int32 addition (Section IX future work)."""
+    from repro.core.device import PimDevice
+
     points = []
     for width in widths:
         config = resolve_backend("fulcrum").make_config(32)
@@ -95,6 +100,8 @@ def bitserial_reduction_strategies() -> "list[AblationPoint]":
     reads -- quantifying the "appropriate hardware support" the paper's
     reduction handling assumes.
     """
+    from repro.core.device import PimDevice
+
     config = resolve_backend("bitserial").make_config(32)
     device = PimDevice(config, functional=False)
     on_pim = single_op_latency_ms(device, PimCmdKind.REDSUM)
@@ -129,6 +136,7 @@ def fused_vs_portable_brightness(
     that "architecture-specific PIM API calls may help".
     """
     from repro.config.device import PimDataType
+    from repro.core.device import PimDevice
 
     points = []
     for name in ("bitserial", "fulcrum", "bank"):
@@ -164,6 +172,8 @@ def digital_vs_analog_bitserial(
     composition of every gate, so the analog variant is several times
     slower on the same microprograms.
     """
+    from repro.core.device import PimDevice
+
     points = []
     for name, label in (("bitserial", "digital"), ("analog", "analog")):
         config = resolve_backend(name).make_config(32)

@@ -15,7 +15,6 @@ import dataclasses
 from repro.config.device import PimDataType, PimDeviceType
 from repro.config.presets import make_device_config
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.experiments.runner import DEVICE_ORDER
 
 NUM_ELEMENTS = 64 * 1024 * 1024
@@ -43,6 +42,8 @@ def dtype_sensitivity(
     num_elements: int = NUM_ELEMENTS,
 ) -> "list[DtypePoint]":
     """Latency of add/mul per data type per architecture."""
+    from repro.core.device import PimDevice
+
     kinds = {"add": PimCmdKind.ADD, "mul": PimCmdKind.MUL}
     points = []
     for device_type in DEVICE_ORDER:

@@ -10,17 +10,20 @@ and the DDR4/HBM ratios move per architecture.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from repro.config.device import PimDeviceType
 from repro.config.hbm import hbm_device_config
 from repro.config.presets import make_device_config
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.experiments.runner import DEVICE_ORDER
 from repro.experiments.sensitivity import (
     single_op_latency_ms,
     single_op_operands,
 )
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 OPERATIONS = {
     "add": PimCmdKind.ADD,
@@ -52,6 +55,8 @@ def memory_technology_comparison(
     ddr_ranks: int = 32, hbm_stacks: int = 8
 ) -> "list[MemoryTechPoint]":
     """DDR4 (32 ranks) vs HBM (8 stacks; similar total capacity)."""
+    from repro.core.device import PimDevice
+
     points = []
     for device_type in DEVICE_ORDER:
         configs = {

@@ -18,10 +18,15 @@ from repro.experiments.runner import SuiteResults, run_suite
 
 @dataclasses.dataclass(frozen=True)
 class OpMixRow:
-    """One benchmark's Figure 8 bar."""
+    """One benchmark's Figure 8 bar.
+
+    A *failed* row marks a benchmark whose bit-serial cell produced no
+    result; it has no percentages and renders as a gap.
+    """
 
     benchmark: str
     percentages: "dict[OpCategory, float]"
+    failed: bool = False
 
     def dominant(self) -> OpCategory:
         return max(self.percentages, key=self.percentages.get)
@@ -33,6 +38,12 @@ def opmix_table(
     suite = suite or run_suite(num_ranks=32, paper_scale=True, jobs=jobs)
     rows = []
     for key in suite.benchmark_keys():
+        if not suite.has_result(key, "bitserial"):
+            rows.append(OpMixRow(
+                benchmark=suite.benchmarks[key].name, percentages={},
+                failed=True,
+            ))
+            continue
         result = suite.result(key, "bitserial")
         fractions = op_mix_fractions(result)
         rows.append(OpMixRow(
@@ -51,6 +62,10 @@ def format_opmix_table(rows: "list[OpMixRow]") -> str:
     )
     lines = [header]
     for row in rows:
+        if row.failed:
+            cells = "".join(f" {'--':>9s}" for _ in CATEGORY_ORDER)
+            lines.append(f"{row.benchmark:<22s}{cells}  (failed)")
+            continue
         cells = "".join(
             f" {row.percentages[cat]:>9.1f}" for cat in CATEGORY_ORDER
         )

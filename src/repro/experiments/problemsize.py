@@ -16,7 +16,6 @@ import dataclasses
 from repro.config.device import PimDeviceType
 from repro.config.presets import make_device_config
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.experiments.runner import DEVICE_ORDER
 
 SIZE_SWEEP = tuple(1 << p for p in range(16, 32, 2))  # 64K .. 2G elements
@@ -41,6 +40,8 @@ def problem_size_sweep(
     sizes: "tuple[int, ...]" = SIZE_SWEEP,
 ) -> "list[ProblemSizePoint]":
     """Kernel latency of one op across problem sizes."""
+    from repro.core.device import PimDevice
+
     points = []
     for device_type in DEVICE_ORDER:
         config = make_device_config(device_type, num_ranks)
@@ -97,6 +98,8 @@ def batching_comparison(
     batch_count: int = 64,
 ) -> "list[BatchingPoint]":
     """One command over batch_count problems vs batch_count commands."""
+    from repro.core.device import PimDevice
+
     points = []
     for device_type in DEVICE_ORDER:
         config = make_device_config(device_type, num_ranks)

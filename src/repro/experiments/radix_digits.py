@@ -19,7 +19,6 @@ from repro.baselines.cpu import CpuModel
 from repro.baselines.roofline import KernelProfile
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,6 +58,8 @@ def digit_width_sweep(
     device_types: "tuple[DeviceTypeLike, ...] | None" = None,
 ) -> "list[RadixDigitPoint]":
     """Counting-phase and scatter-phase time per digit width."""
+    from repro.core.device import PimDevice
+
     if device_types is None:
         device_types = (device_type_for("bitserial"), device_type_for("fulcrum"))
     cpu = CpuModel()

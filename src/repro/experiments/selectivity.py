@@ -21,7 +21,6 @@ from repro.baselines.cpu import CpuModel
 from repro.baselines.roofline import KernelProfile
 from repro.config.device import PimDataType
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
 from repro.host.model import HostModel
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,6 +75,8 @@ def selectivity_sweep(
     device_type: "DeviceTypeLike | None" = None,
 ) -> "list[SelectivityPoint]":
     """PIM-vs-CPU filter speedup across the (selectivity, width) grid."""
+    from repro.core.device import PimDevice
+
     if device_type is None:
         device_type = device_type_for("bitserial")
     cpu = CpuModel()

@@ -19,9 +19,11 @@ import typing
 from repro.config.device import PimDeviceType
 from repro.config.presets import make_device_config
 from repro.core.commands import PimCmdKind
-from repro.core.device import PimDevice
-from repro.core.object import PimObject
 from repro.experiments.runner import DEVICE_ORDER
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
+    from repro.core.object import PimObject
 
 NUM_ELEMENTS = 256 * 1024 * 1024
 COLUMN_SWEEP = (1024, 2048, 4096, 8192)
@@ -76,6 +78,8 @@ def single_op_latency_ms(device: PimDevice, kind: PimCmdKind) -> float:
 
 def column_sensitivity(num_ranks: int = 8) -> "list[SensitivityPoint]":
     """Figure 6a: latency vs subarray column count."""
+    from repro.core.device import PimDevice
+
     points = []
     for device_type in DEVICE_ORDER:
         for cols in COLUMN_SWEEP:
@@ -98,6 +102,8 @@ def column_sensitivity(num_ranks: int = 8) -> "list[SensitivityPoint]":
 
 def bank_sensitivity(num_ranks: int = 8) -> "list[SensitivityPoint]":
     """Figure 6b: latency vs per-rank bank count."""
+    from repro.core.device import PimDevice
+
     points = []
     for device_type in DEVICE_ORDER:
         for banks in BANK_SWEEP:

@@ -20,7 +20,6 @@ Quick start::
 See ``docs/RESILIENCE.md`` for fault-model semantics and seeding rules.
 """
 
-from repro.faults.injector import FaultInjector
 from repro.faults.models import (
     DEVICE_FAULTS,
     ENGINE_FAULTS,
@@ -60,4 +59,10 @@ def __getattr__(name: str):
         from repro.faults import campaign
 
         return getattr(campaign, name)
+    # The injector works on numpy arrays; a cell loads it only when its
+    # plan carries device faults.
+    if name == "FaultInjector":
+        from repro.faults.injector import FaultInjector
+
+        return FaultInjector
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

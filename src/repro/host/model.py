@@ -11,9 +11,13 @@ breakdown of Figure 7 falls out directly.
 
 from __future__ import annotations
 
+import typing
+
 from repro.baselines.cpu import CpuModel
 from repro.baselines.roofline import KernelProfile
-from repro.core.device import PimDevice
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.device import PimDevice
 
 
 class HostModel:

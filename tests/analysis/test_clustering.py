@@ -39,7 +39,7 @@ class TestOpMix:
     def test_fractions_sum_to_one(self, two_results):
         (_, add_result), _ = two_results
         fractions = op_mix_fractions(add_result)
-        assert fractions.sum() == pytest.approx(1.0)
+        assert sum(fractions) == pytest.approx(1.0)
 
     def test_vecadd_is_pure_add(self, two_results):
         from repro.analysis.features import CATEGORY_ORDER

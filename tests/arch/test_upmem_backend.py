@@ -8,9 +8,9 @@ from repro.arch.upmem import (
     DPUS_PER_RANK,
     UPMEM_DEVICE,
     UpmemBackend,
-    UpmemPerfModel,
     upmem_device_config,
 )
+from repro.perf.upmem import UpmemPerfModel
 from repro.core.errors import PimTypeError
 from repro.engine import CellSpec, model_version, run_cell
 

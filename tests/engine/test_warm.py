@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +107,43 @@ class TestWarmExecutor:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             WarmExecutor(workers=0)
+
+    def test_warm_up_imports_the_simulator_before_any_cell(self):
+        # A fresh interpreter: importing the executor loads no simulator,
+        # but warming up must, so the first request does not pay for it.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", WARM_UP_IMPORTS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "on_import": False, "after_warm_up": True, "in_worker": True,
+        }
+
+
+WARM_UP_IMPORTS = """
+import json, sys
+from repro.engine.warm import WarmExecutor
+
+def loaded():
+    return "repro.core.device" in sys.modules
+
+on_import = loaded()
+executor = WarmExecutor(workers=1)
+try:
+    executor.warm_up()
+    in_worker = executor.slots[0]._pool.submit(loaded).result(timeout=60)
+finally:
+    executor.shutdown()
+print(json.dumps({
+    "on_import": on_import, "after_warm_up": loaded(), "in_worker": in_worker,
+}))
+"""
 
 
 def _alive(pid: int) -> bool:

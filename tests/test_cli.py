@@ -321,6 +321,42 @@ class TestResilienceFlags:
         assert "PimAllocationError" in err
 
 
+class TestFigureFailures:
+    """A failed cell ends ``repro figure`` with the failure table on
+    stderr and exit code 1, never a traceback."""
+
+    @pytest.fixture
+    def failing_cells(self, monkeypatch, tmp_path):
+        import repro.engine.engine as engine
+        import repro.experiments.runner as runner
+        from repro.core.errors import PimAllocationError
+
+        def run_cell(spec, **_kwargs):
+            raise PimAllocationError(f"injected: {spec.benchmark_key}")
+
+        # A fresh disk cache and in-process tier, so every cell runs.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(runner, "_CACHE", {})
+        monkeypatch.setattr(engine, "run_cell", run_cell)
+
+    @pytest.mark.parametrize("figure", ["7", "8", "9", "10a", "10b", "11"])
+    def test_suite_figures_render_gaps(self, figure, failing_cells, capsys):
+        assert main(["figure", figure]) == 1
+        out, err = capsys.readouterr()
+        assert "(failed)" in out
+        assert "cell(s) failed" in err
+        assert "PimAllocationError: injected: vecadd" in err
+
+    @pytest.mark.parametrize("figure", ["1", "12", "13"])
+    def test_combined_figures_end_with_failure_table(
+        self, figure, failing_cells, capsys
+    ):
+        assert main(["figure", figure]) == 1
+        err = capsys.readouterr().err
+        assert "cell(s) failed" in err
+        assert "PimAllocationError: injected: vecadd" in err
+
+
 class TestCampaignCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["campaign"])

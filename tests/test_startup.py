@@ -4,9 +4,10 @@ The Figure 1 dendrogram (Ward linkage, ``maxclust`` cut) and the graph
 kernels (G(n, m) draws, triangle counts) are plain Python, so neither
 importing the CLI nor running those paths may load scipy or networkx,
 which stay test oracles only.  Likewise a warm run that only reads
-cached cells must not load the vector pricing engine.  Each check runs
-in a fresh interpreter because the pytest process has usually loaded
-these modules already.
+cached cells must not load the vector pricing engine, and a warm
+``figure``/``suite`` (or ``tables``, or ``--help``) must not load numpy
+or the simulator at all.  Each check runs in a fresh interpreter
+because the pytest process has usually loaded these modules already.
 """
 
 from __future__ import annotations
@@ -128,3 +129,65 @@ def test_cached_vector_outcome_loads_without_vector_engine(tmp_path):
         "commands": outcome.tracker.total_command_count,
         "vector_engine": [],
     }
+
+
+#: What a warm command must leave unloaded (docs/PERFORMANCE.md, "Start-up").
+SIMULATOR = ("numpy", "repro.core.device", "repro.perf", "repro.microcode")
+
+CLI = """
+import json, sys
+from repro.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({
+    "code": code,
+    "loaded": sorted(m for m in %r if m in sys.modules),
+}))
+""" % (SIMULATOR,)
+
+
+def _cli(cache_dir, *argv: str):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env["REPRO_CACHE_DIR"] = str(cache_dir)
+    env.pop("REPRO_VECTOR_CHECK", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_warm_commands_load_neither_numpy_nor_the_simulator(tmp_path):
+    # Fill the cache cold: that run simulates, so it loads everything.
+    cold = _cli(tmp_path, "suite")
+    assert cold["code"] == 0
+    assert "repro.core.device" in cold["loaded"]
+    for argv in (["--help"], ["tables"], ["figure", "7"], ["suite"]):
+        assert _cli(tmp_path, *argv) == {"code": 0, "loaded": []}, argv
+
+
+def test_simulator_names_still_import_from_the_package():
+    out = _run(
+        PRELUDE + """
+from repro import PimDevice
+from repro.core import PimDevice as CorePimDevice, PimObject, ResourceManager
+from repro.perf import FulcrumPerfModel
+print(json.dumps([
+    PimDevice is CorePimDevice,
+    PimDevice.__module__,
+    PimObject.__module__,
+    ResourceManager.__module__,
+    FulcrumPerfModel.__module__,
+]))
+"""
+    )
+    assert out == [
+        True, "repro.core.device", "repro.core.object",
+        "repro.core.resource", "repro.perf.fulcrum",
+    ]
