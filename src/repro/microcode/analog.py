@@ -31,7 +31,7 @@ import dataclasses
 import numpy as np
 
 from repro.microcode.assembler import MicroProgram
-from repro.microcode.isa import MicroOpKind
+from repro.microcode.isa import KINDS, MicroOpKind
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,12 +106,30 @@ _EXPANSIONS = {
 }
 
 
+#: Translation of every census priced so far (see :func:`translate_program`).
+_TRANSLATIONS: "dict[tuple[int, ...], AnalogCost]" = {}
+
+
+def expand_census(census: "tuple[int, ...]") -> AnalogCost:
+    """Analog primitive counts of a census: Σ count × expansion of its kind."""
+    return sum(
+        (_EXPANSIONS[kind].scaled(count)
+         for kind, count in zip(KINDS, census) if count),
+        AnalogCost(),
+    )
+
+
 def translate_program(program: MicroProgram) -> AnalogCost:
-    """Expand a digital microprogram into analog primitive counts."""
-    total = AnalogCost()
-    for op in program.ops:
-        total = total + _EXPANSIONS[op.kind]
-    return total
+    """Expand a digital microprogram into analog primitive counts.
+
+    The translation is a pure function of the program's census, so each
+    distinct census is expanded once per process and then read back.
+    """
+    census = program.census
+    cost = _TRANSLATIONS.get(census)
+    if cost is None:
+        cost = _TRANSLATIONS[census] = expand_census(census)
+    return cost
 
 
 class TraSimulator:

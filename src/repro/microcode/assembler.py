@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.microcode.isa import MicroOp, MicroOpKind, MicroProgramCost, cost_of
+from repro.microcode.isa import (
+    MicroOp,
+    MicroOpKind,
+    MicroProgramCost,
+    census_cost,
+    census_of,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,25 +42,36 @@ class Operand:
 class MicroProgram:
     """A named sequence of bit-serial micro-ops.
 
-    ``cost`` is computed once and cached: programs are assembled once
-    (and memoized by :func:`repro.microcode.programs.get_program`) but
-    costed on every command issue, so re-tallying the op list each time
-    was the single largest term of the simulator's hot path.  The
-    :class:`Assembler` invalidates the cache on every emit; code that
-    mutates ``ops`` directly must clear ``_cost`` itself.
+    Every cost model prices a program from its :attr:`census`, the count
+    of its ops by kind, which :meth:`Assembler.done` takes once when the
+    program is finished.  Programs are assembled once (and memoized by
+    :func:`repro.microcode.programs.get_program`) but costed on every
+    cost-memo miss, so neither the tally (:attr:`cost`) nor the analog
+    translation walks the op list again.  Code that mutates ``ops``
+    directly must reset ``_census`` and ``_cost`` to ``None`` itself.
     """
 
     name: str
     ops: "list[MicroOp]" = dataclasses.field(default_factory=list)
     num_popcount_results: int = 0
+    _census: "tuple[int, ...] | None" = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
     _cost: "MicroProgramCost | None" = dataclasses.field(
         default=None, repr=False, compare=False
     )
 
     @property
+    def census(self) -> "tuple[int, ...]":
+        """Op count per kind, in :data:`repro.microcode.isa.KINDS` order."""
+        if self._census is None:
+            self._census = census_of(self.ops)
+        return self._census
+
+    @property
     def cost(self) -> MicroProgramCost:
         if self._cost is None:
-            self._cost = cost_of(self.ops)
+            self._cost = census_cost(self.census)
         return self._cost
 
     def __len__(self) -> int:
@@ -66,10 +83,7 @@ class Assembler:
 
     def __init__(self, name: str) -> None:
         self.program = MicroProgram(name=name)
-
-    def _emit(self, op: MicroOp) -> None:
-        self.program.ops.append(op)
-        self.program._cost = None  # still assembling: drop any cached tally
+        self._emit = self.program.ops.append
 
     # -- row ops ---------------------------------------------------------
 
@@ -143,7 +157,9 @@ class Assembler:
         return self
 
     def done(self) -> MicroProgram:
-        # Tally the cost now, at assembly time, so no command issue ever
+        # Count the ops now, at assembly time, so no cost model ever
         # pays for a per-op walk of the finished program.
-        self.program._cost = cost_of(self.program.ops)
-        return self.program
+        program = self.program
+        program._census = census_of(program.ops)
+        program._cost = None
+        return program

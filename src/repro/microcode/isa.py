@@ -21,8 +21,10 @@ Three micro-op classes exist, with distinct costs:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
+import typing
 
 
 class MicroOpKind(enum.Enum):
@@ -39,6 +41,11 @@ class MicroOpKind(enum.Enum):
     XNOR = "xnor"
     SEL = "sel"
     POPCOUNT_ROW = "popcount_row"
+
+    # Members are singletons compared by identity, so hash by identity
+    # too: ``Enum.__hash__`` is a Python-level call, and assembly hashes
+    # a kind for every op it builds and counts.
+    __hash__ = object.__hash__
 
     @property
     def is_row_op(self) -> bool:
@@ -74,34 +81,56 @@ _NUM_SOURCES = {
 REGISTER_NAMES = ("SA", "R0", "R1", "R2", "R3")
 
 
-@dataclasses.dataclass(frozen=True)
-class MicroOp:
+#: Every kind, in declaration order: entry ``i`` of a census counts
+#: ``KINDS[i]``.
+KINDS = tuple(MicroOpKind)
+_REGISTERS = frozenset(REGISTER_NAMES)
+_ROW_KINDS = frozenset(kind for kind in KINDS if kind.is_row_op)
+
+
+class _MicroOpFields(typing.NamedTuple):
+    kind: MicroOpKind
+    dst: str
+    srcs: "tuple[str, ...]"
+    row: int
+    value: int
+
+
+class MicroOp(_MicroOpFields):
     """One bit-serial micro-operation.
 
     ``dst`` is a register name (or, for ``WRITE_ROW``, unused); ``srcs``
     are register names; ``row`` indexes the subarray row for row ops;
-    ``value`` is the immediate for ``SET``.
+    ``value`` is the immediate for ``SET``.  An immutable, slotted
+    record, validated at construction against the per-kind tables
+    above: programs hold tens of thousands of them.
     """
 
-    kind: MicroOpKind
-    dst: str = ""
-    srcs: "tuple[str, ...]" = ()
-    row: int = -1
-    value: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.srcs) != self.kind.num_sources:
+    def __new__(
+        cls,
+        kind: MicroOpKind,
+        dst: str = "",
+        srcs: "tuple[str, ...]" = (),
+        row: int = -1,
+        value: int = 0,
+    ) -> "MicroOp":
+        if len(srcs) != _NUM_SOURCES[kind]:
             raise ValueError(
-                f"{self.kind.value} expects {self.kind.num_sources} sources, "
-                f"got {len(self.srcs)}"
+                f"{kind.value} expects {_NUM_SOURCES[kind]} sources, "
+                f"got {len(srcs)}"
             )
-        if self.kind.is_row_op and self.row < 0:
-            raise ValueError(f"{self.kind.value} requires a row index")
-        for name in self.srcs + ((self.dst,) if self.dst else ()):
-            if name not in REGISTER_NAMES:
-                raise ValueError(f"unknown register {name!r}")
-        if self.kind is MicroOpKind.SET and self.value not in (0, 1):
-            raise ValueError(f"SET immediate must be 0 or 1, got {self.value}")
+        if row < 0 and kind in _ROW_KINDS:
+            raise ValueError(f"{kind.value} requires a row index")
+        if not _REGISTERS.issuperset(srcs) or (dst and dst not in _REGISTERS):
+            unknown = next(
+                name for name in srcs + (dst,) if name not in _REGISTERS
+            )
+            raise ValueError(f"unknown register {unknown!r}")
+        if kind is MicroOpKind.SET and value not in (0, 1):
+            raise ValueError(f"SET immediate must be 0 or 1, got {value}")
+        return tuple.__new__(cls, (kind, dst, srcs, row, value))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,21 +168,31 @@ class MicroProgramCost:
         )
 
 
-def cost_of(ops: "list[MicroOp]") -> MicroProgramCost:
-    """Tally the cost classes of a micro-op sequence."""
-    reads = writes = logic = popcounts = 0
-    for op in ops:
-        if op.kind is MicroOpKind.READ_ROW:
-            reads += 1
-        elif op.kind is MicroOpKind.WRITE_ROW:
-            writes += 1
-        elif op.kind is MicroOpKind.POPCOUNT_ROW:
-            popcounts += 1
-        else:
-            logic += 1
+def census_of(ops: "typing.Iterable[MicroOp]") -> "tuple[int, ...]":
+    """Count a micro-op sequence by kind, in :data:`KINDS` order.
+
+    A program's census is all any cost model reads: the bit-serial tally
+    below and the analog translation
+    (:func:`repro.microcode.analog.translate_program`) both price it.
+    """
+    counts = collections.Counter([op.kind for op in ops])
+    return tuple(counts[kind] for kind in KINDS)
+
+
+def census_cost(census: "tuple[int, ...]") -> MicroProgramCost:
+    """Tally the cost classes of a census (see :func:`census_of`)."""
+    counts = dict(zip(KINDS, census))
+    reads = counts[MicroOpKind.READ_ROW]
+    writes = counts[MicroOpKind.WRITE_ROW]
+    popcounts = counts[MicroOpKind.POPCOUNT_ROW]
     return MicroProgramCost(
         num_row_reads=reads,
         num_row_writes=writes,
-        num_logic_ops=logic,
+        num_logic_ops=sum(census) - reads - writes - popcounts,
         num_popcount_rows=popcounts,
     )
+
+
+def cost_of(ops: "list[MicroOp]") -> MicroProgramCost:
+    """Tally the cost classes of a micro-op sequence."""
+    return census_cost(census_of(ops))

@@ -42,10 +42,9 @@ class AnalogBitSerialPerfModel:
         cores = driving.num_cores_used
 
         # Resolve the digital microprogram (same scalar baking and
-        # signedness handling as the digital device), then expand it to
-        # TRA-level primitives.
-        program = resolve_program(args)
-        per_pass = translate_program(program)
+        # signedness handling as the digital device), then read its
+        # TRA-level primitive counts, expanded once per process.
+        per_pass = translate_program(resolve_program(args))
         total = per_pass.scaled(groups)
 
         popcount_ns = (

@@ -81,6 +81,11 @@ class VectorEquivalenceError(AssertionError):
             f"  {lines}"
         )
 
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not the formatted
+        # message, so the error survives the trip home from a worker.
+        return type(self), (self.label, self.mismatches)
+
 
 @dataclasses.dataclass(frozen=True)
 class CostTable:

@@ -6,10 +6,13 @@ small-scale, so even the process-isolated runs stay fast.
 """
 
 import dataclasses
+import inspect
+import pickle
 
 import pytest
 
 from repro.config.device import PimDeviceType
+from repro.core import errors
 from repro.core.errors import FailureKind
 from repro.engine import (
     CellExecutionError,
@@ -24,6 +27,7 @@ from repro.faults import (
     WorkerExceptionFault,
     WorkerHangFault,
 )
+from repro.perf.vector import VectorEquivalenceError
 from repro.resilience import RetryPolicy, format_failure_summary
 
 COMMON = dict(
@@ -74,7 +78,7 @@ class TestSerialFailures:
         bad = cell("vecadd", WorkerExceptionFault(fail_attempts=99))
         never = cell("axpy")
         execution = run_cells(
-            [bad, never], use_cache=False,
+            [bad, never], jobs=1, use_cache=False,
             policy=RetryPolicy(fail_fast=True),
         )
         assert execution.failures[bad].kind is FailureKind.ERROR
@@ -88,7 +92,7 @@ class TestSerialFailures:
         healable = cell("vecadd", WorkerExceptionFault(fail_attempts=1))
         never = cell("axpy")
         execution = run_cells(
-            [healable, never], use_cache=False,
+            [healable, never], jobs=1, use_cache=False,
             policy=RetryPolicy(max_retries=0, fail_fast=True),
         )
         assert not execution.ok
@@ -101,7 +105,7 @@ class TestSerialFailures:
     def test_crash_fault_refuses_to_kill_the_parent(self):
         # In-process execution must never hard-exit the test runner.
         bad = cell("vecadd", WorkerCrashFault(fail_attempts=99))
-        execution = run_cells([bad], use_cache=False)
+        execution = run_cells([bad], jobs=1, use_cache=False)
         assert execution.failures[bad].error_type == "PimFaultInjectionError"
 
     def test_strict_callers_get_an_exception(self):
@@ -109,6 +113,33 @@ class TestSerialFailures:
         execution = run_cells([bad], use_cache=False)
         with pytest.raises(CellExecutionError):
             execution.raise_first_failure()
+
+
+#: Every exception class a worker can raise back to the parent: the
+#: simulator errors (injected faults included) and the vector-check gate's.
+WORKER_ERRORS = [
+    cls("boom", obj_id=7)
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.PimError)
+] + [VectorEquivalenceError("vecadd", ["latency_ns: 1.0 != 1.0000000001"])]
+
+
+class TestWorkerErrorsPickle:
+    @pytest.mark.parametrize(
+        "error", WORKER_ERRORS, ids=lambda error: type(error).__name__
+    )
+    def test_round_trip(self, error):
+        # A worker ships its exception home pickled; one that cannot be
+        # rebuilt surfaces as a worker crash instead of itself.
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert vars(copy) == vars(error)
+
+    def test_every_simulator_error_is_covered(self):
+        names = {type(error).__name__ for error in WORKER_ERRORS}
+        assert {"PimError", "PimFaultInjectionError",
+                "PimWorkerCrashError", "VectorEquivalenceError"} <= names
 
 
 class TestFailureCaching:

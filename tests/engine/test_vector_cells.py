@@ -222,6 +222,20 @@ class TestVectorCheckGate:
         assert not outcome.ok
         assert "diverged from the scalar path" in outcome.error.brief()
 
+    def test_worker_divergence_comes_home_as_itself(self, monkeypatch):
+        # Under --jobs N the gate's error is raised in a worker and must
+        # be rebuilt in the parent, not reported as a worker crash.
+        from repro.engine import run_cells
+
+        specs = [_spec(), _spec(num_ranks=4)]
+        _perturb_cost_tables(monkeypatch)
+        monkeypatch.setenv(VECTOR_CHECK_ENV, "1")
+        audited = run_cells(specs, jobs=2, use_cache=False)
+        for spec in specs:
+            failure = audited.failures[spec]
+            assert failure.error_type == "VectorEquivalenceError"
+            assert "diverged" in failure.brief()
+
     def test_check_audits_a_memoized_suite(self, monkeypatch, tmp_path):
         # The in-process suite tier is bypassed too.
         from repro.engine import CellExecutionError

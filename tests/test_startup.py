@@ -155,6 +155,8 @@ def _cli(cache_dir, *argv: str):
     )
     env["REPRO_CACHE_DIR"] = str(cache_dir)
     env.pop("REPRO_VECTOR_CHECK", None)
+    # Serial: the cold fill must simulate in this process to load it all.
+    env.pop("REPRO_JOBS", None)
     proc = subprocess.run(
         [sys.executable, "-c", CLI, *argv],
         env=env, capture_output=True, text=True, timeout=300,
