@@ -217,8 +217,8 @@ class PimBenchmark(abc.ABC):
         if getattr(device, "vector", False):
             raise TypeError(
                 "a vector=True device only records a shape histogram; "
-                "record it with repro.perf.plans.compile_plan and price "
-                "it with repro.perf.plans.synthesize"
+                "record a benchmark with repro.perf.plans.compile_plan, "
+                "lay it out with layout_plan and price it with synthesize"
             )
         cpu = cpu or CpuModel()
         gpu = gpu or GpuModel()

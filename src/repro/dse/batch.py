@@ -1,16 +1,17 @@
 """Sweep-level matrix pricing: every design point in one numpy pass.
 
-The per-cell vector path (docs/VECTORIZATION.md) made *pricing* cheap
-but still paid the benchmark's Python issue loop once per cell.  For a
-design-space sweep that loop is almost always redundant: points sharing
-a geometry signature (:mod:`repro.perf.plans`) issue byte-identical
-command traces and differ only in their cost tables.  This module
-prices a whole geometry group at once:
+A benchmark's API stream is the same on every target, and points that
+share a geometry lay it out identically and differ only in their cost
+tables.  This module prices a sweep with one issue loop per benchmark
+and one pricing pass per geometry group:
 
-1. group the sweep's (point, benchmark) cells by
-   :func:`~repro.perf.plans.plan_cache_key`;
-2. compile (or load from the plan cache) **one**
-   :class:`~repro.perf.plans.PricingPlan` per group;
+1. take each benchmark's :class:`~repro.perf.record.Recording` from the
+   plan store (:func:`~repro.perf.plans.recording_key`), or record it
+   once (:func:`~repro.perf.plans.recording_for`);
+2. group the sweep's (point, benchmark) cells by benchmark and geometry
+   (:func:`_geometry_key`) and lay each group's recording out once
+   (:func:`~repro.perf.plans.layout_plan`) into a
+   :class:`~repro.perf.plans.PricingPlan`;
 3. price every point of the group with one
    :func:`~repro.perf.plans.price_plan` call -- the function a single
    vectorized cell runs with one point, so every row is bit-identical
@@ -18,8 +19,8 @@ prices a whole geometry group at once:
    :class:`~repro.bench.common.BenchmarkResult`.
 
 The product is a table with one result per (point, benchmark) cell: no
-engine outcome, stats tracker or telemetry record.  Only plans are
-cached; a warm sweep re-prices every cell from its stored plan.
+engine outcome, stats tracker or telemetry record.  Only recordings are
+cached; a warm sweep lays out and re-prices every cell from them.
 
 ``REPRO_VECTOR_CHECK=1`` (CLI: ``--vector-check``) bypasses the plan
 store and checks the first, middle and last priced cells, each with its
@@ -39,10 +40,11 @@ from repro.perf.plans import (
     COST_ONLY_ARCH_FIELDS,
     PlanTotals,
     PricingPlan,
-    compile_plan,
-    plan_cache_key,
+    layout_plan,
     plan_results,
     price_plan,
+    recording_for,
+    recording_key,
     unit_costs,
 )
 from repro.perf.vector import VectorEquivalenceError
@@ -53,6 +55,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config.device import DeviceConfig
     from repro.engine.cache import DiskCache
     from repro.engine.cells import CellSpec
+    from repro.perf.record import Recording
     from repro.resilience.failures import CellFailure
 
 
@@ -78,17 +81,14 @@ class BatchReport:
     checked: int = 0
 
 
-def _trace_group_key(
-    backend: "ParametricBackend", benchmark: str
-) -> "typing.Hashable":
-    """Cheap pre-grouping key: same key => same plan cache key.
+def _geometry_key(backend: "ParametricBackend") -> "typing.Hashable":
+    """Points with equal keys lay every recording out identically.
 
     Within one sweep (whose cells share rank count, scale and capacity
-    policy) a parametric point's plan key is fully determined by its
-    base, the benchmark, and the knobs that are not cost-only, so the
-    full key (:func:`~repro.perf.plans.plan_cache_key`, which
-    canonicalizes the whole config) is hashed once per group.  Finer
-    grouping would merely compile twice; coarser is impossible.
+    policy) a parametric point's layout is fully determined by its base
+    and the knobs that are neither cost-only arch fields nor energy
+    knobs.  Finer grouping would merely lay out twice; coarser is
+    impossible.
     """
     from repro.arch.parametric import ENERGY_KNOBS
 
@@ -97,7 +97,7 @@ def _trace_group_key(
         for name, value in backend.knobs
         if name not in COST_ONLY_ARCH_FIELDS and name not in ENERGY_KNOBS
     )
-    return (backend.base.id, benchmark, trace_knobs)
+    return (backend.base.id, trace_knobs)
 
 
 def price_group(
@@ -130,18 +130,21 @@ def price_cells_batched(
 
     Cell ``i`` is ``benchmarks[i % B]`` on ``backends[i // B]`` at
     ``num_ranks``; ``cell(i)`` builds its engine spec, needed only to
-    key and compile each group's plan and for the oracle samples.
+    record each benchmark and for the oracle samples.
 
     Returns the table: entry ``i`` is cell ``i``'s result, the failure
     an oracle check made of it, or ``None`` for a deferred cell -- one
-    whose plan cannot be keyed, compiled or priced, which the sweep
-    routes through the per-cell engine (it owns failure semantics).
+    whose benchmark cannot be recorded, whose point has no config, or
+    whose group cannot be laid out or priced; the sweep routes those
+    through the per-cell engine (it owns failure semantics).  The
+    report counts recordings: loaded from the plan store (hits) or not
+    (misses, recorded once in this process).
     """
     from repro.engine.cache import DiskCache
     from repro.obs.metrics import global_registry
 
     # The armed check keeps the sweep off the plan store, so no stored
-    # plan escapes it.
+    # recording escapes it.
     cache: "DiskCache | None" = (
         DiskCache(cache_dir)
         if use_cache and not vector_check_enabled() else None
@@ -151,60 +154,68 @@ def price_cells_batched(
     table: "list[BenchmarkResult | CellFailure | None]" = (
         [None] * (len(backends) * width)
     )
+    registry = global_registry()
 
-    # plan key -> (the cell that keyed it, [(cell index, backend,
-    # config)] of every member).
-    groups: "dict[str, tuple[CellSpec, list[tuple]]]" = {}
-    known_keys: "dict[typing.Hashable, tuple[str, CellSpec]]" = {}
-    unkeyed = 0
+    # One recording per benchmark: offset -> (its spec, its recording).
+    recordings: "dict[int, tuple[CellSpec, Recording]]" = {}
+    for offset, benchmark in enumerate(benchmarks):
+        spec = cell(offset)
+        try:
+            key = recording = None
+            if cache is not None:
+                key = recording_key(spec)
+                recording = cache.get_plan(key)
+            if recording is None:
+                recording = recording_for(spec)
+                report.plan_misses += 1
+                registry.counter("plan_cache.misses").inc()
+                if cache is not None:
+                    cache.put_plan(key, recording)
+            else:
+                report.plan_hits += 1
+                registry.counter("plan_cache.hits").inc()
+        except Exception as exc:  # noqa: BLE001 - defer to the engine path
+            warnings.warn(
+                f"batched pricing deferred the {len(backends)} cell(s) of "
+                f"{benchmark!r} to the per-cell engine: "
+                f"{type(exc).__name__}: {exc}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            continue
+        recordings[offset] = (spec, recording)
+
+    # (benchmark offset, geometry key) -> [(cell index, backend,
+    # config)] of every member.
+    groups: "dict[typing.Hashable, list[tuple]]" = {}
+    unconfigured = 0
     for position, backend in enumerate(backends):
         try:
             config = backend.make_config(num_ranks)
         except Exception:  # noqa: BLE001 - defer to the engine path
-            unkeyed += width
+            unconfigured += width
             continue
-        for offset, benchmark in enumerate(benchmarks):
-            index = position * width + offset
-            cheap = _trace_group_key(backend, benchmark)
-            keyed = known_keys.get(cheap)
-            if keyed is None:
-                # A cell whose plan key cannot even be computed (an
-                # unknown benchmark) is deferred like a failed compile:
-                # the per-cell engine produces the coded error outcome.
-                spec = cell(index)
-                try:
-                    keyed = (plan_cache_key(backend, spec, config), spec)
-                except Exception:  # noqa: BLE001 - defer to the engine path
-                    unkeyed += 1
-                    continue
-                known_keys[cheap] = keyed
-            plan_key, spec = keyed
-            groups.setdefault(plan_key, (spec, []))[1].append(
-                (index, backend, config)
+        geometry = _geometry_key(backend)
+        for offset in recordings:
+            groups.setdefault((offset, geometry), []).append(
+                (position * width + offset, backend, config)
             )
-    if unkeyed:
+    if unconfigured:
         warnings.warn(
-            f"batched pricing deferred {unkeyed} cell(s) whose "
-            "pricing plan could not be keyed to the per-cell engine",
+            f"batched pricing deferred {unconfigured} cell(s) whose "
+            "device config could not be built to the per-cell engine",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    registry = global_registry()
     priced: "list[tuple[list[int], PlanTotals]]" = []
-    for plan_key, (spec, members) in groups.items():
+    for (offset, _geometry), members in groups.items():
+        spec, recording = recordings[offset]
         try:
-            plan = cache.get_plan(plan_key) if cache is not None else None
-            if plan is None:
-                _index, backend, config = members[0]
-                plan = compile_plan(spec, backend, config)
-                report.plan_misses += 1
-                registry.counter("plan_cache.misses").inc()
-                if cache is not None:
-                    cache.put_plan(plan_key, plan)
-            else:
-                report.plan_hits += 1
-                registry.counter("plan_cache.hits").inc()
+            _index, backend, config = members[0]
+            plan = layout_plan(
+                recording, backend, config, spec.enforce_capacity
+            )
             totals, results = price_group(
                 plan, [(backend, config) for _i, backend, config in members]
             )

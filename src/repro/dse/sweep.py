@@ -6,7 +6,8 @@ For every compiled point it derives a
 :class:`~repro.arch.parametric.ParametricBackend` (a value: nothing is
 registered, so a sweep leaves the architecture registry as it found
 it, including under ``repro serve``), prices its (point, benchmark)
-cells from cached per-geometry plans into a table of results
+cells from each benchmark's cached recording, laid out once per
+geometry, into a table of results
 (:mod:`repro.dse.batch`), and hands the rest to
 :func:`repro.engine.run_cells` -- which supplies per-cell caching
 (parametric cache keys are sound by construction: the knob digest rides
@@ -116,8 +117,9 @@ class SweepResult:
     sample_results: "dict[str, BenchmarkResult]" = dataclasses.field(
         default_factory=dict
     )
-    #: Sweep wall-clock, pricing-plan cache accounting, and how many
-    #: cells the matrix pricer synthesized (0 on the per-cell path).
+    #: Sweep wall-clock, plan-store accounting (benchmark recordings
+    #: loaded vs recorded), and how many cells the matrix pricer
+    #: synthesized (0 on the per-cell path).
     #: Deliberately absent from :func:`repro.dse.report.sweep_payload`:
     #: the frontier report stays byte-identical between the batched and
     #: scalar paths.
@@ -171,9 +173,10 @@ def run_sweep(
     """Evaluate every compiled point of ``spec`` and extract the frontier.
 
     Batched pricing (docs/DSE.md "Batched pricing"): by default every
-    cell is priced from its geometry group's plan (:mod:`repro.dse.batch`,
-    one compile per group, bit-identical totals); with ``use_cache``
-    only the plans persist.  The per-cell engine, with its per-cell
+    cell is priced from its geometry group's plan (:mod:`repro.dse.batch`:
+    one recording per benchmark, one layout per geometry group,
+    bit-identical totals); with ``use_cache`` only the recordings
+    persist.  The per-cell engine, with its per-cell
     cache, runs what the batch defers, or every cell with
     ``vector=False``.  Under ``REPRO_VECTOR_CHECK`` the sweep still
     batch-prices and bit-compares three sampled cells with the oracle.

@@ -186,8 +186,8 @@ class DiskCache:
     """File-per-entry pickle store under a cache root.
 
     Entries live at ``<root>/cells/<key[:2]>/<key>.pkl`` (the two-char
-    fan-out keeps directories small on full-sweep workloads); pricing
-    plans at ``<root>/plans/<key[:2]>/<key>.pkl``.  Writes
+    fan-out keeps directories small on full-sweep workloads); a sweep's
+    benchmark recordings at ``<root>/plans/<key[:2]>/<key>.pkl``.  Writes
     are atomic (temp file + rename) so a crashed or parallel run never
     leaves a half-written entry behind for the next reader.
     """
@@ -205,10 +205,12 @@ class DiskCache:
 
     @property
     def plans_dir(self) -> pathlib.Path:
-        """Root of the pricing-plan store (:mod:`repro.perf.plans`).
+        """Root of the sweep's plan store (:mod:`repro.perf.plans`).
 
-        Plans live beside the cell entries but in their own namespace,
-        so a plan key can never collide with (or poison) a cell key.
+        It holds benchmark recordings, each laid out into a pricing
+        plan per geometry group.  They live beside the cell entries but
+        in their own namespace, so a recording key can never collide
+        with (or poison) a cell key.
         """
         return self.root / "plans"
 
@@ -266,21 +268,23 @@ class DiskCache:
         os.replace(tmp, path)
 
     def get_plan(self, key: str) -> "typing.Any | None":
-        """Load a persisted :class:`~repro.perf.plans.PricingPlan`.
+        """Load a persisted :class:`~repro.perf.record.Recording`.
 
-        Same degradation contract as :meth:`get`: a corrupted entry
-        warns, is deleted, and reads as a miss (the sweep recompiles).
+        The sweep's plan store holds one recording per (benchmark,
+        params), keyed by :func:`repro.perf.plans.recording_key`.  Same
+        degradation contract as :meth:`get`: a corrupted entry warns, is
+        deleted, and reads as a miss (the sweep recompiles).
         """
-        from repro.perf.plans import PricingPlan
+        from repro.perf.record import Recording
 
         path = self.plan_path_for(key)
         if not path.exists():
             return None
-        return self._load(path, PricingPlan, "plan", "recompiling")
+        return self._load(path, Recording, "plan", "recompiling")
 
-    def put_plan(self, key: str, plan: "typing.Any") -> None:
-        """Atomically persist one pricing plan."""
-        self._store(self.plan_path_for(key), plan)
+    def put_plan(self, key: str, recording: "typing.Any") -> None:
+        """Atomically persist one benchmark recording."""
+        self._store(self.plan_path_for(key), recording)
 
     def _count(self, field: str) -> None:
         """Tally one usage event (global registry + session ledger)."""

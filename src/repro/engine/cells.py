@@ -291,13 +291,14 @@ def run_cell(
         and injector is None
     )
     if vector_active:
-        # A vectorized cell is a one-point plan: record, then synthesize
-        # exactly as a sweep prices a geometry group.
+        # A vectorized cell is a one-point plan: lay the benchmark's
+        # recording out on this target, then synthesize exactly as a
+        # sweep prices a geometry group.
         from repro.arch.registry import arch_for
-        from repro.perf.plans import compile_plan, synthesize
+        from repro.perf.plans import plan_for, synthesize
 
         backend = arch_for(config)
-        plan = compile_plan(spec, backend, config)
+        plan = plan_for(spec, backend, config)
         ((result, tracker),) = synthesize(plan, [(backend, config)])
         if vector_check_enabled():
             check_against_oracle(spec, result, tracker)

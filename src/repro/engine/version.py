@@ -127,21 +127,39 @@ def model_version(device_type: "DeviceTypeLike", benchmark_key: str) -> str:
     )
 
 
+def recording_stamp(benchmark_key: str) -> str:
+    """The stamp in a benchmark recording's store key.
+
+    Format: ``schema-common-bench-recorder`` with 12-hex-digit digests:
+    a recording depends on the common model, the benchmark's module and
+    the recorder (``perf/record.py``), never on a device.
+    """
+    common = _digest_entries(_COMMON_PACKAGES + _COMMON_FILES)
+    bench = _digest_entries((_benchmark_source(benchmark_key),))
+    recorder = _digest_entries(("perf/record.py",))
+    return (
+        f"{CACHE_SCHEMA}-{common[:12]}-{bench[:12]}-{recorder[:12]}"
+    )
+
+
 def vector_stamp() -> str:
     """Digest of the vectorized pricing engine's own sources.
 
-    Covers the histogram tracker (``perf/vector.py``) and the shared
-    pricer and plan layout (``perf/plans.py``).  The sweep pricer
+    Covers the histogram tracker (``perf/vector.py``), the recorder
+    (``perf/record.py``) and the shared layout and pricer
+    (``perf/plans.py``).  The sweep pricer
     (``dse/batch.py``) is not covered: it persists nothing whose content
     it decides.  Folded into the cache key only for ``vector=True``
-    cells, and into every pricing-plan key: editing either file
-    invalidates exactly the vectorized entries and the plans (scalar
-    keys never contain it).
+    cells: editing any of these files invalidates exactly the
+    vectorized entries (scalar keys never contain it; a stored
+    recording carries :func:`recording_stamp` instead).
     Vectorized and scalar results never share a cache entry even though
     their totals are byte-identical by contract -- a belt-and-braces
     guard so a vector bug cannot poison scalar results, or vice versa.
     """
-    return _digest_entries(("perf/vector.py", "perf/plans.py"))[:12]
+    return _digest_entries(
+        ("perf/vector.py", "perf/record.py", "perf/plans.py")
+    )[:12]
 
 
 def clear_stamp_caches() -> None:

@@ -1,44 +1,38 @@
-"""Pricing plans: one histogram, priced under any number of cost tables.
+"""Pricing plans: one recording, laid out per target, priced under any
+number of cost tables.
 
-A vectorized cell (docs/VECTORIZATION.md) splits into two phases with
+A vectorized cell (docs/VECTORIZATION.md) splits into three phases with
 very different costs:
 
-* **compile** -- run the benchmark against a vector-mode device to
-  *record* the shape histogram: every ``execute`` call still goes
-  through Python, but nothing is priced;
+* **record** -- :func:`compile_plan` runs the benchmark's Python issue
+  loop once per (benchmark, params) against a
+  :class:`~repro.perf.record.Recorder` and keeps the target-independent
+  :class:`~repro.perf.record.Recording`;
+* **lay out** -- :func:`layout_plan` maps the recording onto one target:
+  each operand class is planned once and each call site becomes its
+  interned (shape, bucket, kind) once, so the result -- a
+  :class:`PricingPlan`, the logs a live vector-mode device would have
+  exported -- costs a few table lookups and one numpy gather;
 * **price** -- evaluate the distinct shapes through the backend's cost
-  table and reconstruct the accumulator totals with numpy: microseconds.
+  table and reconstruct the accumulator totals with numpy.
 
-The compile product is a :class:`PricingPlan`: the command, copy and
-host logs of a :class:`~repro.perf.vector.VectorStatsTracker`
-plus its interned shape/bucket/kind tables.  :func:`price_plan` is the
-one analytic pricer: it prices a plan under P cost tables and returns P
-rows of accumulator totals; :func:`plan_results` reads each row into
-the :class:`~repro.bench.common.BenchmarkResult` a scalar run returns.
-A design-space sweep (:mod:`repro.dse.batch`) compiles one plan per
-geometry group and prices every point of the group in one pass, a table
-of rows; a vectorized cell (:func:`repro.engine.cells.run_cell`) is the
-one-point case, and :func:`synthesize` also gives it its row's tracker.
+:func:`price_plan` is the one analytic pricer: it prices a plan under P
+cost tables and returns P rows of accumulator totals;
+:func:`plan_results` reads each row into the
+:class:`~repro.bench.common.BenchmarkResult` a scalar run returns.  A
+design-space sweep (:mod:`repro.dse.batch`) lays each benchmark's
+recording out once per geometry group and prices every point of the
+group in one pass, a table of rows; a vectorized cell
+(:func:`repro.engine.cells.run_cell`) is the one-point case, and
+:func:`synthesize` also gives it its row's tracker.
 
-The command trace -- which shapes are issued, how many times, in what
-order -- depends only on the benchmark parameters and the *geometry* of
-the device (bank/subarray/row/column counts, core scope), never on the
-cost-model knobs (ALU width and clock, per-op energy)
-that most sweep axes vary.  Plans are therefore content-addressed by
-benchmark + geometry signature, so one compile serves every point in a
-geometry group.
-
-The geometry signature is the canonical device config *minus* the
-cost-only :class:`~repro.config.device.PimArchParams` fields and minus
-the device-type identity (two parametric variants that differ only in
-ALU width share a trace; their device types differ).  Behavioral traits
-that select code paths -- core scope, bit-serial, analog -- stay in the
-signature, as does ``fulcrum_subarrays_per_core``, which feeds the
-device's core count.
-
-Plan-cache entries are stamped with :func:`repro.engine.version.
-vector_stamp` (this module + the vector engine), the same digest every
-vectorized cell key carries.
+The API stream depends only on the benchmark parameters, so recordings
+are kept in a small in-process memo (:func:`recording_for`) and, for
+sweeps, in the plan store under :func:`recording_key`, which holds no
+device.  Only the layout depends on the target's *geometry* (bank,
+subarray, row and column counts, core scope), never on the cost-model
+knobs (ALU width and clock, per-op energy) that most sweep axes vary,
+so a sweep lays a recording out once per geometry group.
 """
 
 from __future__ import annotations
@@ -65,18 +59,16 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.base import ArchBackend
     from repro.bench.common import BenchmarkResult
     from repro.config.device import DeviceConfig
+    from repro.core.layout import ObjectLayout
     from repro.engine.cells import CellSpec
-    from repro.perf.vector import CostTable
+    from repro.perf.record import Recording
 
-#: Layout version of the pickled plan payload.
-PLAN_SCHEMA = 3
-
-#: PimArchParams fields that only affect command *pricing*, never which
-#: commands a benchmark issues: no benchmark, resource-manager, layout,
-#: or data-movement code reads them (they feed the perf/energy models
-#: exclusively), so two configs differing only here share one trace.
+#: PimArchParams fields that only affect command *pricing*, never how a
+#: recording lays out: no resource-manager, layout, or data-movement
+#: code reads them (they feed the perf/energy models exclusively), so
+#: two configs differing only here share one plan.
 #: ``fulcrum_subarrays_per_core`` is deliberately absent: it determines
-#: the device's core count, which shapes the trace.
+#: the device's core count, which shapes the layout.
 COST_ONLY_ARCH_FIELDS = (
     "fulcrum_alu_bits",
     "fulcrum_alu_freq_mhz",
@@ -110,15 +102,16 @@ _SLAB_ELEMENTS = 16_000_000
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PricingPlan:
-    """One compiled histogram, ready to re-price under any cost table.
+    """One laid-out histogram, ready to re-price under any cost table.
 
-    The log columns of a :class:`~repro.perf.vector.VectorStatsTracker`
-    (replays already extended in place), plus the interned
-    shape/bucket/kind tables.  The copy and host logs are pre-priced:
-    data movement prices off the DRAM spec and host energy off the host
-    TDP, both part of the geometry signature.  :func:`compile_plan` adds
-    the benchmark identity and the device-independent CPU/GPU baselines
-    that :func:`plan_results` needs.
+    The log columns a :class:`~repro.perf.vector.VectorStatsTracker`
+    exports (replays already extended in place), plus the interned
+    shape/bucket/kind tables, as :func:`layout_plan` builds them from a
+    recording.  The copy and host logs are pre-priced: data movement
+    prices off the DRAM spec and host energy off the host TDP, both
+    fixed within a geometry group.  The benchmark identity and the
+    device-independent CPU/GPU baselines come from the recording, for
+    :func:`plan_results`.
     """
 
     #: Representative CommandArgs per distinct shape, in shape order.
@@ -549,104 +542,253 @@ def synthesize(
     return rows
 
 
-def geometry_signature(config: "DeviceConfig") -> str:
-    """Digest of the trace-affecting subset of a device config.
+def compile_plan(spec: "CellSpec") -> "Recording":
+    """Run one benchmark's issue loop and keep its recording.
 
-    Canonicalizes the full config the same way the per-cell cache key
-    does (:func:`repro.engine.cache._canonical`), then drops the
-    cost-only arch fields and replaces the device-type identity with its
-    behavioral traits.  Two configs with equal signatures issue
-    byte-identical command traces for any benchmark.
+    The one place a vectorized cell or a sweep runs a benchmark's
+    Python issue loop: once per (benchmark, params), whatever the
+    target.  :func:`layout_plan` turns the recording into any target's
+    :class:`PricingPlan`.
+    """
+    from repro.perf.record import record
+
+    return record(spec.benchmark_key, spec.make_benchmark())
+
+
+#: In-process recordings, keyed by benchmark class and parameter scale,
+#: oldest first.  Bounded: a long-lived serve worker sees every
+#: benchmark at two scales at most, a sweep a handful.
+_RECORDINGS: "dict[tuple, Recording]" = {}
+_RECORDINGS_MAX = 64
+
+
+def recording_for(spec: "CellSpec") -> "Recording":
+    """``spec``'s recording: from the in-process memo, or compiled once."""
+    from repro.engine.cells import resolve_benchmark_class
+
+    key = (resolve_benchmark_class(spec.benchmark_key), spec.paper_scale)
+    recording = _RECORDINGS.get(key)
+    if recording is None:
+        recording = compile_plan(spec)
+        if len(_RECORDINGS) >= _RECORDINGS_MAX:
+            del _RECORDINGS[next(iter(_RECORDINGS))]
+        _RECORDINGS[key] = recording
+    return recording
+
+
+def recording_key(spec: "CellSpec") -> str:
+    """Content hash of ``spec``'s recording in the sweep's plan store.
+
+    Keyed by what the recording depends on: the benchmark and its
+    merged params, :data:`~repro.perf.record.RECORDING_SCHEMA`, and the
+    :func:`~repro.engine.version.recording_stamp` of the benchmark, the
+    common model and the recorder sources.  No device: one recording
+    serves every target.
     """
     from repro.engine.cache import _canonical
+    from repro.engine.version import recording_stamp
+    from repro.perf.record import RECORDING_SCHEMA
 
-    material = _canonical(config)
-    arch = material.get("arch")
-    if isinstance(arch, dict):
-        for field in COST_ONLY_ARCH_FIELDS:
-            arch.pop(field, None)
-    device_type = config.device_type
-    material["device_type"] = {
-        "core_scope": device_type.core_scope,
-        "bit_serial": bool(device_type.is_bit_serial),
-        "analog": bool(device_type.is_analog),
-    }
-    blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def plan_cache_key(
-    backend: "ArchBackend",
-    spec: "CellSpec",
-    config: "DeviceConfig | None" = None,
-) -> str:
-    """Content hash identifying one pricing plan on disk.
-
-    Keyed by the *base* backend lineage (its sources govern shape
-    deduplication and trace generation; the derived point's knob digest
-    must NOT appear, or no two points would ever share a plan), the
-    benchmark and its merged params, the geometry signature, and
-    ``vector_stamp()``.  ``model_version`` of the base folds in the cache
-    schema, the common model sources, and the benchmark source, so any
-    edit that would invalidate a per-cell entry also invalidates the
-    plans built from the same code.
-    """
-    from repro.engine.cache import _canonical
-    from repro.engine.version import model_version, vector_stamp
-
-    base = getattr(backend, "base", backend)
-    bench = spec.make_benchmark()
-    if config is None:
-        config = backend.make_config(
-            spec.num_ranks, **dict(spec.geometry_overrides)
-        )
     material = {
-        "plan_schema": PLAN_SCHEMA,
-        "vector_stamp": vector_stamp(),
-        "model_version": model_version(base.device_type, spec.benchmark_key),
-        "base": base.id,
+        "recording_schema": RECORDING_SCHEMA,
+        "stamp": recording_stamp(spec.benchmark_key),
         "benchmark": spec.benchmark_key,
-        "params": _canonical(bench.params),
-        "geometry": geometry_signature(config),
-        "enforce_capacity": spec.enforce_capacity,
+        "params": _canonical(spec.make_benchmark().params),
     }
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def compile_plan(
+def _check_compatible(layouts: "list[ObjectLayout]") -> None:
+    """``ResourceManager.check_layout_compatible`` on laid-out operands."""
+    from repro.core.errors import PimTypeError
+
+    first = layouts[0]
+    for layout in layouts[1:]:
+        if layout.num_elements != first.num_elements:
+            raise PimTypeError(
+                f"operand element counts differ: {layout.num_elements} "
+                f"vs {first.num_elements}"
+            )
+        if layout.layout is not first.layout:
+            raise PimTypeError("operand layouts differ (horizontal vs vertical)")
+
+
+def _replay_rows(
+    recording: "Recording", config: "DeviceConfig", stop: int
+) -> None:
+    """Replay the alloc/free stream through the capacity-checked allocator.
+
+    Raises the :class:`~repro.core.errors.PimAllocationError` a live
+    device would raise, at the same allocation; only events before
+    issue ``stop`` are replayed.
+    """
+    from repro.core.layout import RowAllocator, plan_layout
+
+    rows = RowAllocator(config.rows_per_core, True)
+    checked: "dict[int, ObjectLayout]" = {}
+    for issues_before, cls, obj_id in recording.allocs.tolist():
+        if issues_before > stop:
+            return
+        if cls < 0:
+            rows.free(obj_id)
+            continue
+        layout = checked.get(cls)
+        if layout is None:
+            num_elements, dtype, request = recording.classes[cls]
+            layout = checked[cls] = plan_layout(
+                config, num_elements, dtype.bits, request,
+                enforce_capacity=True,
+            )
+        rows.allocate(obj_id, layout.rows_per_core)
+
+
+def layout_plan(
+    recording: "Recording",
+    backend: "ArchBackend",
+    config: "DeviceConfig",
+    enforce_capacity: bool,
+) -> PricingPlan:
+    """Lay ``recording`` out on one target: the plan a live run exports.
+
+    Bit-identical in every field to what a ``vector=True``
+    :class:`~repro.core.device.PimDevice` on ``config`` records for the
+    same program.  Each operand class is planned once; each site
+    becomes its (shape, bucket, kind) once, interned by the key the
+    live device and the cost memo use, in first-issue order; the
+    command columns are one gather of the site table by the issue
+    column.  Copies and host kernels are priced per event on the
+    target.  Under ``enforce_capacity`` the alloc/free stream replays
+    through the row allocator, so an overcommitted target raises the
+    live device's :class:`~repro.core.errors.PimAllocationError`; a
+    site whose operand layouts clash on this target raises its
+    :class:`~repro.core.errors.PimTypeError`, whichever comes first.
+    The plan shares the recording's repeat, batch and host-time
+    columns; nothing writes to a plan's arrays.
+    """
+    from repro.config.device import PimAllocType
+    from repro.core.errors import PimTypeError
+    from repro.core.layout import plan_layout
+    from repro.energy.model import EnergyModel
+    from repro.perf import DataMovementModel
+    from repro.perf.base import CommandArgs
+    from repro.perf.record import COPY_D2H, COPY_H2D
+
+    layouts = [
+        plan_layout(config, num_elements, dtype.bits, request,
+                    enforce_capacity=False)
+        for num_elements, dtype, request in recording.classes
+    ]
+    shape_ids: "dict[tuple, int]" = {}
+    shape_args: "list[CommandArgs]" = []
+    bucket_ids: "dict[str, int]" = {}
+    kind_ids: "dict[typing.Any, int]" = {}
+    site_rows: "list[tuple[int, int, int]]" = []
+    clash: "PimTypeError | None" = None
+    for kind, scalar, inputs, dest in recording.sites:
+        operands = tuple(layouts[cls] for cls in inputs)
+        dest_layout = None if dest is None else layouts[dest]
+        if dest_layout is not None:
+            try:
+                _check_compatible(list(operands[-2:]) + [dest_layout])
+            except PimTypeError as exc:
+                clash = exc
+                break
+        anchor = inputs[-1] if inputs else dest
+        dtype = recording.classes[anchor][1]
+        args = CommandArgs(
+            kind=kind, bits=dtype.bits, inputs=operands, dest=dest_layout,
+            scalar=scalar, signed=dtype.signed,
+        )
+        shape_key = (
+            kind, args.bits, args.signed, backend.cost_memo_param(args),
+            operands, dest_layout,
+        )
+        shape = shape_ids.setdefault(shape_key, len(shape_ids))
+        if shape == len(shape_args):
+            shape_args.append(args)
+        letter = (
+            "v" if layouts[anchor].layout is PimAllocType.VERTICAL else "h"
+        )
+        site_rows.append((
+            shape,
+            bucket_ids.setdefault(
+                f"{kind.api_name}.{dtype.numpy_name}.{letter}",
+                len(bucket_ids),
+            ),
+            kind_ids.setdefault(kind, len(kind_ids)),
+        ))
+    if clash is not None or enforce_capacity:
+        # The clashing site fails at its first issue, unless an earlier
+        # allocation already overflowed.
+        stop = len(recording.issue_site)
+        if clash is not None:
+            stop = int(np.argmax(recording.issue_site == len(site_rows)))
+        if enforce_capacity:
+            _replay_rows(recording, config, stop)
+        if clash is not None:
+            raise clash
+
+    site = np.array(site_rows, dtype=np.int64).reshape(-1, 3)
+    cmd_shape, cmd_bucket, cmd_kind = np.take(
+        site.T, recording.issue_site, axis=1
+    )
+
+    movement = DataMovementModel(config)
+    energy = EnergyModel(config)
+    latency_of = (
+        movement.host_transfer_ns, movement.host_transfer_ns,
+        movement.device_transfer_ns, movement.device_gather_ns,
+    )
+    priced: "dict[tuple[int, int, int], tuple]" = {}
+    copy_rows = []
+    for event in recording.copies.tolist():
+        row = priced.get(tuple(event))
+        if row is None:
+            method, num_bytes, repeat = event
+            direction = (
+                "h2d" if method == COPY_H2D
+                else "d2h" if method == COPY_D2H else "d2d"
+            )
+            row = priced[tuple(event)] = (
+                DIRECTIONS.index(direction),
+                num_bytes * repeat,
+                latency_of[method](num_bytes) * repeat,
+                energy.transfer_energy_nj(num_bytes, direction) * repeat,
+            )
+        copy_rows.append(row)
+    copies = list(zip(*copy_rows)) or [(), (), (), ()]
+    return PricingPlan(
+        shape_args=tuple(shape_args),
+        bucket_names=tuple(bucket_ids),
+        kind_objs=tuple(kind_ids),
+        cmd_shape=cmd_shape,
+        cmd_bucket=cmd_bucket,
+        cmd_kind=cmd_kind,
+        cmd_mult=recording.issue_repeat,
+        cmd_batch=recording.issue_batch,
+        copy_dir=np.array(copies[0], dtype=np.int64),
+        copy_bytes=np.array(copies[1], dtype=np.int64),
+        copy_latency=np.array(copies[2], dtype=np.float64),
+        copy_energy=np.array(copies[3], dtype=np.float64),
+        host_time=recording.host_time,
+        host_energy=np.array(
+            [energy.host_energy_nj(time) for time in recording.host_time.tolist()],
+            dtype=np.float64,
+        ),
+        benchmark_key=recording.benchmark_key,
+        benchmark_name=recording.benchmark_name,
+        cpu_time_ns=recording.cpu_time_ns,
+        cpu_energy_nj=recording.cpu_energy_nj,
+        gpu_time_ns=recording.gpu_time_ns,
+        gpu_energy_nj=recording.gpu_energy_nj,
+    )
+
+
+def plan_for(
     spec: "CellSpec", backend: "ArchBackend", config: "DeviceConfig"
 ) -> PricingPlan:
-    """Record one cell's benchmark in vector mode and export its plan.
-
-    Runs the benchmark's PIM phase against a vector-mode device (the
-    Python issue loop runs; nothing is priced), takes the
-    device-independent CPU/GPU baselines, and exports the logs once.
-    :func:`price_plan` prices the result, for one point or for every
-    point of a sweep's geometry group.
-    """
-    from repro.baselines.cpu import CpuModel
-    from repro.baselines.gpu import GpuModel
-    from repro.core.device import PimDevice
-    from repro.host.model import HostModel
-
-    bench = spec.make_benchmark()
-    device = PimDevice(
-        config,
-        functional=False,
-        enforce_capacity=spec.enforce_capacity,
-        vector=True,
-    )
-    cpu = CpuModel()
-    bench.run_pim(device, HostModel(device, cpu))
-    cpu_time, cpu_energy = cpu.run(bench.cpu_profile())
-    gpu_time, gpu_energy = GpuModel().run(bench.gpu_profile())
-    return dataclasses.replace(
-        device.stats.export_plan(),
-        benchmark_key=spec.benchmark_key,
-        benchmark_name=bench.name,
-        cpu_time_ns=cpu_time,
-        cpu_energy_nj=cpu_energy,
-        gpu_time_ns=gpu_time,
-        gpu_energy_nj=gpu_energy,
+    """One vectorized cell's plan: its recording, laid out on its target."""
+    return layout_plan(
+        recording_for(spec), backend, config, spec.enforce_capacity
     )

@@ -12,9 +12,12 @@ does not price commands at issue time at all; it appends ``(shape index,
 multiplicity)`` entries to an append-only log -- a *histogram under
 construction* -- and a ``replay_trace`` of a recorded region re-appends
 the recorded entries without re-walking them through the device.  The
-tracker only records:
-:func:`~repro.perf.plans.compile_plan` exports its logs as a
-:class:`~repro.perf.plans.PricingPlan`, and
+tracker only records: :meth:`VectorStatsTracker.export_plan` hands its
+logs on as a :class:`~repro.perf.plans.PricingPlan`.  The engine builds
+the same plan without a device: it records each benchmark once
+(:mod:`repro.perf.record`) and lays the recording out per target
+(:func:`~repro.perf.plans.layout_plan`), and the vector-mode device is
+the live reference that layout is tested against.
 :func:`~repro.perf.plans.synthesize` prices the distinct shapes **once**
 per group of design points through the architecture backend's
 :meth:`~repro.arch.base.ArchBackend.cost_table` hook and rebuilds the

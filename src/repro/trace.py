@@ -31,11 +31,13 @@ from repro.core.errors import PimError
 class TraceEvent:
     """One recorded API action.
 
-    ``action`` is "alloc", "alloc_assoc", "free", "execute", "h2d",
-    "d2h", "d2d", or "host"; object references use the recorded object
-    ids.  A gather (a one-object "d2d") carries its byte count in
-    ``scalar``; a host kernel carries its label in ``kind`` and its
-    modeled time in ``time_ns``.
+    ``action`` is "alloc", "alloc_assoc", "free", "execute",
+    "execute_batch", "h2d", "d2h", "d2d", or "host"; object references
+    use the recorded object ids.  An "execute_batch" carries its issue
+    count in ``repeat`` and replays with ``execute_batch`` billing
+    (iterated adds).  A gather (a one-object "d2d") carries its byte
+    count in ``scalar``; a host kernel carries its label in ``kind``
+    and its modeled time in ``time_ns``.
     """
 
     action: str
@@ -194,15 +196,22 @@ class TraceRecorder:
         ))
         self.device.model_gather(dst, values, num_bytes)
 
-    def execute(self, kind, inputs=(), dest=None, scalar=None, repeat=1):
+    def _command(self, action, kind, inputs, dest, scalar, repeat) -> None:
         obj_ids = tuple(obj.obj_id for obj in inputs)
         if dest is not None:
             obj_ids = obj_ids + (dest.obj_id,)
         self.events.append(TraceEvent(
-            action="execute", obj_ids=obj_ids, kind=kind.name,
+            action=action, obj_ids=obj_ids, kind=kind.name,
             scalar=scalar, repeat=repeat,
         ))
+
+    def execute(self, kind, inputs=(), dest=None, scalar=None, repeat=1):
+        self._command("execute", kind, inputs, dest, scalar, repeat)
         return self.device.execute(kind, inputs, dest, scalar, repeat)
+
+    def execute_batch(self, kind, inputs=(), dest=None, scalar=None, count=1):
+        self._command("execute_batch", kind, inputs, dest, scalar, count)
+        return self.device.execute_batch(kind, inputs, dest, scalar, count)
 
     # -- serialization --------------------------------------------------------
 
@@ -262,16 +271,20 @@ def replay_trace(
                 event.time_ns, device.energy.host_energy_nj(event.time_ns),
                 event.kind,
             )
-        elif event.action == "execute":
+        elif event.action in ("execute", "execute_batch"):
             kind = PimCmdKind[event.kind]
             obj_ids = event.obj_ids
             dest = None
             if not kind.spec.produces_scalar:
                 dest = objects[obj_ids[-1]]
                 obj_ids = obj_ids[:-1]
-            device.execute(
+            issue = (
+                device.execute if event.action == "execute"
+                else device.execute_batch
+            )
+            issue(
                 kind, tuple(objects[i] for i in obj_ids), dest,
-                scalar=event.scalar, repeat=event.repeat,
+                event.scalar, event.repeat,
             )
         else:
             raise PimError(f"unknown trace action {event.action!r}")

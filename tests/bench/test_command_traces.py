@@ -12,7 +12,7 @@ from repro.arch import resolve_backend
 from repro.bench.registry import make_benchmark
 from repro.config.device import PimDeviceType
 from repro.core.commands import PimCmdKind
-from repro.perf.plans import compile_plan, synthesize
+from repro.perf.plans import compile_plan, layout_plan, synthesize
 
 from tests.conftest import make_device
 
@@ -99,9 +99,8 @@ class TestTraceShapes:
             benchmark_key="kmeans", enforce_capacity=True,
             make_benchmark=lambda: make_benchmark("kmeans", **params),
         )
-        ((vector, _tracker),) = synthesize(
-            compile_plan(spec, backend, config), [(backend, config)]
-        )
+        plan = layout_plan(compile_plan(spec), backend, config, True)
+        ((vector, _tracker),) = synthesize(plan, [(backend, config)])
         assert functional.verified
         assert functional.op_counts  # the setup broadcast still issues
         assert analytic.op_counts == functional.op_counts

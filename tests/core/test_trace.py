@@ -174,3 +174,57 @@ class TestBenchmarkTraces:
             pass
         with pytest.raises(PimError, match="not recorded under trace"):
             TraceRecorder(device).stats.replay_trace(trace)
+
+
+def batched_program(device, n=4096, count=7):
+    """A scalar add issued ``count`` times by one ``execute_batch``."""
+    obj = device.alloc(n)
+    out = device.alloc_associated(obj)
+    device.copy_host_to_device(
+        np.arange(n, dtype=np.int32) if device.functional else None, obj
+    )
+    device.execute_batch(
+        PimCmdKind.ADD_SCALAR, (obj,), out, scalar=3, count=count
+    )
+    device.execute(PimCmdKind.REDSUM, (out,))
+    device.free(obj)
+    device.free(out)
+
+
+class TestExecuteBatch:
+    """A batching program traces, serializes and replays on any target."""
+
+    def test_records_count_in_repeat(self):
+        recorder = TraceRecorder(
+            make_device(PimDeviceType.FULCRUM, functional=False)
+        )
+        batched_program(recorder)
+        (event,) = [e for e in recorder.events if e.action == "execute_batch"]
+        assert (event.kind, event.scalar, event.repeat) == ("ADD_SCALAR", 3, 7)
+        assert load_trace(recorder.to_json()) == recorder.events
+
+    @pytest.mark.parametrize("target", list(PimDeviceType))
+    def test_replay_keeps_iterated_add_billing(self, target):
+        """Replayed on another target, the trace bills what seven
+        back-to-back ``execute`` calls bill there, bit for bit."""
+        from repro.perf.vector import tracker_mismatches
+
+        recorder = TraceRecorder(
+            make_device(PimDeviceType.FULCRUM, functional=False)
+        )
+        batched_program(recorder)
+        replayed = replay_trace(
+            load_trace(recorder.to_json()),
+            make_device(target, functional=False),
+        )
+        direct = make_device(target, functional=False)
+        batched_program(direct)
+        looped = make_device(target, functional=False)
+        obj = looped.alloc(4096)
+        out = looped.alloc_associated(obj)
+        looped.copy_host_to_device(None, obj)
+        for _ in range(7):
+            looped.execute(PimCmdKind.ADD_SCALAR, (obj,), out, scalar=3)
+        looped.execute(PimCmdKind.REDSUM, (out,))
+        assert tracker_mismatches(replayed.stats, direct.stats) == []
+        assert tracker_mismatches(replayed.stats, looped.stats) == []

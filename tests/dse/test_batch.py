@@ -61,15 +61,27 @@ class TestGrouping:
         assert result.plan_misses == 1
         assert result.plan_hits == 0
 
-    def test_geometry_knobs_split_plans(self):
-        """Each banks_per_rank value is its own geometry group."""
+    def test_geometry_knobs_split_plans(self, monkeypatch):
+        """Each banks_per_rank value is its own geometry group: one
+        recording of the benchmark, laid out once per group."""
+        from repro.dse import batch
+
+        layouts = []
+        layout_plan = batch.layout_plan
+
+        def counted(recording, backend, config, enforce_capacity):
+            layouts.append(config.dram.geometry.banks_per_rank)
+            return layout_plan(recording, backend, config, enforce_capacity)
+
+        monkeypatch.setattr(batch, "layout_plan", counted)
         spec = _spec(axes={
             "banks_per_rank": [32, 64],
             "pe_freq_mhz": [200, 300],
         })
         result = _run(spec)
         assert result.batched_cells == 4
-        assert result.plan_misses == 2
+        assert result.plan_misses == 1
+        assert sorted(layouts) == [32, 64]
 
     def test_registry_counters_match_report(self):
         registry = global_registry()
@@ -273,7 +285,7 @@ class TestCaching:
     def test_corrupted_plan_entry_warns_deletes_and_recompiles(
         self, tmp_path
     ):
-        from repro.perf.plans import PricingPlan
+        from repro.perf.record import Recording
 
         spec = _spec()
         cold = _run(spec, use_cache=True, cache_dir=tmp_path)
@@ -284,9 +296,9 @@ class TestCaching:
             again = _run(spec, use_cache=True, cache_dir=tmp_path)
         assert again.plan_misses == 1 and again.plan_hits == 0
         assert again.batched_cells == 3
-        # The garbage was deleted and the recompiled plan written back.
+        # The garbage was deleted and the recording written back.
         with open(plan_files[0], "rb") as fh:
-            assert isinstance(pickle.load(fh), PricingPlan)
+            assert isinstance(pickle.load(fh), Recording)
         assert render_json(sweep_payload(cold)) == render_json(
             sweep_payload(again)
         )

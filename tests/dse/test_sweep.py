@@ -231,14 +231,14 @@ class TestReport:
 
 class TestCaching:
     def test_second_run_is_all_hits(self, tmp_path):
-        """Plan hits: the warm sweep compiles nothing and re-synthesizes
-        every cell from the stored plans."""
+        """Plan hits: the warm sweep records nothing and re-synthesizes
+        every cell from the stored recording (one per benchmark)."""
         spec = _spec()
         cold = run_sweep(spec, jobs=1, cache_dir=tmp_path)
         warm = run_sweep(spec, jobs=1, cache_dir=tmp_path)
         assert cold.cache_misses == 2 and cold.cache_hits == 0
-        assert cold.plan_misses == 2 and cold.plan_hits == 0
-        assert warm.plan_hits == 2 and warm.plan_misses == 0
+        assert cold.plan_misses == 1 and cold.plan_hits == 0
+        assert warm.plan_hits == 1 and warm.plan_misses == 0
         assert warm.cache_hits == 0 and warm.batched_cells == 2
         for a, b in zip(cold.outcomes, warm.outcomes):
             assert a.metrics == b.metrics

@@ -80,14 +80,15 @@ class TestTwoProcessStress:
             assert json.load(fh)["schema"] == 1
 
 
-#: One plan writer/reader: store one of seven plans (each a distinct
-#: size) under the shared key, read the key back, repeat.  Any corrupt-entry warning
-#: is an error, and every plan read must be one some round wrote.
+#: One plan-store writer/reader: store one of seven recordings (each a
+#: distinct size) under the shared key, read the key back, repeat.  Any
+#: corrupt-entry warning is an error, and every recording read must be
+#: one some round wrote.
 PLAN_RACER = textwrap.dedent("""
     import sys, time, warnings
 
     from repro.engine.cache import DiskCache
-    from repro.perf.vector import VectorStatsTracker
+    from repro.perf.record import Recorder
 
     warnings.simplefilter("error", RuntimeWarning)
     SIZE = 20000  # ~320 KB pickles: a wide window for a torn write
@@ -96,10 +97,10 @@ PLAN_RACER = textwrap.dedent("""
     key = "%064d" % 0
     plans = []
     for size in range(SIZE, SIZE + 7):
-        tracker = VectorStatsTracker()
+        recorder = Recorder()
         for entry in range(size):
-            tracker.record_host(float(entry), 1.0)
-        plans.append(tracker.export_plan())
+            recorder.record_host(float(entry), 1.0)
+        plans.append(recorder.recording("host", "host"))
     time.sleep(max(0.0, start_at - time.time()))  # aligned start
     for index in range(rounds):
         cache.put_plan(key, plans[index % len(plans)])

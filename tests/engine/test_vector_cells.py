@@ -62,21 +62,23 @@ class TestCacheKeySeparation:
         assert len(stamp) == 12
         assert stamp == vector_stamp()
 
-    @pytest.mark.parametrize("source, moves", [
-        pytest.param("perf/plans.py", True, id="perf/plans.py"),
-        pytest.param("dse/batch.py", False, id="dse/batch.py"),
+    @pytest.mark.parametrize("source, moves, records", [
+        pytest.param("perf/plans.py", True, False, id="perf/plans.py"),
+        pytest.param("perf/record.py", True, True, id="perf/record.py"),
+        pytest.param("dse/batch.py", False, False, id="dse/batch.py"),
     ])
     def test_pricer_edit_moves_vector_keys_only(
-        self, source, moves, monkeypatch
+        self, source, moves, records, monkeypatch
     ):
-        """An edit to the shared pricer moves vector cell keys and plan
-        keys; scalar keys never contain the vector stamp.  The sweep
-        pricer persists nothing whose content it decides, so an edit to
-        it moves no key at all."""
+        """An edit to the layout and pricer moves vector cell keys; an
+        edit to the recorder also moves recording keys; scalar keys
+        never contain the vector stamp.  The sweep pricer persists
+        nothing whose content it decides, so an edit to it moves no key
+        at all."""
         import pathlib
 
         from repro.engine import version
-        from repro.perf.plans import plan_cache_key
+        from repro.perf.plans import recording_key
 
         backend = resolve_backend("bank")
         spec = _spec(device_type=backend.device_type)
@@ -85,7 +87,7 @@ class TestCacheKeySeparation:
         def keys():
             return (
                 cell_cache_key(spec),
-                plan_cache_key(backend, spec),
+                recording_key(spec),
                 cell_cache_key(scalar),
             )
 
@@ -101,9 +103,9 @@ class TestCacheKeySeparation:
         monkeypatch.setattr(pathlib.Path, "read_bytes", edited)
         version.clear_stamp_caches()
         try:
-            vector_key, plan_key, scalar_key = keys()
+            vector_key, recording, scalar_key = keys()
             assert (vector_key != before[0]) is moves
-            assert (plan_key != before[1]) is moves
+            assert (recording != before[1]) is records
             assert scalar_key == before[2]
         finally:
             monkeypatch.undo()

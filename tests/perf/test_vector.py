@@ -35,7 +35,7 @@ from repro.perf import plans
 from repro.perf.plans import (
     EVENT_FIELDS,
     VALUE_FIELDS,
-    compile_plan,
+    plan_for,
     price_plan,
     synthesize,
 )
@@ -106,7 +106,7 @@ def _run_pair(
         key, backend.device_type, num_ranks, paper_scale=paper_scale,
         enforce_capacity=enforce_capacity, vector=True,
     )
-    plan = compile_plan(spec, backend, config)
+    plan = plan_for(spec, backend, config)
     ((vector_result, vector),) = synthesize(plan, [(backend, config)])
     return scalar.stats, scalar_result, vector, vector_result
 
@@ -302,7 +302,7 @@ class TestTableSnapshot:
         points = [(backend, backend.make_config(2)) for backend in backends]
         spec = CellSpec(key, backends[0].device_type, 2,
                         paper_scale=False, vector=True)
-        plan = compile_plan(spec, *points[0])
+        plan = plan_for(spec, *points[0])
         totals = price_plan(plan, plans.unit_costs(plan.shape_args, points))
         results = plans.plan_results(
             plan, totals, [config.device_type for _, config in points]
@@ -604,7 +604,8 @@ class TestTotals:
 
 
 class TestCompileThenPrice:
-    """compile_plan records only; synthesize prices once per sub-group."""
+    """Recording and layout price nothing; synthesize prices once per
+    sub-group."""
 
     def _count_cost_tables(self, monkeypatch):
         from repro.arch.base import ArchBackend
@@ -629,7 +630,8 @@ class TestCompileThenPrice:
 
         calls = self._count_cost_tables(monkeypatch)
         backend = resolve_backend("bank")
-        plan = compile_plan(self._cell(backend), backend, backend.make_config(2))
+        plans._RECORDINGS.clear()  # so the issue loop runs here
+        plan = plan_for(self._cell(backend), backend, backend.make_config(2))
         assert calls == []
         assert len(plan.shape_args) > 0
 
@@ -639,7 +641,7 @@ class TestCompileThenPrice:
 
         backend = resolve_backend("bank")
         config = backend.make_config(2)
-        plan = compile_plan(self._cell(backend), backend, config)
+        plan = plan_for(self._cell(backend), backend, config)
         calls = self._count_cost_tables(monkeypatch)
         rows = synthesize(plan, [(backend, config)] * points)
         assert calls == [len(plan.shape_args)]
@@ -668,7 +670,7 @@ def _real_shapes(base_id):
     for key in ("gemv", "histogram", "kmeans"):
         spec = CellSpec(key, base.device_type, 2, paper_scale=False,
                         enforce_capacity=False, vector=True)
-        shapes += compile_plan(spec, base, base.make_config(2)).shape_args
+        shapes += plan_for(spec, base, base.make_config(2)).shape_args
     return shapes
 
 
@@ -775,7 +777,7 @@ class TestKnobVector:
         backend = derive_backend("bank", {"pe_freq_mhz": 250.0,
                                           "alu_op_pj": 0.3})
         config = backend.make_config(2)
-        plan = compile_plan(self._cell(backend), backend, config)
+        plan = plan_for(self._cell(backend), backend, config)
         synthesize(plan, [(backend, config)])
         assert seen and set(seen) == {float}
 

@@ -608,7 +608,7 @@ class TestDseSubcommand:
                      "--jobs", "1", "--cache-dir", str(cache), *extra])
 
     def test_warm_sweep_reprices_from_plans(self, capsys, tmp_path):
-        """A cached sweep stores one plan per geometry group and no
+        """A cached sweep stores one recording per benchmark and no
         cell; the warm rerun compiles nothing and writes the same
         report byte for byte."""
         cache = tmp_path / "cache"
@@ -618,8 +618,8 @@ class TestDseSubcommand:
                 tmp_path, cache, "--report", str(report)
             ) == 0
         out = capsys.readouterr().out
-        assert "plan cache: 0 hit(s), 2 compile(s)" in out
-        assert "plan cache: 2 hit(s), 0 compile(s)" in out
+        assert "plan cache: 0 hit(s), 1 compile(s)" in out
+        assert "plan cache: 1 hit(s), 0 compile(s)" in out
         assert reports[0].read_bytes() == reports[1].read_bytes()
         assert not list((cache / "cells").rglob("*.pkl"))
 
@@ -627,12 +627,12 @@ class TestDseSubcommand:
         cache = tmp_path / "cache"
         assert self._cached_run(tmp_path, cache) == 0
         plans = list((cache / "plans").rglob("*.pkl"))
-        assert len(plans) == 2
+        assert len(plans) == 1
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
         size = sum(path.stat().st_size for path in plans)
-        assert "Entries         : 2" in out
+        assert "Entries         : 1" in out
         assert f"Size            : {size / 1024:.1f} KiB" in out
 
     def test_bad_spec_exits_with_coded_message(self, tmp_path):
