@@ -8,29 +8,36 @@ and one pricing pass per geometry group:
 1. take each benchmark's :class:`~repro.perf.record.Recording` from the
    plan store (:func:`~repro.perf.plans.recording_key`), or record it
    once (:func:`~repro.perf.plans.recording_for`);
-2. group the sweep's (point, benchmark) cells by benchmark and geometry
-   (:func:`_geometry_key`) and lay each group's recording out once
+2. group the sweep's points by geometry (:func:`_geometry_key`) and lay
+   every benchmark's recording out once per group
    (:func:`~repro.perf.plans.layout_plan`) into a
    :class:`~repro.perf.plans.PricingPlan`;
-3. price every point of the group with one
-   :func:`~repro.perf.plans.price_plan` call -- the function a single
-   vectorized cell runs with one point, so every row is bit-identical
-   to the scalar path -- and read each row into its
-   :class:`~repro.bench.common.BenchmarkResult`.
+3. price the group (:func:`price_group`): one ``cost_table`` call per
+   integer-knob sub-group over the union of its plans' shapes, then
+   one :func:`~repro.perf.plans.price_plan` per plan -- the function a
+   single vectorized cell runs with one point, so every row is
+   bit-identical to the scalar path;
+4. read each row's three sweep metrics as columns
+   (:class:`CellMetrics`, :meth:`~repro.perf.plans.PlanTotals.
+   kernel_host_columns`).  A full
+   :class:`~repro.bench.common.BenchmarkResult` is built only for each
+   benchmark's sample cell and for the oracle samples.
 
-The product is a table with one result per (point, benchmark) cell: no
+The product is a table with one entry per (point, benchmark) cell: no
 engine outcome, stats tracker or telemetry record.  Only recordings are
 cached; a warm sweep lays out and re-prices every cell from them.
 
 ``REPRO_VECTOR_CHECK=1`` (CLI: ``--vector-check``) bypasses the plan
 store and checks the first, middle and last priced cells, each with its
-row's tracker, by :func:`~repro.engine.cells.check_against_oracle`; a
-diverging cell's entry becomes a failure naming every mismatch.
+row's result and tracker, by
+:func:`~repro.engine.cells.check_against_oracle`; a diverging cell's
+entry becomes a failure naming every mismatch.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import typing
 import warnings
@@ -41,13 +48,14 @@ from repro.perf.plans import (
     PlanTotals,
     PricingPlan,
     layout_plan,
-    plan_results,
+    plan_result,
     price_plan,
     recording_for,
     recording_key,
     unit_costs,
 )
 from repro.perf.vector import VectorEquivalenceError
+from repro.resilience.failures import CellFailure
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.parametric import ParametricBackend
@@ -56,7 +64,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.cache import DiskCache
     from repro.engine.cells import CellSpec
     from repro.perf.record import Recording
-    from repro.resilience.failures import CellFailure
 
 
 def batch_eligible(spec: "CellSpec") -> bool:
@@ -69,6 +76,27 @@ def batch_eligible(spec: "CellSpec") -> bool:
     take the per-cell path.
     """
     return bool(spec.vector) and not spec.functional and spec.fault_plan is None
+
+
+class CellMetrics(typing.NamedTuple):
+    """What a sweep reads of one cell's result (:func:`repro.dse.sweep.
+    run_sweep`'s per-benchmark metrics), in the report's key order."""
+
+    latency_ns: float
+    energy_nj: float
+    commands: float
+
+    @classmethod
+    def of(cls, result: "BenchmarkResult") -> "CellMetrics":
+        return cls(
+            result.pim_kernel_host_time_ns,
+            result.pim_kernel_host_energy_nj,
+            float(sum(result.op_counts.values())),
+        )
+
+
+#: One cell's entry in a priced sweep table (see price_cells_batched).
+TableEntry = typing.Union[CellMetrics, "BenchmarkResult", CellFailure, None]
 
 
 @dataclasses.dataclass
@@ -101,21 +129,29 @@ def _geometry_key(backend: "ParametricBackend") -> "typing.Hashable":
 
 
 def price_group(
-    plan: PricingPlan,
+    plans: "typing.Sequence[PricingPlan]",
     points: "list[tuple[ParametricBackend, DeviceConfig]]",
-) -> "tuple[PlanTotals, list[BenchmarkResult]]":
-    """Price every point of one geometry group from its shared plan.
+) -> "list[PlanTotals]":
+    """Price every plan of one geometry group at every point of it.
 
-    Returns the group's rows -- one :func:`~repro.perf.plans.price_plan`
-    call over the points' :func:`~repro.perf.plans.unit_costs` -- and
-    each row read into the result a scalar run of that point returns,
-    in ``points`` order.
+    One :func:`~repro.perf.plans.unit_costs` call over the plans'
+    concatenated shapes -- one ``cost_table`` call per integer-knob
+    sub-group, however many benchmarks the group lays out -- then one
+    :func:`~repro.perf.plans.price_plan` per plan over its own slice of
+    those columns.  Bit-equal to pricing each plan alone: ``cost_table``
+    prices every shape independently of the others.  Returns each
+    plan's totals, in ``plans`` order, rows in ``points`` order.
     """
-    totals = price_plan(plan, unit_costs(plan.shape_args, points))
-    results = plan_results(
-        plan, totals, [config.device_type for _backend, config in points]
+    unit = unit_costs(
+        tuple(itertools.chain.from_iterable(p.shape_args for p in plans)),
+        points,
     )
-    return totals, results
+    totals = []
+    stop = 0
+    for plan in plans:
+        start, stop = stop, stop + len(plan.shape_args)
+        totals.append(price_plan(plan, unit[:, :, start:stop]))
+    return totals
 
 
 def price_cells_batched(
@@ -125,18 +161,22 @@ def price_cells_batched(
     cell: "typing.Callable[[int], CellSpec]",
     use_cache: bool = True,
     cache_dir: "str | os.PathLike | None" = None,
-) -> "tuple[list[BenchmarkResult | CellFailure | None], BatchReport]":
+) -> "tuple[list[TableEntry], BatchReport]":
     """Price every (point, benchmark) cell of a sweep from its group's plan.
 
     Cell ``i`` is ``benchmarks[i % B]`` on ``backends[i // B]`` at
     ``num_ranks``; ``cell(i)`` builds its engine spec, needed only to
     record each benchmark and for the oracle samples.
 
-    Returns the table: entry ``i`` is cell ``i``'s result, the failure
-    an oracle check made of it, or ``None`` for a deferred cell -- one
-    whose benchmark cannot be recorded, whose point has no config, or
-    whose group cannot be laid out or priced; the sweep routes those
-    through the per-cell engine (it owns failure semantics).  The
+    Returns the table: entry ``i`` is cell ``i``'s
+    :class:`CellMetrics`, the failure an oracle check made of it, or
+    ``None`` for a deferred cell -- one whose benchmark cannot be
+    recorded, whose point has no config, or whose group cannot be laid
+    out or priced; the sweep routes those through the per-cell engine
+    (it owns failure semantics).  Each benchmark's first priced cell
+    that did not fail, in sweep order, and each oracle-checked cell
+    carry their full :class:`~repro.bench.common.BenchmarkResult`
+    instead, whose properties give the same metrics bit for bit.  The
     report counts recordings: loaded from the plan store (hits) or not
     (misses, recorded once in this process).
     """
@@ -151,7 +191,7 @@ def price_cells_batched(
     )
     report = BatchReport()
     width = len(benchmarks)
-    table: "list[BenchmarkResult | CellFailure | None]" = (
+    table: "list[TableEntry]" = (
         [None] * (len(backends) * width)
     )
     registry = global_registry()
@@ -185,8 +225,7 @@ def price_cells_batched(
             continue
         recordings[offset] = (spec, recording)
 
-    # (benchmark offset, geometry key) -> [(cell index, backend,
-    # config)] of every member.
+    # Geometry key -> [(point position, backend, config)] of its points.
     groups: "dict[typing.Hashable, list[tuple]]" = {}
     unconfigured = 0
     for position, backend in enumerate(backends):
@@ -195,11 +234,9 @@ def price_cells_batched(
         except Exception:  # noqa: BLE001 - defer to the engine path
             unconfigured += width
             continue
-        geometry = _geometry_key(backend)
-        for offset in recordings:
-            groups.setdefault((offset, geometry), []).append(
-                (position * width + offset, backend, config)
-            )
+        groups.setdefault(_geometry_key(backend), []).append(
+            (position, backend, config)
+        )
     if unconfigured:
         warnings.warn(
             f"batched pricing deferred {unconfigured} cell(s) whose "
@@ -208,49 +245,87 @@ def price_cells_batched(
             stacklevel=2,
         )
 
-    priced: "list[tuple[list[int], PlanTotals]]" = []
-    for (offset, _geometry), members in groups.items():
-        spec, recording = recordings[offset]
+    # Every priced (plan, its totals, its cells' indices, their device
+    # types).
+    priced: "list[tuple[PricingPlan, PlanTotals, list[int], list]]" = []
+    for members in groups.values():
+        _position, backend, config = members[0]
+        laid_out: "dict[int, PricingPlan]" = {}
+        for offset, (spec, recording) in recordings.items():
+            try:
+                laid_out[offset] = layout_plan(
+                    recording, backend, config, spec.enforce_capacity
+                )
+            except Exception as exc:  # noqa: BLE001 - defer to the engine path
+                _warn_deferred(len(members), exc)
+        if not laid_out:
+            continue
         try:
-            _index, backend, config = members[0]
-            plan = layout_plan(
-                recording, backend, config, spec.enforce_capacity
-            )
-            totals, results = price_group(
-                plan, [(backend, config) for _i, backend, config in members]
+            group_totals = price_group(
+                list(laid_out.values()),
+                [(backend, config) for _p, backend, config in members],
             )
         except Exception as exc:  # noqa: BLE001 - defer to the engine path
-            warnings.warn(
-                f"batched pricing deferred {len(members)} cell(s) to the "
-                f"per-cell engine: {type(exc).__name__}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _warn_deferred(len(members) * len(laid_out), exc)
             continue
-        cells = [index for index, _backend, _config in members]
-        for index, result in zip(cells, results):
-            table[index] = result
-        priced.append((cells, totals))
-        report.synthesized += len(cells)
+        positions = [position for position, _backend, _config in members]
+        device_types = [config.device_type for _p, _b, config in members]
+        for (offset, plan), totals in zip(laid_out.items(), group_totals):
+            # The sweep reads three numbers of a cell: read them as
+            # columns of the group's rows, no result built.
+            latency, energy = totals.kernel_host_columns()
+            commands = float(sum(totals.category_counts().values()))
+            cells = [position * width + offset for position in positions]
+            for index, row_latency, row_energy in zip(cells, latency, energy):
+                table[index] = CellMetrics(row_latency, row_energy, commands)
+            priced.append((plan, totals, cells, device_types))
+            report.synthesized += len(cells)
 
     if vector_check_enabled() and priced:
         from repro.resilience.failures import failure_from_exception
 
         # Sample the first, middle and last priced cells in sweep order,
-        # not group order; only they get a tracker row.
+        # not group order; only they get a result and a tracker row.
         fresh = [i for i, entry in enumerate(table) if entry is not None]
         picks = {fresh[0], fresh[len(fresh) // 2], fresh[-1]}
-        for cells, totals in priced:
+        for plan, totals, cells, device_types in priced:
             for row, index in enumerate(cells):
                 if index not in picks:
                     continue
+                result = plan_result(plan, totals, row, device_types[row])
                 try:
                     check_against_oracle(
-                        cell(index), table[index], totals.tracker(row)
+                        cell(index), result, totals.tracker(row)
                     )
                 except VectorEquivalenceError as exc:
                     table[index] = failure_from_exception(
                         exc, 1, with_traceback=False
                     )
+                else:
+                    table[index] = result
         report.checked = len(picks)
+
+    # Each benchmark's first priced cell that did not fail, in sweep
+    # order, gets its full result: the sweep's sample of the benchmark.
+    samples: "dict[int, tuple]" = {}
+    for plan, totals, cells, device_types in priced:
+        for row, index in enumerate(cells):
+            if isinstance(table[index], CellFailure):
+                continue
+            offset = index % width
+            if offset not in samples or index < samples[offset][0]:
+                samples[offset] = (index, plan, totals, row, device_types[row])
+            break
+    for index, plan, totals, row, device_type in samples.values():
+        if isinstance(table[index], CellMetrics):
+            table[index] = plan_result(plan, totals, row, device_type)
     return table, report
+
+
+def _warn_deferred(cells: int, exc: Exception) -> None:
+    warnings.warn(
+        f"batched pricing deferred {cells} cell(s) to the per-cell "
+        f"engine: {type(exc).__name__}: {exc}",
+        RuntimeWarning,
+        stacklevel=3,
+    )

@@ -33,7 +33,13 @@ from repro.config.device import (
     CORE_SCOPE_SUBARRAY,
     CORE_SCOPE_SUBARRAY_GROUP,
 )
-from repro.dse.batch import BatchReport, batch_eligible, price_cells_batched
+from repro.dse.batch import (
+    BatchReport,
+    CellMetrics,
+    TableEntry,
+    batch_eligible,
+    price_cells_batched,
+)
 from repro.dse.pareto import ParetoPoint, pareto_frontier
 from repro.dse.spec import SweepPoint, SweepSpec
 from repro.engine import run_cells
@@ -201,9 +207,9 @@ def run_sweep(
             vector=vector,
         )
 
-    # One entry per (point, benchmark) cell: its result, or the failure
-    # that replaced it.
-    table: "list[BenchmarkResult | CellFailure | None]" = (
+    # One entry per (point, benchmark) cell: its metrics or its result,
+    # or the failure that replaced it.
+    table: "list[TableEntry]" = (
         [None] * (len(points) * width)
     )
     batch = BatchReport()
@@ -240,12 +246,12 @@ def run_sweep(
                 entry.errors[benchmark] = result.brief()
                 continue
             assert result is not None
-            entry.per_benchmark[benchmark] = {
-                "latency_ns": result.pim_kernel_host_time_ns,
-                "energy_nj": result.pim_kernel_host_energy_nj,
-                "commands": float(sum(result.op_counts.values())),
-            }
-            sample_results.setdefault(benchmark, result)
+            if not isinstance(result, CellMetrics):
+                # A benchmark's first successful cell is a full result
+                # (price_cells_batched), so the sample is in point order.
+                sample_results.setdefault(benchmark, result)
+                result = CellMetrics.of(result)
+            entry.per_benchmark[benchmark] = result._asdict()
         if not entry.errors and entry.per_benchmark:
             config = backends[position].make_config(spec.num_ranks)
             entry.metrics = PointMetrics(

@@ -18,11 +18,12 @@ very different costs:
 
 :func:`price_plan` is the one analytic pricer: it prices a plan under P
 cost tables and returns P rows of accumulator totals;
-:func:`plan_results` reads each row into the
+:func:`plan_result` reads a row into the
 :class:`~repro.bench.common.BenchmarkResult` a scalar run returns.  A
 design-space sweep (:mod:`repro.dse.batch`) lays each benchmark's
 recording out once per geometry group and prices every point of the
-group in one pass, a table of rows; a vectorized cell
+group in one pass, a table of rows it mostly reads as columns
+(:meth:`PlanTotals.kernel_host_columns`); a vectorized cell
 (:func:`repro.engine.cells.run_cell`) is the one-point case, and
 :func:`synthesize` also gives it its row's tracker.
 
@@ -111,7 +112,7 @@ class PricingPlan:
     prices off the DRAM spec and host energy off the host TDP, both
     fixed within a geometry group.  The benchmark identity and the
     device-independent CPU/GPU baselines come from the recording, for
-    :func:`plan_results`.
+    :func:`plan_result`.
     """
 
     #: Representative CommandArgs per distinct shape, in shape order.
@@ -181,6 +182,40 @@ class PlanTotals:
             EventCounts(*self.events[row].tolist()),
         )
 
+    def kernel_host_columns(self) -> "tuple[list[float], list[float]]":
+        """Every row's kernel+host latency and kernel+background+host energy.
+
+        Bit-equal, row by row, to ``pim_kernel_host_time_ns`` and
+        ``pim_kernel_host_energy_nj`` of the row's :func:`plan_result`,
+        without building the snapshot or the result: the same builtin
+        ``sum`` over the same per-bucket lists as
+        :meth:`~repro.core.stats.StatsSnapshot.of`, then the same terms
+        in the same order as the properties.  Never a numpy reduction:
+        it adds in another order, and from CPython 3.12 the builtin
+        ``sum`` of floats is compensated.
+        """
+        host_time, host_energy = self.host_time_ns, self.host_energy_nj
+        latency = [sum(row) + host_time for row in self.latency_ns.tolist()]
+        energy = [
+            sum(row) + background + host_energy
+            for row, background in zip(
+                self.energy_nj.tolist(), self.background_nj.tolist()
+            )
+        ]
+        return latency, energy
+
+    def category_counts(self) -> "dict[typing.Any, int]":
+        """Issue counts by op category, in first-occurrence order.
+
+        Point-independent: every row issues the same integer command
+        counts.  A result's ``op_counts``.
+        """
+        counts: "dict" = {}
+        for kind, count in self.op_counts.items():
+            if count:
+                counts[kind.category] = counts.get(kind.category, 0) + count
+        return counts
+
     def tracker(self, row: int) -> StatsTracker:
         """Row ``row`` as a plain :class:`~repro.core.stats.StatsTracker`.
 
@@ -232,7 +267,12 @@ def _column_sums(
     ``np.sum``/``np.add.reduce`` use pairwise summation and would differ
     from the scalar path in the last ulp.  The expanded rows are walked
     in chunks of at most ``_SLAB_ELEMENTS // K`` rows, each carrying the
-    running totals in as its first row.
+    running totals in as its first row (``0.0 + x`` on the first, as the
+    scalar accumulator adds it: ``-0.0`` becomes ``0.0``).
+
+    Consumes ``addends``: without ``reps`` the running sums are
+    accumulated in place, overwriting its rows.  Every caller passes an
+    array (or a slice of one) it built for the call and reads no more.
     """
     entries, width = addends.shape
     step = max(1, _SLAB_ELEMENTS // max(1, width))
@@ -242,7 +282,7 @@ def _column_sums(
     for start in range(0, expanded, step):
         stop = min(expanded, start + step)
         if ends is None:
-            chunk = addends[start:stop].copy()
+            chunk = addends[start:stop]
         else:
             # The entries overlapping [start, stop), each clipped to it.
             first = int(np.searchsorted(ends, start, side="right"))
@@ -283,16 +323,20 @@ def _segment_sums(
     times.  Two bytewise-identical rows expand to the same addend
     sequence, so only the distinct rows are summed and their sums are
     scattered back.  Distinct rows are gathered in blocks of at most
-    ``_SLAB_ELEMENTS`` addends.
+    ``_SLAB_ELEMENTS`` addends; a block is scaled only where some
+    ``scale`` is not 1.0 (``x * 1.0`` is ``x``, bit for bit).
     """
     distinct, inverse = _distinct_rows(rows)
     if bool(np.all(reps == 1)):
         reps = None
+    scaled = not bool(np.all(scale == 1.0))
     sums = np.empty((len(segments), len(distinct)), dtype=np.float64)
     block = max(1, _SLAB_ELEMENTS // max(1, len(shape)))
     for low in range(0, len(distinct), block):
+        # Gathered fresh: _column_sums consumes each segment of it.
         addends = np.ascontiguousarray(distinct[low:low + block].T)[shape]
-        addends *= scale[:, None]
+        if scaled:
+            addends *= scale[:, None]
         for index, (start, stop) in enumerate(segments):
             sums[index, low:low + block] = _column_sums(
                 addends[start:stop], None if reps is None else reps[start:stop]
@@ -483,40 +527,29 @@ def unit_costs(
     return unit
 
 
-def plan_results(
-    plan: PricingPlan,
-    totals: PlanTotals,
-    device_types: "typing.Sequence[typing.Any]",
-) -> "list[BenchmarkResult]":
-    """Each row of ``totals`` as the result a scalar run would return.
+def plan_result(
+    plan: PricingPlan, totals: PlanTotals, row: int, device_type: typing.Any
+) -> "BenchmarkResult":
+    """Row ``row`` of ``totals`` as the result a scalar run would return.
 
-    Row ``row`` becomes what :meth:`repro.bench.common.PimBenchmark.run`
-    on a device of ``device_types[row]`` returns: the row's snapshot
-    (the delta against a fresh tracker, every float bit), the op census
-    by category in first-occurrence order, and the CPU/GPU baselines.
+    What :meth:`repro.bench.common.PimBenchmark.run` on a device of
+    ``device_type`` returns: the row's snapshot (the delta against a
+    fresh tracker, every float bit), the op census by category in
+    first-occurrence order, and the CPU/GPU baselines.
     """
     from repro.bench.common import BenchmarkResult
 
-    # The category census is point-independent -- every point issues
-    # the same integer command counts.
-    op_counts: "dict" = {}
-    for kind, count in totals.op_counts.items():
-        if count:
-            op_counts[kind.category] = op_counts.get(kind.category, 0) + count
-    return [
-        BenchmarkResult(
-            benchmark=plan.benchmark_name,
-            device_type=device_type,
-            stats=totals.snapshot(row),
-            op_counts=dict(op_counts),
-            cpu_time_ns=plan.cpu_time_ns,
-            cpu_energy_nj=plan.cpu_energy_nj,
-            gpu_time_ns=plan.gpu_time_ns,
-            gpu_energy_nj=plan.gpu_energy_nj,
-            verified=None,
-        )
-        for row, device_type in enumerate(device_types)
-    ]
+    return BenchmarkResult(
+        benchmark=plan.benchmark_name,
+        device_type=device_type,
+        stats=totals.snapshot(row),
+        op_counts=totals.category_counts(),
+        cpu_time_ns=plan.cpu_time_ns,
+        cpu_energy_nj=plan.cpu_energy_nj,
+        gpu_time_ns=plan.gpu_time_ns,
+        gpu_energy_nj=plan.gpu_energy_nj,
+        verified=None,
+    )
 
 
 def synthesize(
@@ -529,11 +562,9 @@ def synthesize(
     run_cell`); the plain tracker pickles and caches like a scalar one.
     """
     totals = price_plan(plan, unit_costs(plan.shape_args, points))
-    results = plan_results(
-        plan, totals, [config.device_type for _backend, config in points]
-    )
     rows = []
-    for row, result in enumerate(results):
+    for row, (_backend, config) in enumerate(points):
+        result = plan_result(plan, totals, row, config.device_type)
         tracker = totals.tracker(row)
         # Share the immutable census, as a scalar run's result and
         # tracker do, so the cached outcome pickles as compactly.

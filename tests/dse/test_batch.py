@@ -9,6 +9,7 @@ allowed to exist because nothing downstream can tell it ran.
 
 import dataclasses
 import pickle
+import struct
 
 import pytest
 
@@ -171,14 +172,16 @@ class TestIdentity:
         assert sum(o.failed for o in audited.outcomes) == 3
 
     @pytest.mark.parametrize(
-        "widths,expected", [((64,), 1), ((32, 64), 2)],
-        ids=["one-width", "two-widths"],
+        "widths,benchmarks,expected",
+        [((64,), ["vecadd"], 1), ((32, 64), ["vecadd"], 2),
+         ((32, 64), ["vecadd", "gemv"], 2)],
+        ids=["one-width", "two-widths", "two-benchmarks"],
     )
     def test_group_calls_cost_table_once_per_subgroup(
-        self, monkeypatch, widths, expected
+        self, monkeypatch, widths, benchmarks, expected
     ):
         """One call per integer-knob sub-group: clocks share a call, ALU
-        widths split them."""
+        widths split them, and a group's benchmarks share them all."""
         calls = []
         original = ArchBackend.cost_table
 
@@ -188,9 +191,10 @@ class TestIdentity:
 
         monkeypatch.setattr(ArchBackend, "cost_table", counted)
         axes = {"pe_freq_mhz": [200, 300, 400], "pe_width_bits": list(widths)}
-        result = _run(_spec(axes=axes))  # one geometry group
-        assert result.plan_misses == 1
-        assert result.batched_cells == 3 * len(widths)
+        # One geometry group.
+        result = _run(_spec(axes=axes, benchmarks=benchmarks))
+        assert result.plan_misses == len(benchmarks)
+        assert result.batched_cells == 3 * len(widths) * len(benchmarks)
         # The compile itself prices nothing.
         assert calls == [3] * expected
 
@@ -244,6 +248,111 @@ class TestIdentity:
         (message,) = result.outcomes[2].errors.values()
         assert "diverged from the scalar path" in message
         assert "latency_ns" in message
+
+
+#: Two bases, three benchmarks, two geometry groups per base.
+_TWO_BASES = {
+    "name": "batch-columns",
+    "bases": ["bank", "fulcrum"],
+    "benchmarks": ["vecadd", "gemv", "histogram"],
+    "num_ranks": 2,
+    "axes": {
+        "banks_per_rank": [32, 64],
+        "pe_width_bits": [32, 64],
+        "pe_freq_mhz": [200, 300],
+    },
+}
+
+
+def _bits(metrics):
+    return [struct.pack("<d", value) for value in metrics]
+
+
+class TestColumns:
+    """A sweep reads each batch-priced cell's three numbers as columns
+    of its group's rows; they must be the numbers its full result
+    gives, bit for bit."""
+
+    def test_columns_bit_equal_plan_result(self, monkeypatch):
+        from repro.dse import batch, sweep
+        from repro.dse.batch import CellMetrics
+        from repro.perf.plans import plan_result
+
+        groups, tables = [], []
+        price_group = batch.price_group
+        price_cells_batched = sweep.price_cells_batched
+
+        def negative_zero_row(plans, points):
+            """Price the group, then make its middle row all -0.0: the
+            builtin ``sum`` the snapshot folds with starts at 0 and
+            drops the sign, a sequential ``np.add.accumulate`` read of
+            the row would keep it."""
+            group_totals = [
+                dataclasses.replace(
+                    totals, host_time_ns=-0.0, host_energy_nj=-0.0
+                )
+                for totals in price_group(plans, points)
+            ]
+            row = len(points) // 2
+            for totals in group_totals:
+                totals.latency_ns[row] = -0.0
+                totals.energy_nj[row] = -0.0
+                totals.background_nj[row] = -0.0
+            groups.append((plans, points, group_totals))
+            return group_totals
+
+        def kept(backends, benchmarks, *args, **kwargs):
+            table, report = price_cells_batched(
+                backends, benchmarks, *args, **kwargs
+            )
+            tables.append((backends, benchmarks, table))
+            return table, report
+
+        monkeypatch.setattr(batch, "price_group", negative_zero_row)
+        monkeypatch.setattr(sweep, "price_cells_batched", kept)
+        result = _run(SweepSpec.from_dict(_TWO_BASES))
+        assert result.batched_cells == 48
+        ((backends, benchmarks, table),) = tables
+        position = {id(backend): i for i, backend in enumerate(backends)}
+        # 2 bases x 2 bank counts, each pricing its 3 benchmarks at once.
+        assert len(groups) == 4
+        checked = negative = 0
+        for plans, points, group_totals in groups:
+            for plan, totals in zip(plans, group_totals):
+                offset = benchmarks.index(plan.benchmark_key)
+                for row, (backend, config) in enumerate(points):
+                    entry = table[position[id(backend)] * len(benchmarks)
+                                  + offset]
+                    if not isinstance(entry, CellMetrics):
+                        entry = CellMetrics.of(entry)
+                    expected = plan_result(
+                        plan, totals, row, config.device_type
+                    )
+                    assert _bits(entry) == _bits(CellMetrics.of(expected)), (
+                        plan.benchmark_key, backend.id
+                    )
+                    if not any(totals.energy_nj[row]):
+                        assert _bits(entry)[:2] == _bits((0.0, 0.0))
+                        negative += 1
+                    checked += 1
+        assert checked == 48
+        assert negative == 4 * 3
+
+    def test_samples_match_the_scalar_path(self):
+        """Each benchmark's sample is its first cell in point order, the
+        full result a scalar run of it returns."""
+        spec = SweepSpec.from_dict(_TWO_BASES)
+        batched = _run(spec)
+        scalar = _run(spec, vector=False)
+        assert batched.batched_cells == 48 and scalar.batched_cells == 0
+        assert list(batched.sample_results) == _TWO_BASES["benchmarks"]
+        for benchmark, result in scalar.sample_results.items():
+            assert repr(batched.sample_results[benchmark].to_dict()) == repr(
+                result.to_dict()
+            )
+        assert render_json(sweep_payload(batched)) == render_json(
+            sweep_payload(scalar)
+        )
 
 
 class TestFallback:

@@ -304,10 +304,8 @@ class TestTableSnapshot:
                         paper_scale=False, vector=True)
         plan = plan_for(spec, *points[0])
         totals = price_plan(plan, plans.unit_costs(plan.shape_args, points))
-        results = plans.plan_results(
-            plan, totals, [config.device_type for _, config in points]
-        )
-        for row, result in enumerate(results):
+        for row, (_backend, config) in enumerate(points):
+            result = plans.plan_result(plan, totals, row, config.device_type)
             expected = _snapshot_bits(totals.tracker(row).snapshot())
             assert _snapshot_bits(totals.snapshot(row)) == expected
             assert _snapshot_bits(result.stats) == expected
@@ -395,6 +393,34 @@ class TestBoundedSums:
             assert tracker_mismatches(
                 chunked.tracker(row), expected.tracker(row)
             ) == []
+
+
+class TestColumnSumsInPlace:
+    """``_column_sums`` accumulates in the caller's array, chunk by
+    chunk; every column must still be the scalar ``+=`` loop."""
+
+    @pytest.mark.parametrize("with_reps", [False, True],
+                             ids=["once-each", "reps"])
+    def test_multi_chunk_bit_equals_sequential_adds(
+        self, monkeypatch, with_reps
+    ):
+        rng = np.random.default_rng(11)
+        entries, width = 29, 4
+        scales = 10.0 ** rng.integers(-9, 10, size=(entries, width))
+        addends = rng.standard_normal((entries, width)) * scales
+        addends[:, 3] = -0.0  # 0.0 + -0.0 is 0.0 on the scalar path
+        addends[0, :3] = -0.0
+        reps = rng.integers(1, 5, size=entries) if with_reps else None
+        expected = [0.0] * width
+        for entry, row in enumerate(addends.tolist()):
+            for _ in range(1 if reps is None else int(reps[entry])):
+                for column, value in enumerate(row):
+                    expected[column] += value
+        # Three rows per chunk: every run of entries crosses chunks.
+        monkeypatch.setattr(plans, "_SLAB_ELEMENTS", 3 * width)
+        got = plans._column_sums(addends.copy(), reps)
+        assert _bits(got) == _bits(expected)
+        assert _bits(got[3:]) == _bits([0.0])
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=[b.id for b in BACKENDS])
